@@ -24,7 +24,7 @@ baseline = poisson_pmf(1.0, kmax=8)
 
 print("eps    max|emp - poisson|   max|emp - corrected|")
 for i, eps in enumerate((0.4, 0.2, 0.1, 0.05)):
-    spec = ExperimentSpec(kind="cox", t=t, eps=eps, model=model)
+    spec = ExperimentSpec(model, t, eps)
     est = estimate_pmf(spec, 300_000, master_seed=7, kmax=8, stream_key=(i,))
     corrected = corrected_count_pmf(ExpansionInputs.from_model(model, eps, t), kmax=8)
     r0 = np.abs(est.probs - baseline.probs).max()

@@ -34,7 +34,7 @@ baseline = poisson_pmf(m, kmax=7)
 corrected = corrected_queue_pmf(
     res.lambda_star, float(res.g[model.initial_state]), res.sigma2, service, eps, t, kmax=7
 )
-spec = ExperimentSpec(kind="queue", t=t, eps=eps, model=model, service=service)
+spec = ExperimentSpec(model, t, eps, service)
 est = estimate_pmf(spec, 300_000, master_seed=3, kmax=7)
 
 print("\n k   empirical   poisson    corrected")

@@ -25,7 +25,7 @@ ref = poisson_pmf(1.0)
 
 print("eps     marginal tv to Poisson(1)")
 for i, eps in enumerate((0.5, 0.2, 0.1, 0.05)):
-    spec = ExperimentSpec(kind="cox", t=1.0, eps=eps, model=model)
+    spec = ExperimentSpec(model, 1.0, eps)
     est = estimate_pmf(spec, 400_000, master_seed=11, kmax=ref.kmax, stream_key=(i,))
     print(f"{eps:<7} {marginal_tv_distance(est, ref):.4f}")
 

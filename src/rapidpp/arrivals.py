@@ -378,6 +378,7 @@ def sample_thinned_counts(
     return thinned
 
 
+# An alias of _segment_rounds, kept because bench/tracer.py patches queue_sim.cox_segments.
 def cox_segments(model: CtmcModel, horizon: float, size: int, rng: np.random.Generator):
     """Stream (replication, state, start, end) sojourn segments; see queue kernels."""
     return _segment_rounds(model, horizon, size, rng)

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .arrivals import PeriodicIntensity, PoissonBase, RenewalGammaBase
+from .arrivals import PoissonBase
 from .config import (
     ExperimentConfig,
     config_sha256,
@@ -31,20 +31,17 @@ from .errors import (
     SingularSystemError,
     ZeroMeanRateError,
 )
-from .expansions import (
-    ExpansionInputs,
-    PmfVector,
-    corrected_count_pmf,
-    corrected_count_pmf_periodic,
-    corrected_queue_pmf,
+from .expansions import (  # noqa: F401
+    corrected_count_pmf,  # patched by bench/tracer.py; not called here
+    corrected_count_pmf_periodic,  # patched by bench/tracer.py; not called here
+    corrected_queue_pmf,  # patched by bench/tracer.py; not called here
     eta_squared,
-    mean_q0,
-    poisson_pmf,
+    poisson_pmf,  # patched by bench/tracer.py; not called here
     tv_limit_exact,
     tv_limit_mc,
 )
 from .harness import ExperimentSpec, convergence_study, estimate_pmf
-from .markov_env import CtmcModel, analyze, validate_generator
+from .markov_env import CtmcModel, analyze
 
 __all__ = ["main"]
 
@@ -75,10 +72,6 @@ def _csv_doc(cfg: ExperimentConfig, header: str, rows: list[str], truncation: fl
     return "\n".join(lines + rows) + "\n"
 
 
-def _one_state_model(rate: float) -> CtmcModel:
-    return CtmcModel(validate_generator([[0.0]]), np.array([rate]), 0)
-
-
 def _require_mmpp(cfg: ExperimentConfig) -> CtmcModel:
     if not isinstance(cfg.model, CtmcModel):
         raise ConfigError("this command requires an mmpp model", "model.type")
@@ -91,65 +84,9 @@ def _require_eps(cfg: ExperimentConfig) -> float:
     return cfg.eps
 
 
-def _expansion_pair(cfg: ExperimentConfig, eps: float) -> tuple[PmfVector, PmfVector]:
-    """Baseline Poisson pmf and first-order corrected pmf for the config."""
-    model = cfg.model
-    if cfg.kind == "queue":
-        if isinstance(model, CtmcModel):
-            analysis = analyze(model)
-            lam = analysis.lambda_star
-            g_x0 = float(analysis.g[model.initial_state])
-            sigma2 = analysis.sigma2
-        elif isinstance(model, PoissonBase):
-            lam, g_x0, sigma2 = model.rate, 0.0, 0.0
-        else:
-            raise ConfigError("queue experiments require an mmpp or constant model", "model")
-        base = poisson_pmf(mean_q0(lam, cfg.service, cfg.t), cfg.kmax)
-        corrected = corrected_queue_pmf(
-            lam, g_x0, sigma2, cfg.service, eps, cfg.t, base.kmax
-        )
-        return base, corrected
-    if isinstance(model, CtmcModel):
-        inputs = ExpansionInputs.from_model(model, eps, cfg.t)
-        base = poisson_pmf(inputs.lambda_star * cfg.t, cfg.kmax)
-        return base, corrected_count_pmf(inputs, base.kmax)
-    if isinstance(model, PeriodicIntensity):
-        base = poisson_pmf(model.average_rate * cfg.t, cfg.kmax)
-        return base, corrected_count_pmf_periodic(model, eps, cfg.t, base.kmax)
-    if isinstance(model, PoissonBase):
-        base = poisson_pmf(model.rate * cfg.t, cfg.kmax)
-        return base, base
-    base = poisson_pmf(model.long_run_rate * cfg.t, cfg.kmax)
-    return base, base
-
-
-def _simulation_eps(cfg: ExperimentConfig) -> float:
-    eps = _require_eps(cfg)
-    if not 0.0 < eps <= 1.0:
-        raise ConfigError("eps must lie in (0, 1] for simulation", "eps")
-    return eps
-
-
-def _experiment_spec(cfg: ExperimentConfig) -> ExperimentSpec:
-    model = cfg.model
-    if cfg.kind == "queue":
-        if isinstance(model, CtmcModel):
-            return ExperimentSpec(
-                kind="queue", t=cfg.t, eps=_simulation_eps(cfg), model=model, service=cfg.service
-            )
-        if not isinstance(model, PoissonBase):
-            raise ConfigError("queue experiments require an mmpp or constant model", "model")
-        # constant rate: the speed parameter is irrelevant
-        return ExperimentSpec(
-            kind="queue", t=cfg.t, eps=1.0, model=_one_state_model(model.rate), service=cfg.service
-        )
-    if isinstance(model, CtmcModel):
-        return ExperimentSpec(kind="cox", t=cfg.t, eps=_simulation_eps(cfg), model=model)
-    if isinstance(model, PeriodicIntensity):
-        return ExperimentSpec(kind="periodic", t=cfg.t, eps=_simulation_eps(cfg), intensity=model)
-    if isinstance(model, PoissonBase):
-        return ExperimentSpec(kind="constant", t=cfg.t, rate=model.rate)
-    return ExperimentSpec(kind="thinned", t=cfg.t, eps=_simulation_eps(cfg), base=model)
+def _experiment(cfg: ExperimentConfig, eps: float) -> ExperimentSpec:
+    service = cfg.service if cfg.kind == "queue" else None
+    return ExperimentSpec(cfg.model, cfg.t, eps, service)
 
 
 def _cmd_analyze(cfg: ExperimentConfig, out: str | None) -> int:
@@ -170,8 +107,7 @@ def _cmd_analyze(cfg: ExperimentConfig, out: str | None) -> int:
 
 
 def _cmd_expand(cfg: ExperimentConfig, out: str | None) -> int:
-    eps = _require_eps(cfg)
-    base, corrected = _expansion_pair(cfg, eps)
+    base, corrected = _experiment(cfg, _require_eps(cfg)).expansion(cfg.kmax)
     rows = [
         f"{k},{float(p)!r},{float(c)!r}"
         for k, (p, c) in enumerate(zip(base.probs, corrected.probs))
@@ -181,9 +117,12 @@ def _cmd_expand(cfg: ExperimentConfig, out: str | None) -> int:
 
 
 def _cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
-    eps_for_expansion = cfg.eps if cfg.eps is not None else 0.0
-    base, corrected = _expansion_pair(cfg, eps_for_expansion)
-    spec = _experiment_spec(cfg)
+    # a constant rate has no speed parameter, so it needs no eps
+    eps = 1.0 if isinstance(cfg.model, PoissonBase) else _require_eps(cfg)
+    if eps == 0.0:
+        raise ConfigError("eps must lie in (0, 1] for simulation", "eps")
+    spec = _experiment(cfg, eps)
+    base, corrected = spec.expansion(cfg.kmax)
     est = estimate_pmf(
         spec, cfg.reps, cfg.master_seed, kmax=base.kmax, workers=cfg.workers
     )
@@ -224,6 +163,8 @@ def _cmd_tv_limit(cfg: ExperimentConfig, out: str | None, reps_requested: bool) 
     model = _require_mmpp(cfg)
     body = {"tv_limit_exact": tv_limit_exact(model, cfg.t, cfg.truncation_mass)}
     if reps_requested:
+        if cfg.reps < 100:
+            raise ConfigError("the Monte Carlo estimate needs at least 100 reps", "reps")
         rng = np.random.default_rng(np.random.SeedSequence(cfg.master_seed))
         est, se = tv_limit_mc(model, cfg.t, cfg.reps, rng)
         body["tv_limit_mc"] = {"estimate": est, "se": se, "reps": cfg.reps}

@@ -77,19 +77,6 @@ class PmfVector:
     def negative_indices(self) -> list[int]:
         return np.flatnonzero(self.probs < 0.0).tolist()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kmax": self.kmax,
-            "truncation_mass": self.truncation_mass,
-            "negative_indices": self.negative_indices,
-            "probs": self.probs.tolist(),
-        }
-
-    def to_csv_text(self) -> str:
-        lines = [f"# truncation_mass={self.truncation_mass!r}", "k,prob"]
-        lines += [f"{k},{float(p)!r}" for k, p in enumerate(self.probs)]
-        return "\n".join(lines) + "\n"
-
 
 def default_kmax(mean: float) -> int:
     """Smallest K whose Poisson(mean) CDF is at least 1 - 1e-12."""
@@ -159,19 +146,8 @@ class ExpansionInputs:
     @classmethod
     def from_model(cls, model: CtmcModel, eps: float, t: float) -> "ExpansionInputs":
         analysis = analyze(model)
-        return cls.from_analysis(analysis, model.initial_state, eps, t)
-
-    @classmethod
-    def from_analysis(
-        cls, analysis: StationaryAnalysis, initial_state: int, eps: float, t: float
-    ) -> "ExpansionInputs":
-        return cls(
-            lambda_star=analysis.lambda_star,
-            g_x0=float(analysis.g[initial_state]),
-            sigma2=analysis.sigma2,
-            t=t,
-            eps=eps,
-        )
+        g_x0 = float(analysis.g[model.initial_state])
+        return cls(analysis.lambda_star, g_x0, analysis.sigma2, t, eps)
 
 
 def _check_eps(eps: float):
@@ -218,13 +194,16 @@ def periodic_correction_integral(intensity: PeriodicIntensity, eps: float, t: fl
 def corrected_count_pmf_periodic(
     intensity: PeriodicIntensity, eps: float, t: float, kmax: int | None = None
 ) -> PmfVector:
-    """First-order corrected count pmf for a fast periodic intensity."""
+    """First-order corrected count pmf for a fast periodic intensity.
+
+    At eps 0 the correction term is 0 and the pmf is the Poisson baseline.
+    """
     _check_eps(eps)
     mu = intensity.average_rate * t
     if mu <= 0:
         raise DegenerateMeanError("average rate times t must be positive")
     base = poisson_pmf(mu, kmax)
-    correction = periodic_correction_integral(intensity, eps, t)
+    correction = periodic_correction_integral(intensity, eps, t) if eps > 0 else 0.0
     k = np.arange(base.kmax + 1, dtype=float)
     probs = base.probs * (1.0 + eps * (k / mu - 1.0) * correction)
     return PmfVector(probs, base.kmax, base.truncation_mass)

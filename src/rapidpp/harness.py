@@ -20,7 +20,6 @@ from .arrivals import (
     CoxBase,
     PeriodicIntensity,
     PoissonBase,
-    RenewalGammaBase,
     sample_cox_counts,
     sample_periodic_counts,
     sample_thinned_counts,
@@ -30,12 +29,13 @@ from .expansions import (
     PmfVector,
     ServiceModel,
     corrected_count_pmf,
+    corrected_count_pmf_periodic,
     corrected_queue_pmf,
     default_kmax,
     mean_q0,
     poisson_pmf,
 )
-from .markov_env import CtmcModel, analyze
+from .markov_env import CtmcModel, analyze, validate_generator
 from .queue_sim import sample_queue_counts
 
 __all__ = [
@@ -57,69 +57,109 @@ CHUNK_SIZE = 16_384
 MIN_BASELINE_PROB = 1e-4
 Z99 = float(stats.norm.ppf(0.995))
 
-_KINDS = ("constant", "cox", "periodic", "thinned", "queue")
+Model = CtmcModel | PeriodicIntensity | BaseProcessSpec
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentSpec:
-    """Descriptor of one marginal-count (or occupancy) sampling experiment."""
+    """One experiment at time t; the type of ``model`` decides which.
 
-    kind: str
+    - ``CtmcModel``: count of the Markov-modulated stream;
+    - ``PeriodicIntensity``: count of the fast periodic stream;
+    - ``PoissonBase``: constant-rate count; a constant rate has no speed
+      parameter, so ``eps`` is ignored (and set to 1);
+    - ``RenewalGammaBase`` or ``CoxBase``: count of the base stream sped up
+      by 1/eps and thinned with keep probability eps;
+    - with a ``service``: infinite-server occupancy fed by the stream.  The
+      model must be a ``CtmcModel`` or a ``PoissonBase``, which the spec
+      wraps as a one-state chain.
+
+    :meth:`baseline_mean` and :meth:`expansion` give the constant-rate
+    Poisson approximation and its first-order eps-correction, and
+    :meth:`sample_counts` draws the exact law.  At eps 0 the corrected pmf
+    equals the baseline; sampling needs eps > 0.
+    """
+
+    model: Model
     t: float
     eps: float = 1.0
-    rate: float | None = None
-    model: CtmcModel | None = None
-    intensity: PeriodicIntensity | None = None
-    base: BaseProcessSpec | None = None
     service: ServiceModel | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        model = self.model
+        if not isinstance(model, Model):
+            raise ValueError(f"unsupported model {model!r}")
         if self.t <= 0:
             raise ValueError("t must be positive")
-        needs = {
-            "constant": self.rate is not None and self.rate > 0,
-            "cox": self.model is not None,
-            "periodic": self.intensity is not None,
-            "thinned": self.base is not None,
-            "queue": self.model is not None and self.service is not None,
-        }
-        if not needs[self.kind]:
-            raise ValueError(f"experiment kind {self.kind!r} is missing required fields")
-        if self.kind != "constant" and not 0.0 < self.eps <= 1.0:
-            raise ValueError("eps must lie in (0, 1]")
+        if isinstance(model, PoissonBase):
+            object.__setattr__(self, "eps", 1.0)
+            if self.service is not None:
+                chain = CtmcModel(validate_generator([[0.0]]), np.array([model.rate]), 0)
+                object.__setattr__(self, "model", chain)
+        elif not 0.0 <= self.eps <= 1.0:
+            raise ValueError("eps must lie in [0, 1]")
+        if self.service is not None and not isinstance(self.model, CtmcModel):
+            raise ValueError("occupancy experiments need a CtmcModel or a PoissonBase")
 
     def baseline_mean(self) -> float:
         """Mean of the constant-rate approximation of this experiment."""
-        if self.kind == "constant":
-            return self.rate * self.t
-        if self.kind == "cox":
-            return analyze(self.model).lambda_star * self.t
-        if self.kind == "periodic":
-            return self.intensity.average_rate * self.t
-        if self.kind == "thinned":
-            base = self.base
-            if isinstance(base, PoissonBase):
-                rate = base.rate
-            elif isinstance(base, RenewalGammaBase):
-                rate = base.long_run_rate
-            else:
-                rate = analyze(base.model).lambda_star
-            return rate * self.t
-        m = mean_q0(analyze(self.model).lambda_star, self.service, self.t)
-        return m
+        model = self.model
+        if self.service is not None:
+            return mean_q0(analyze(model).lambda_star, self.service, self.t)
+        if isinstance(model, CoxBase):
+            model = model.model
+        if isinstance(model, CtmcModel):
+            rate = analyze(model).lambda_star
+        elif isinstance(model, PeriodicIntensity):
+            rate = model.average_rate
+        elif isinstance(model, PoissonBase):
+            rate = model.rate
+        else:
+            rate = model.long_run_rate
+        return rate * self.t
 
+    def expansion(self, kmax: int | None = None) -> tuple[PmfVector, PmfVector]:
+        """The baseline Poisson pmf and the first-order corrected pmf at eps.
+
+        Both cover 0..kmax (by default the baseline's :func:`default_kmax`).
+        A thinned ``CoxBase`` has the law of the modulated stream and takes
+        its correction; constant-rate and renewal streams carry none, so
+        their corrected pmf is the baseline.
+        """
+        model = self.model
+        if self.service is not None:
+            analysis = analyze(model)
+            lam = analysis.lambda_star
+            base = poisson_pmf(mean_q0(lam, self.service, self.t), kmax)
+            g_x0 = float(analysis.g[model.initial_state])
+            corrected = corrected_queue_pmf(
+                lam, g_x0, analysis.sigma2, self.service, self.eps, self.t, base.kmax
+            )
+            return base, corrected
+        if isinstance(model, CoxBase):
+            model = model.model
+        if isinstance(model, CtmcModel):
+            inputs = ExpansionInputs.from_model(model, self.eps, self.t)
+            base = poisson_pmf(inputs.lambda_star * self.t, kmax)
+            return base, corrected_count_pmf(inputs, base.kmax)
+        base = poisson_pmf(self.baseline_mean(), kmax)
+        if isinstance(model, PeriodicIntensity):
+            return base, corrected_count_pmf_periodic(model, self.eps, self.t, base.kmax)
+        return base, base
+
+    # Defined on this class and looked up by name: bench/tracer.py patches
+    # ExperimentSpec.sample_counts and the sampler names bound in this module.
     def sample_counts(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "constant":
-            return rng.poisson(self.rate * self.t, size)
-        if self.kind == "cox":
-            return sample_cox_counts(self.model, self.eps, self.t, size, rng)
-        if self.kind == "periodic":
-            return sample_periodic_counts(self.intensity, self.eps, self.t, size, rng)
-        if self.kind == "thinned":
-            return sample_thinned_counts(self.base, self.eps, self.t, size, rng)
-        return sample_queue_counts(self.model, self.service, self.eps, self.t, size, rng)
+        model = self.model
+        if self.service is not None:
+            return sample_queue_counts(model, self.service, self.eps, self.t, size, rng)
+        if isinstance(model, CtmcModel):
+            return sample_cox_counts(model, self.eps, self.t, size, rng)
+        if isinstance(model, PeriodicIntensity):
+            return sample_periodic_counts(model, self.eps, self.t, size, rng)
+        if isinstance(model, PoissonBase):
+            return rng.poisson(model.rate * self.t, size)
+        return sample_thinned_counts(model, self.eps, self.t, size, rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,16 +192,6 @@ class PmfEstimate:
 
     def standard_errors(self) -> np.ndarray:
         return np.sqrt(self.probs * (1.0 - self.probs) / self.reps)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "reps": self.reps,
-            "kmax": self.kmax,
-            "counts": self.counts.tolist(),
-            "probs": self.probs.tolist(),
-            "ci_low": self.ci_low.tolist(),
-            "ci_high": self.ci_high.tolist(),
-        }
 
 
 def estimate_pmf(
@@ -219,9 +249,6 @@ class GofResult:
     statistic: float
     dof: int
     p_value: float
-
-    def to_json_dict(self) -> dict:
-        return {"statistic": self.statistic, "dof": self.dof, "p_value": self.p_value}
 
 
 def _counts_with_overflow(counts: np.ndarray, kmax: int) -> np.ndarray:
@@ -319,8 +346,8 @@ def construction_equivalence_test(
 ) -> GofResult:
     """Two-sample chi-square between the thin-and-speed construction and the
     directly modulated stream, both built over the same environment law."""
-    thin_spec = ExperimentSpec(kind="thinned", t=t, eps=eps, base=CoxBase(model))
-    cox_spec = ExperimentSpec(kind="cox", t=t, eps=eps, model=model)
+    thin_spec = ExperimentSpec(CoxBase(model), t, eps)
+    cox_spec = ExperimentSpec(model, t, eps)
     est_thin = estimate_pmf(thin_spec, reps, master_seed, workers=workers, stream_key=(1,))
     est_cox = estimate_pmf(cox_spec, reps, master_seed, workers=workers, stream_key=(2,))
     return chi_square_two_sample(est_thin.counts, est_cox.counts)
@@ -410,33 +437,18 @@ def convergence_study(
         raise ValueError("eps grid entries must lie in (0, 1]")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ValueError("eps grid must be strictly decreasing")
-    analysis = analyze(model)
-    if service is None:
-        mean = analysis.lambda_star * t
-        kind = "counts"
-    else:
-        mean = mean_q0(analysis.lambda_star, service, t)
-        kind = "queue"
+    specs = [ExperimentSpec(model, t, eps, service) for eps in grid]
     if kmax is None:
-        kmax = default_kmax(mean)
-    baseline = poisson_pmf(mean, kmax)
-    mask = baseline.probs >= MIN_BASELINE_PROB
-    g_x0 = float(analysis.g[model.initial_state])
+        kmax = default_kmax(specs[0].baseline_mean())
     entries = []
-    for i, eps in enumerate(grid):
-        if service is None:
-            spec = ExperimentSpec(kind="cox", t=t, eps=eps, model=model)
-            inputs = ExpansionInputs(analysis.lambda_star, g_x0, analysis.sigma2, t, eps)
-            corrected = corrected_count_pmf(inputs, kmax)
-        else:
-            spec = ExperimentSpec(kind="queue", t=t, eps=eps, model=model, service=service)
-            corrected = corrected_queue_pmf(
-                analysis.lambda_star, g_x0, analysis.sigma2, service, eps, t, kmax
-            )
+    for i, (eps, spec) in enumerate(zip(grid, specs)):
+        baseline, corrected = spec.expansion(kmax)
+        mask = baseline.probs >= MIN_BASELINE_PROB
         est = estimate_pmf(
             spec, reps, master_seed, kmax, workers=workers, stream_key=(i,)
         )
         r0, se0 = _max_residual(est, baseline, mask)
         r1, se1 = _max_residual(est, corrected, mask)
         entries.append(ResidualEntry(eps, r0, se0, r1, se1))
+    kind = "counts" if service is None else "queue"
     return ResidualReport(grid, reps, kmax, kind, entries)

@@ -182,7 +182,7 @@ def test_A6_weak_convergence_without_path_tv_convergence():
     ref = poisson_pmf(1.0)
     tvs = []
     for i, eps in enumerate((0.4, 0.2, 0.1, 0.05)):
-        spec = ExperimentSpec(kind="cox", t=1.0, eps=eps, model=WORKED_MODEL)
+        spec = ExperimentSpec(WORKED_MODEL, 1.0, eps)
         est = estimate_pmf(spec, 1_000_000, 606, kmax=ref.kmax, stream_key=(i,))
         tvs.append(marginal_tv_distance(est, ref))
     assert all(a > b for a, b in zip(tvs, tvs[1:]))

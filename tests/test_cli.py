@@ -7,6 +7,7 @@ import pytest
 from rapidpp.cli import main
 
 MMPP = {"type": "mmpp", "generator": [[-1, 1], [1, -1]], "rates": [0, 2], "initial_state": 0}
+PERIODIC = {"type": "periodic", "breakpoints": [0, 0.5], "values": [2, 0]}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -74,6 +75,14 @@ class TestExpand:
     def test_zero_eps_columns_match(self, tmp_path):
         out = str(tmp_path / "out.csv")
         cfg = write_config(tmp_path, {"model": MMPP, "t": 1.0, "eps": 0.0})
+        assert main(["expand", "--config", cfg, "--out", out]) == 0
+        _, rows = read_csv(out)
+        np.testing.assert_array_equal(rows[:, 1], rows[:, 2])
+
+    def test_zero_eps_periodic_columns_match(self, tmp_path):
+        out = str(tmp_path / "out.csv")
+        doc = {"model": PERIODIC, "t": 1.0, "eps": 0.0}
+        cfg = write_config(tmp_path, doc)
         assert main(["expand", "--config", cfg, "--out", out]) == 0
         _, rows = read_csv(out)
         np.testing.assert_array_equal(rows[:, 1], rows[:, 2])
@@ -173,6 +182,11 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == 2
         assert "eps" in capsys.readouterr().err
 
+    def test_periodic_without_eps_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": PERIODIC, "reps": 100})
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "eps" in capsys.readouterr().err
+
     def test_queue_kind_runs(self, tmp_path):
         doc = {
             "model": MMPP,
@@ -230,6 +244,11 @@ class TestTvLimit:
         doc = json.loads(capsys.readouterr().out)
         mc = doc["tv_limit_mc"]
         assert abs(mc["estimate"] - doc["tv_limit_exact"]) < 3 * mc["se"]
+
+    def test_too_few_mc_reps_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": MMPP, "t": 1.0})
+        assert main(["tv-limit", "--config", cfg, "--reps", "99"]) == 2
+        assert "reps" in capsys.readouterr().err
 
     def test_enumeration_guard_exits_4(self, tmp_path, capsys):
         q = np.full((7, 7), 1.0)

@@ -1,0 +1,146 @@
+"""Golden CLI outputs: one config per model type and command, hashed.
+
+The sha256 of every output file is committed in ``golden_sha256.json``.
+A refactor must leave each of them byte-identical.  To record the hashes
+(only on a commit whose outputs are known good)::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+import pytest
+
+from rapidpp.cli import main
+
+HASH_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_sha256.json")
+
+MMPP = {"type": "mmpp", "generator": [[-1, 1], [1, -1]], "rates": [0, 2], "initial_state": 0}
+PERIODIC = {"type": "periodic", "breakpoints": [0, 0.5], "values": [2, 0]}
+CONSTANT = {"type": "constant", "rate": 1.5}
+RENEWAL = {"type": "renewal_gamma", "shape": 2, "rate": 2}
+SERVICES = {
+    "exponential": {"type": "exponential", "rate": 1.0},
+    "erlang": {"type": "erlang", "shape": 2, "rate": 2.0},
+    "uniform": {"type": "uniform", "a": 0.25, "b": 1.5},
+}
+REPS = 8_192
+
+
+def _cases() -> dict:
+    cases = {
+        "expand-mmpp": ("expand", {"model": MMPP, "t": 1.0, "eps": 0.1}, []),
+        "expand-periodic": ("expand", {"model": PERIODIC, "t": 1.3, "eps": 0.4}, []),
+        "expand-constant": ("expand", {"model": CONSTANT, "t": 2.0, "eps": 0.2}, []),
+        "expand-renewal": ("expand", {"model": RENEWAL, "t": 1.0, "eps": 0.25}, []),
+        "simulate-mmpp": (
+            "simulate",
+            {"model": MMPP, "t": 1.0, "eps": 0.25, "reps": REPS, "master_seed": 5},
+            [],
+        ),
+        "simulate-mmpp-workers2": (
+            "simulate",
+            {"model": MMPP, "t": 1.0, "eps": 0.25, "reps": REPS, "master_seed": 5, "workers": 2},
+            [],
+        ),
+        "simulate-periodic": (
+            "simulate",
+            {"model": PERIODIC, "t": 1.3, "eps": 0.4, "reps": REPS, "master_seed": 6},
+            [],
+        ),
+        "simulate-constant-no-eps": (
+            "simulate", {"model": CONSTANT, "t": 2.0, "reps": REPS, "master_seed": 7}, []
+        ),
+        "simulate-constant-eps": (
+            "simulate",
+            {"model": CONSTANT, "t": 2.0, "eps": 0.2, "reps": REPS, "master_seed": 7},
+            [],
+        ),
+        "simulate-renewal": (
+            "simulate",
+            {"model": RENEWAL, "t": 1.0, "eps": 0.25, "reps": REPS, "master_seed": 8},
+            [],
+        ),
+        "validate-counts": (
+            "validate",
+            {"model": MMPP, "t": 1.0, "eps_grid": [0.5, 0.25], "reps": REPS, "master_seed": 9},
+            [],
+        ),
+        "validate-queue": (
+            "validate",
+            {
+                "model": MMPP,
+                "service": SERVICES["erlang"],
+                "kind": "queue",
+                "t": 1.0,
+                "eps_grid": [0.5, 0.25],
+                "reps": REPS,
+                "master_seed": 10,
+            },
+            [],
+        ),
+        "analyze-service-tv": (
+            "analyze",
+            {"model": MMPP, "service": SERVICES["uniform"], "t": 1.0, "tv_limit": True},
+            [],
+        ),
+        "tv-limit-reps": ("tv-limit", {"model": MMPP, "t": 1.0}, ["--reps", "4096", "--seed", "11"]),
+    }
+    for sname, service in SERVICES.items():
+        for mname, model in (("mmpp", MMPP), ("constant", CONSTANT)):
+            base = {"model": model, "service": service, "kind": "queue", "t": 1.2, "eps": 0.2}
+            cases[f"expand-queue-{mname}-{sname}"] = ("expand", base, [])
+            sim = dict(base, reps=REPS, master_seed=12)
+            if mname == "constant" and sname == "exponential":
+                del sim["eps"]
+            cases[f"simulate-queue-{mname}-{sname}"] = ("simulate", sim, [])
+    cases["simulate-queue-kind-flag"] = (
+        "simulate",
+        {"model": MMPP, "service": SERVICES["exponential"], "t": 1.0, "eps": 0.3,
+         "reps": REPS, "master_seed": 13},
+        ["--kind", "queue"],
+    )
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(name: str, workdir: str) -> str:
+    """Run one golden case in ``workdir``; return the sha256 of its output."""
+    command, doc, extra = CASES[name]
+    cfg = os.path.join(workdir, f"{name}.json")
+    out = os.path.join(workdir, f"{name}.out")
+    with open(cfg, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    code = main([command, "--config", cfg, "--out", out, *extra])
+    assert code == 0, f"{name} exited {code}"
+    with open(out, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _recorded() -> dict:
+    with open(HASH_FILE, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_every_case_has_a_recorded_hash():
+    assert sorted(_recorded()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden_hash(name, tmp_path):
+    assert run_case(name, str(tmp_path)) == _recorded()[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        hashes = {name: run_case(name, tmp) for name in sorted(CASES)}
+    with open(HASH_FILE, "w", encoding="utf-8") as fh:
+        json.dump(hashes, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    sys.stdout.write(f"recorded {len(hashes)} hashes in {HASH_FILE}\n")

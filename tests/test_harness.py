@@ -5,10 +5,15 @@ import pytest
 from scipy import stats
 
 from rapidpp import (
+    CoxBase,
+    CtmcModel,
     ExperimentSpec,
     ExponentialService,
     PmfEstimate,
+    PeriodicIntensity,
     PmfVector,
+    PoissonBase,
+    RenewalGammaBase,
     chi_square_gof,
     chi_square_two_sample,
     construction_equivalence_test,
@@ -23,12 +28,12 @@ from conftest import make_two_state
 
 
 def constant_spec(rate=1.0, t=1.0):
-    return ExperimentSpec(kind="constant", t=t, rate=rate)
+    return ExperimentSpec(PoissonBase(rate), t)
 
 
 class TestEstimatePmf:
     def test_single_replication_is_a_point_mass(self, two_state_model):
-        spec = ExperimentSpec(kind="cox", t=1.0, eps=0.5, model=two_state_model)
+        spec = ExperimentSpec(two_state_model, 1.0, 0.5)
         est = estimate_pmf(spec, 1, 0)
         assert est.counts.sum() == 1
         assert np.isclose(est.probs.sum(), est.counts[: est.kmax + 1].sum())
@@ -41,7 +46,7 @@ class TestEstimatePmf:
         assert est.ci_low[0] <= p <= est.ci_high[0]
 
     def test_worker_count_does_not_change_results(self, two_state_model):
-        spec = ExperimentSpec(kind="cox", t=1.0, eps=0.25, model=two_state_model)
+        spec = ExperimentSpec(two_state_model, 1.0, 0.25)
         est1 = estimate_pmf(spec, 50_000, 42, workers=1)
         est8 = estimate_pmf(spec, 50_000, 42, workers=8)
         np.testing.assert_array_equal(est1.counts, est8.counts)
@@ -59,7 +64,7 @@ class TestEstimatePmf:
         assert not np.array_equal(est1.counts, est2.counts)
 
     def test_counts_always_sum_to_reps(self, two_state_model):
-        spec = ExperimentSpec(kind="cox", t=1.0, eps=0.5, model=two_state_model)
+        spec = ExperimentSpec(two_state_model, 1.0, 0.5)
         est = estimate_pmf(spec, 12_345, 3, kmax=2)
         assert est.counts.sum() == 12_345
         assert est.probs.size == 3
@@ -120,13 +125,13 @@ class TestChiSquare:
         # rates f versus 2f must be distinguished decisively
         doubled = make_two_state(rates=(0.0, 4.0))
         a = estimate_pmf(
-            ExperimentSpec(kind="cox", t=1.0, eps=0.2, model=two_state_model),
+            ExperimentSpec(two_state_model, 1.0, 0.2),
             100_000,
             9,
             stream_key=(0,),
         )
         b = estimate_pmf(
-            ExperimentSpec(kind="cox", t=1.0, eps=0.2, model=doubled),
+            ExperimentSpec(doubled, 1.0, 0.2),
             100_000,
             9,
             stream_key=(1,),
@@ -181,22 +186,52 @@ class TestConvergenceStudy:
         ref = poisson_pmf(1.0)
         tvs = []
         for i, eps in enumerate((0.5, 0.1)):
-            spec = ExperimentSpec(kind="cox", t=1.0, eps=eps, model=two_state_model)
+            spec = ExperimentSpec(two_state_model, 1.0, eps)
             est = estimate_pmf(spec, 100_000, 37, kmax=ref.kmax, stream_key=(i,))
             tvs.append(marginal_tv_distance(est, ref))
         assert tvs[0] > tvs[1]
         assert tv_limit_exact(two_state_model, 1.0) > 0.39
 
 
-class TestSpecValidation:
-    def test_queue_requires_service(self, two_state_model):
-        with pytest.raises(ValueError):
-            ExperimentSpec(kind="queue", t=1.0, eps=0.5, model=two_state_model)
+class TestExpansion:
+    def test_thinned_cox_takes_the_modulated_correction(self, two_state_model):
+        thinned = ExperimentSpec(CoxBase(two_state_model), 1.0, 0.2).expansion()
+        direct = ExperimentSpec(two_state_model, 1.0, 0.2).expansion()
+        for a, b in zip(thinned, direct):
+            np.testing.assert_array_equal(a.probs, b.probs)
 
-    def test_unknown_kind_rejected(self):
+    def test_constant_rate_ignores_eps(self):
+        spec = ExperimentSpec(PoissonBase(2.0), 1.5, 0.3)
+        assert spec.eps == 1.0
+        base, corrected = spec.expansion()
+        assert spec.baseline_mean() == 3.0
+        np.testing.assert_array_equal(base.probs, corrected.probs)
+
+    def test_constant_rate_queue_runs_on_one_state_chain(self):
+        service = ExponentialService(1.0)
+        spec = ExperimentSpec(PoissonBase(2.0), 1.0, 0.3, service)
+        assert isinstance(spec.model, CtmcModel) and spec.model.n == 1
+        base, corrected = spec.expansion()
+        np.testing.assert_array_equal(base.probs, corrected.probs)
+        est = estimate_pmf(spec, 1_000, 3, kmax=base.kmax)
+        assert est.counts.sum() == 1_000
+
+    def test_renewal_and_periodic_at_zero_eps_give_the_baseline(self):
+        for model in (RenewalGammaBase(2.0, 2.0), PeriodicIntensity([0.0, 0.5], [2.0, 0.0])):
+            base, corrected = ExperimentSpec(model, 1.0, 0.0).expansion()
+            assert base.probs[0] == pytest.approx(math.exp(-1.0), abs=1e-15)
+            np.testing.assert_array_equal(base.probs, corrected.probs)
+
+
+class TestSpecValidation:
+    def test_queue_rejects_renewal_model(self):
         with pytest.raises(ValueError):
-            ExperimentSpec(kind="weird", t=1.0)
+            ExperimentSpec(RenewalGammaBase(2.0, 2.0), 1.0, 0.5, ExponentialService(1.0))
+
+    def test_unsupported_model_rejected(self):
+        with pytest.raises(ValueError):
+            ExperimentSpec(object(), 1.0)
 
     def test_eps_range_enforced(self, two_state_model):
         with pytest.raises(ValueError):
-            ExperimentSpec(kind="cox", t=1.0, eps=1.5, model=two_state_model)
+            ExperimentSpec(two_state_model, 1.0, 1.5)
