@@ -10,9 +10,7 @@ import numpy as np
 
 from rapidpp import (
     CtmcModel,
-    ExpansionInputs,
     ExperimentSpec,
-    corrected_count_pmf,
     estimate_pmf,
     poisson_pmf,
     validate_generator,
@@ -26,7 +24,7 @@ print("eps    max|emp - poisson|   max|emp - corrected|")
 for i, eps in enumerate((0.4, 0.2, 0.1, 0.05)):
     spec = ExperimentSpec(model, t, eps)
     est = estimate_pmf(spec, 300_000, master_seed=7, kmax=8, stream_key=(i,))
-    corrected = corrected_count_pmf(ExpansionInputs.from_model(model, eps, t), kmax=8)
+    _, corrected = spec.expansion(kmax=8)
     r0 = np.abs(est.probs - baseline.probs).max()
     r1 = np.abs(est.probs - corrected.probs).max()
     print(f"{eps:<6} {r0:<20.5f} {r1:.5f}")

@@ -42,7 +42,6 @@ from .errors import (
 )
 from .expansions import (
     ErlangService,
-    ExpansionInputs,
     ExponentialService,
     PmfVector,
     ServiceModel,

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: analyze | expand | simulate | validate | tv-limit.
-Flags: --config PATH, --out PATH, --seed U64 (overrides config), --reps N
-(overrides config), and simulate-only --kind counts|queue.
+Flags: --config PATH, --out PATH, --seed U64, --reps N (each overrides its
+config field), and simulate-only --kind counts|queue.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 guard
 violation (exact enumeration bound exceeded).
@@ -78,7 +78,14 @@ def _require_mmpp(cfg: ExperimentConfig) -> CtmcModel:
     return cfg.model
 
 
-def _require_eps(cfg: ExperimentConfig) -> float:
+def _eps(cfg: ExperimentConfig) -> float:
+    """The eps of an expand or simulate run.
+
+    A constant rate has no speed parameter, so it takes eps 1; every other
+    model requires the field.
+    """
+    if isinstance(cfg.model, PoissonBase):
+        return 1.0
     if cfg.eps is None:
         raise ConfigError("missing required field", "eps")
     return cfg.eps
@@ -107,7 +114,7 @@ def _cmd_analyze(cfg: ExperimentConfig, out: str | None) -> int:
 
 
 def _cmd_expand(cfg: ExperimentConfig, out: str | None) -> int:
-    base, corrected = _experiment(cfg, _require_eps(cfg)).expansion(cfg.kmax)
+    base, corrected = _experiment(cfg, _eps(cfg)).expansion(cfg.kmax)
     rows = [
         f"{k},{float(p)!r},{float(c)!r}"
         for k, (p, c) in enumerate(zip(base.probs, corrected.probs))
@@ -117,8 +124,7 @@ def _cmd_expand(cfg: ExperimentConfig, out: str | None) -> int:
 
 
 def _cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
-    # a constant rate has no speed parameter, so it needs no eps
-    eps = 1.0 if isinstance(cfg.model, PoissonBase) else _require_eps(cfg)
+    eps = _eps(cfg)
     if eps == 0.0:
         raise ConfigError("eps must lie in (0, 1] for simulation", "eps")
     spec = _experiment(cfg, eps)
@@ -181,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("analyze", "expand", "simulate", "validate", "tv-limit"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON configuration file")
-        sp.add_argument("--out", help="output path (defaults to stdout)")
+        sp.add_argument("--out", help="output path (overrides config; defaults to stdout)")
         if name in ("simulate", "validate", "tv-limit"):
             sp.add_argument("--seed", type=int, help="override master_seed")
             sp.add_argument("--reps", type=int, help="override replication count")
@@ -203,16 +209,17 @@ def main(argv=None) -> int:
         if getattr(args, "kind", None) is not None:
             raw["kind"] = args.kind
         cfg = parse_experiment_config(raw)
+        out = args.out or cfg.out
         if args.command == "analyze":
-            return _cmd_analyze(cfg, args.out)
+            return _cmd_analyze(cfg, out)
         if args.command == "expand":
-            return _cmd_expand(cfg, args.out)
+            return _cmd_expand(cfg, out)
         if args.command == "simulate":
-            return _cmd_simulate(cfg, args.out)
+            return _cmd_simulate(cfg, out)
         if args.command == "validate":
-            return _cmd_validate(cfg, args.out)
+            return _cmd_validate(cfg, out)
         reps_requested = "reps" in raw
-        return _cmd_tv_limit(cfg, args.out, reps_requested)
+        return _cmd_tv_limit(cfg, out, reps_requested)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

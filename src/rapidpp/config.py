@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .arrivals import PeriodicIntensity, PoissonBase, RenewalGammaBase
 from .errors import ConfigError, GeneratorValidationError
@@ -152,21 +152,7 @@ class ExperimentConfig:
     out: str | None
 
 
-_KNOWN_KEYS = {
-    "model",
-    "service",
-    "kind",
-    "t",
-    "eps",
-    "eps_grid",
-    "reps",
-    "master_seed",
-    "kmax",
-    "workers",
-    "tv_limit",
-    "truncation_mass",
-    "out",
-}
+_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} - {"raw"}
 
 
 def parse_experiment_config(obj) -> ExperimentConfig:

@@ -24,7 +24,6 @@ from .markov_env import CtmcModel, StationaryAnalysis, analyze
 
 __all__ = [
     "PmfVector",
-    "ExpansionInputs",
     "ExponentialService",
     "ErlangService",
     "UniformService",
@@ -126,52 +125,53 @@ def hk_derivatives(k: int, y: float) -> tuple[float, float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# corrected count pmf (Markov-modulated case)
+# first-order corrected pmfs
 
 
-@dataclass(frozen=True)
-class ExpansionInputs:
-    """Ingredients of the first-order count correction.
+def _first_order_pmf(
+    mean: float, eps: float, kmax: int | None, term, degenerate: str
+) -> PmfVector:
+    """Poisson(mean) pmf times (1 + term(d1, d2)): the one first-order kernel.
 
-    ``g_x0`` is the accumulated-deviation value g at the initial environment
-    state; ``sigma2`` the time-average variance constant.
+    d1 = k/m - 1 and d2 = 1/2 (1 - 2k/m + k(k-1)/m^2), m = mean, are h'/h and
+    h''/(2h) for the Poisson weight h of :func:`hk_derivatives`.  ``term``
+    weighs them by the model's shift and excess, times eps; it is called
+    once, after the baseline is built.
     """
-
-    lambda_star: float
-    g_x0: float
-    sigma2: float
-    t: float
-    eps: float
-
-    @classmethod
-    def from_model(cls, model: CtmcModel, eps: float, t: float) -> "ExpansionInputs":
-        analysis = analyze(model)
-        g_x0 = float(analysis.g[model.initial_state])
-        return cls(analysis.lambda_star, g_x0, analysis.sigma2, t, eps)
-
-
-def _check_eps(eps: float):
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
-
-
-def corrected_count_pmf(inputs: ExpansionInputs, kmax: int | None = None) -> PmfVector:
-    """First-order corrected pmf of the arrival count at time t.
-
-    probs[k] = P0(k) * (1 + eps * [(k/(mu) - 1) g_x0
-               + 1/2 (1 - 2k/mu + k(k-1)/mu^2) sigma2 t]),  mu = lambda_star t.
-    """
-    _check_eps(inputs.eps)
-    mu = inputs.lambda_star * inputs.t
-    if mu <= 0:
-        raise DegenerateMeanError("lambda_star * t must be positive")
-    base = poisson_pmf(mu, kmax)
+    if mean <= 0:
+        raise DegenerateMeanError(degenerate)
+    base = poisson_pmf(mean, kmax)
     k = np.arange(base.kmax + 1, dtype=float)
-    weight = (k / mu - 1.0) * inputs.g_x0 + 0.5 * (
-        1.0 - 2.0 * k / mu + k * (k - 1.0) / mu**2
-    ) * inputs.sigma2 * inputs.t
-    probs = base.probs * (1.0 + inputs.eps * weight)
+    d1 = k / mean - 1.0
+    d2 = 0.5 * (1.0 - 2.0 * k / mean + k * (k - 1.0) / mean**2)
+    probs = base.probs * (1.0 + term(d1, d2))
     return PmfVector(probs, base.kmax, base.truncation_mass)
+
+
+def corrected_count_pmf(
+    lambda_star: float,
+    g_x0: float,
+    sigma2: float,
+    eps: float,
+    t: float,
+    kmax: int | None = None,
+) -> PmfVector:
+    """First-order corrected pmf of the Markov-modulated arrival count at time t.
+
+    probs[k] = P0(k) * (1 + eps * [(k/mu - 1) g_x0
+               + 1/2 (1 - 2k/mu + k(k-1)/mu^2) sigma2 t]),  mu = lambda_star t,
+    where g_x0 is the accumulated-deviation value g at the initial
+    environment state and sigma2 the time-average variance constant.
+    """
+    return _first_order_pmf(
+        lambda_star * t,
+        eps,
+        kmax,
+        lambda d1, d2: eps * (d1 * g_x0 + d2 * sigma2 * t),
+        "lambda_star * t must be positive",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +196,18 @@ def corrected_count_pmf_periodic(
 ) -> PmfVector:
     """First-order corrected count pmf for a fast periodic intensity.
 
-    At eps 0 the correction term is 0 and the pmf is the Poisson baseline.
+    probs[k] = P0(k) * (1 + eps * (k/mu - 1) c),  mu = average rate * t,
+    with c the :func:`periodic_correction_integral`.  At eps 0 the
+    correction term is 0 and the pmf is the Poisson baseline.
     """
-    _check_eps(eps)
-    mu = intensity.average_rate * t
-    if mu <= 0:
-        raise DegenerateMeanError("average rate times t must be positive")
-    base = poisson_pmf(mu, kmax)
-    correction = periodic_correction_integral(intensity, eps, t) if eps > 0 else 0.0
-    k = np.arange(base.kmax + 1, dtype=float)
-    probs = base.probs * (1.0 + eps * (k / mu - 1.0) * correction)
-    return PmfVector(probs, base.kmax, base.truncation_mass)
+
+    def term(d1, d2):
+        c = periodic_correction_integral(intensity, eps, t) if eps > 0 else 0.0
+        return eps * d1 * c
+
+    return _first_order_pmf(
+        intensity.average_rate * t, eps, kmax, term, "average rate times t must be positive"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -410,19 +411,18 @@ def corrected_queue_pmf(
     probs[k] = P0(k) * (1 + eps * [(k/m - 1) g_x0 survival(t)
                + 1/2 (1 - 2k/m + k(k-1)/m^2) eta^2]),  m = mean_q0.
     """
-    _check_eps(eps)
-    m = mean_q0(lambda_star, service, t)
-    if m <= 0:
-        raise DegenerateMeanError("mean occupancy is zero (t = 0 or lambda_star = 0)")
-    base = poisson_pmf(m, kmax)
-    eta2 = eta_squared(sigma2, service, t)
-    kbar_t = float(service.survival(t))
-    k = np.arange(base.kmax + 1, dtype=float)
-    weight = (k / m - 1.0) * g_x0 * kbar_t + 0.5 * (
-        1.0 - 2.0 * k / m + k * (k - 1.0) / m**2
-    ) * eta2
-    probs = base.probs * (1.0 + eps * weight)
-    return PmfVector(probs, base.kmax, base.truncation_mass)
+
+    def term(d1, d2):
+        eta2 = eta_squared(sigma2, service, t)
+        return eps * (d1 * g_x0 * float(service.survival(t)) + d2 * eta2)
+
+    return _first_order_pmf(
+        mean_q0(lambda_star, service, t),
+        eps,
+        kmax,
+        term,
+        "mean occupancy is zero (t = 0 or lambda_star = 0)",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .arrivals import (
     sample_thinned_counts,
 )
 from .expansions import (
-    ExpansionInputs,
     PmfVector,
     ServiceModel,
     corrected_count_pmf,
@@ -123,25 +122,22 @@ class ExperimentSpec:
 
         Both cover 0..kmax (by default the baseline's :func:`default_kmax`).
         A thinned ``CoxBase`` has the law of the modulated stream and takes
-        its correction; constant-rate and renewal streams carry none, so
-        their corrected pmf is the baseline.
+        its correction.  A constant rate needs none; no renewal correction
+        is implemented, so a renewal stream's corrected pmf is the
+        zeroth-order baseline.
         """
         model = self.model
-        if self.service is not None:
-            analysis = analyze(model)
-            lam = analysis.lambda_star
-            base = poisson_pmf(mean_q0(lam, self.service, self.t), kmax)
-            g_x0 = float(analysis.g[model.initial_state])
-            corrected = corrected_queue_pmf(
-                lam, g_x0, analysis.sigma2, self.service, self.eps, self.t, base.kmax
-            )
-            return base, corrected
         if isinstance(model, CoxBase):
             model = model.model
         if isinstance(model, CtmcModel):
-            inputs = ExpansionInputs.from_model(model, self.eps, self.t)
-            base = poisson_pmf(inputs.lambda_star * self.t, kmax)
-            return base, corrected_count_pmf(inputs, base.kmax)
+            res = analyze(model)
+            lam = res.lambda_star
+            env = (lam, float(res.g[model.initial_state]), res.sigma2)
+            if self.service is None:
+                base = poisson_pmf(lam * self.t, kmax)
+                return base, corrected_count_pmf(*env, self.eps, self.t, base.kmax)
+            base = poisson_pmf(mean_q0(lam, self.service, self.t), kmax)
+            return base, corrected_queue_pmf(*env, self.service, self.eps, self.t, base.kmax)
         base = poisson_pmf(self.baseline_mean(), kmax)
         if isinstance(model, PeriodicIntensity):
             return base, corrected_count_pmf_periodic(model, self.eps, self.t, base.kmax)
@@ -260,6 +256,30 @@ def _counts_with_overflow(counts: np.ndarray, kmax: int) -> np.ndarray:
     return out
 
 
+def _pool(table: np.ndarray, size, min_expected: float, sparse: str) -> np.ndarray:
+    """Pool adjacent rows of ``table`` (one row per count, one column per
+    series) until ``size(*row)`` reaches ``min_expected``; the remainder
+    joins the last pooled row.  Needs at least two pooled rows."""
+    bins = []
+    acc = [0] * table.shape[1]
+    for row in table.tolist():
+        acc = [a + x for a, x in zip(acc, row)]
+        if size(*acc) >= min_expected:
+            bins.append(acc)
+            acc = [0] * table.shape[1]
+    if any(acc):
+        if not bins:
+            raise ValueError(f"{sparse} too little mass for the pooling rule")
+        bins[-1] = [b + a for b, a in zip(bins[-1], acc)]
+    if len(bins) < 2:
+        raise ValueError("need at least two pooled categories")
+    return np.asarray(bins, dtype=float).T
+
+
+def _chi2_result(statistic: float, n_bins: int) -> GofResult:
+    return GofResult(statistic, n_bins - 1, float(stats.chi2.sf(statistic, n_bins - 1)))
+
+
 def chi_square_gof(counts, ref: PmfVector, min_expected: float = 5.0) -> GofResult:
     """One-sample chi-square of observed counts against a reference pmf.
 
@@ -273,30 +293,9 @@ def chi_square_gof(counts, ref: PmfVector, min_expected: float = 5.0) -> GofResu
     probs = np.concatenate([ref.probs, [max(0.0, 1.0 - ref.probs.sum())]])
     if np.any(probs < 0):
         raise ValueError("reference pmf must be nonnegative for a chi-square test")
-    expected = reps * probs
-    obs_bins, exp_bins = [], []
-    o_acc = 0
-    e_acc = 0.0
-    for o, e in zip(observed, expected):
-        o_acc += int(o)
-        e_acc += float(e)
-        if e_acc >= min_expected:
-            obs_bins.append(o_acc)
-            exp_bins.append(e_acc)
-            o_acc = 0
-            e_acc = 0.0
-    if o_acc or e_acc:
-        if not obs_bins:
-            raise ValueError("reference pmf has too little mass for the pooling rule")
-        obs_bins[-1] += o_acc
-        exp_bins[-1] += e_acc
-    if len(obs_bins) < 2:
-        raise ValueError("need at least two pooled categories")
-    obs_arr = np.asarray(obs_bins, dtype=float)
-    exp_arr = np.asarray(exp_bins, dtype=float)
-    statistic = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
-    dof = len(obs_bins) - 1
-    return GofResult(statistic, dof, float(stats.chi2.sf(statistic, dof)))
+    table = np.column_stack([observed, reps * probs])
+    obs, exp = _pool(table, lambda o, e: e, min_expected, "reference pmf has")
+    return _chi2_result(float(np.sum((obs - exp) ** 2 / exp)), obs.size)
 
 
 def chi_square_two_sample(counts_a, counts_b, min_expected: float = 5.0) -> GofResult:
@@ -309,30 +308,13 @@ def chi_square_two_sample(counts_a, counts_b, min_expected: float = 5.0) -> GofR
     n_a, n_b = int(a.sum()), int(b.sum())
     total = n_a + n_b
     share = min(n_a, n_b) / total
-    bins_a, bins_b = [], []
-    acc_a = acc_b = 0
-    for oa, ob in zip(a, b):
-        acc_a += int(oa)
-        acc_b += int(ob)
-        if share * (acc_a + acc_b) >= min_expected:
-            bins_a.append(acc_a)
-            bins_b.append(acc_b)
-            acc_a = acc_b = 0
-    if acc_a or acc_b:
-        if not bins_a:
-            raise ValueError("samples have too little mass for the pooling rule")
-        bins_a[-1] += acc_a
-        bins_b[-1] += acc_b
-    if len(bins_a) < 2:
-        raise ValueError("need at least two pooled categories")
-    oa = np.asarray(bins_a, dtype=float)
-    ob = np.asarray(bins_b, dtype=float)
+    table = np.column_stack([a, b])
+    oa, ob = _pool(table, lambda x, y: share * (x + y), min_expected, "samples have")
     pooled = (oa + ob) / total
     ea = n_a * pooled
     eb = n_b * pooled
     statistic = float(np.sum((oa - ea) ** 2 / ea) + np.sum((ob - eb) ** 2 / eb))
-    dof = len(bins_a) - 1
-    return GofResult(statistic, dof, float(stats.chi2.sf(statistic, dof)))
+    return _chi2_result(statistic, oa.size)
 
 
 def construction_equivalence_test(

@@ -16,7 +16,6 @@ import pytest
 from rapidpp import (
     CoxBase,
     ErlangService,
-    ExpansionInputs,
     ExperimentSpec,
     ExponentialService,
     PeriodicIntensity,
@@ -101,7 +100,7 @@ def test_A2_expansion_identities():
         g_x0 = rng.uniform(-2.0, 2.0)
         sigma2 = rng.uniform(0.0, 2.0)
 
-        pmf = corrected_count_pmf(ExpansionInputs(mu / t, g_x0, sigma2, t, eps))
+        pmf = corrected_count_pmf(mu / t, g_x0, sigma2, eps, t)
         assert abs(pmf.probs.sum() - 1.0) <= 1e-9 + pmf.truncation_mass
 
         service = services[rng.integers(len(services))]
@@ -115,7 +114,7 @@ def test_A2_expansion_identities():
         ppmf = corrected_count_pmf_periodic(intensity, eps if eps > 0 else 0.3, t)
         assert abs(ppmf.probs.sum() - 1.0) <= 1e-9 + ppmf.truncation_mass
 
-    hand = corrected_count_pmf(ExpansionInputs(1.0, -0.5, 1.0, 1.0, 0.1))
+    hand = corrected_count_pmf(1.0, -0.5, 1.0, 0.1, 1.0)
     assert abs(hand.probs[0] - 1.1 * math.exp(-1)) < 1e-12
     half_on = PeriodicIntensity([0.0, 0.5], [2.0, 0.0])
     hand_p = corrected_count_pmf_periodic(half_on, 0.4, 1.0)

@@ -135,6 +135,18 @@ class TestExpand:
         cfg = write_config(tmp_path, {"model": MMPP, "t": 1.0})
         assert main(["expand", "--config", cfg]) == 2
 
+    def test_constant_without_eps_runs_at_any_eps(self, tmp_path):
+        # a constant rate has no speed parameter, so eps is neither needed nor used
+        constant = {"type": "constant", "rate": 1.5}
+        bare = write_config(tmp_path, {"model": constant, "t": 1.0}, "bare.json")
+        given = write_config(tmp_path, {"model": constant, "t": 1.0, "eps": 0.2}, "given.json")
+        out_bare, out_given = str(tmp_path / "bare.csv"), str(tmp_path / "given.csv")
+        assert main(["expand", "--config", bare, "--out", out_bare]) == 0
+        assert main(["expand", "--config", given, "--out", out_given]) == 0
+        header, rows = read_csv(out_bare)
+        assert header == ["k", "p_poisson", "p_corrected"]
+        np.testing.assert_array_equal(rows, read_csv(out_given)[1])
+
 
 class TestSimulate:
     def test_constant_sanity_and_determinism(self, tmp_path):
@@ -258,3 +270,25 @@ class TestTvLimit:
         cfg = write_config(tmp_path, {"model": model, "t": 1.0})
         assert main(["tv-limit", "--config", cfg]) == 4
         assert "guard" in capsys.readouterr().err
+
+
+class TestOutputDestination:
+    DOC = {"model": MMPP, "t": 1.0, "eps": 0.2}
+
+    def test_config_out_field_names_the_file(self, tmp_path, capsys):
+        target = tmp_path / "from_config.csv"
+        cfg = write_config(tmp_path, dict(self.DOC, out=str(target)))
+        assert main(["expand", "--config", cfg]) == 0
+        assert capsys.readouterr().out == ""
+        # "out" is left out of the embedded config, so the bytes match stdout
+        plain = write_config(tmp_path, self.DOC, "plain.json")
+        assert main(["expand", "--config", plain]) == 0
+        assert target.read_text() == capsys.readouterr().out
+
+    def test_out_flag_overrides_config_out(self, tmp_path, capsys):
+        from_config = tmp_path / "from_config.csv"
+        from_flag = tmp_path / "from_flag.csv"
+        cfg = write_config(tmp_path, dict(self.DOC, out=str(from_config)))
+        assert main(["expand", "--config", cfg, "--out", str(from_flag)]) == 0
+        assert capsys.readouterr().out == ""
+        assert from_flag.exists() and not from_config.exists()

@@ -9,7 +9,6 @@ from rapidpp import (
     DegenerateMeanError,
     EnumerationTooLargeError,
     ErlangService,
-    ExpansionInputs,
     ExponentialService,
     PeriodicIntensity,
     UniformService,
@@ -87,14 +86,12 @@ class TestHkDerivatives:
 
 class TestCorrectedCountPmf:
     def test_zero_eps_reduces_to_poisson(self):
-        inputs = ExpansionInputs(1.3, -0.4, 0.9, 2.0, 0.0)
-        pmf = corrected_count_pmf(inputs)
+        pmf = corrected_count_pmf(1.3, -0.4, 0.9, 0.0, 2.0)
         np.testing.assert_array_equal(pmf.probs, poisson_pmf(1.3 * 2.0).probs)
 
     def test_hand_worked_value_at_zero(self):
         # weight(0) = (-1)(-0.5) + (1/2)(1)(1)(1) = 1, factor 1.1
-        inputs = ExpansionInputs(1.0, -0.5, 1.0, 1.0, 0.1)
-        pmf = corrected_count_pmf(inputs)
+        pmf = corrected_count_pmf(1.0, -0.5, 1.0, 0.1, 1.0)
         assert pmf.probs[0] == pytest.approx(1.1 * math.exp(-1), abs=1e-15)
         assert pmf.probs[0] == pytest.approx(0.4046673852885866, abs=1e-12)
 
@@ -103,20 +100,16 @@ class TestCorrectedCountPmf:
         for _ in range(25):
             mu = float(np.exp(rng.uniform(np.log(0.5), np.log(50.0))))
             t = rng.uniform(0.5, 4.0)
-            inputs = ExpansionInputs(
-                lambda_star=mu / t,
-                g_x0=rng.uniform(-2, 2),
-                sigma2=rng.uniform(0, 2),
-                t=t,
-                eps=rng.uniform(0, 1),
-            )
+            g_x0 = rng.uniform(-2, 2)
+            sigma2 = rng.uniform(0, 2)
+            eps = rng.uniform(0, 1)
             kmax = int(mu + 12 * np.sqrt(mu) + 60)
-            pmf = corrected_count_pmf(inputs, kmax)
+            pmf = corrected_count_pmf(mu / t, g_x0, sigma2, eps, t, kmax)
             assert abs(pmf.probs.sum() - 1.0) <= 1e-9 + pmf.truncation_mass
             # first moment shifts by eps * g_x0 exactly
             k = np.arange(kmax + 1)
             mean = float(k @ pmf.probs)
-            assert mean == pytest.approx(mu + inputs.eps * inputs.g_x0, abs=1e-9)
+            assert mean == pytest.approx(mu + eps * g_x0, abs=1e-9)
 
     def test_sigma2_weight_alone_sums_to_zero(self):
         mu = 3.7
@@ -128,8 +121,7 @@ class TestCorrectedCountPmf:
 
     def test_negative_entries_are_flagged_not_clamped(self):
         # large eps and sigma2 push far-tail entries negative
-        inputs = ExpansionInputs(1.0, -2.0, 2.0, 1.0, 1.0)
-        pmf = corrected_count_pmf(inputs)
+        pmf = corrected_count_pmf(1.0, -2.0, 2.0, 1.0, 1.0)
         assert pmf.negative_indices
         assert pmf.probs[pmf.negative_indices[0]] < 0
 
@@ -277,6 +269,55 @@ class TestCorrectedQueuePmf:
             mean = float(k @ pmf.probs)
             expected = target_m + eps * g_x0 * float(service.survival(t))
             assert mean == pytest.approx(expected, abs=1e-8)
+
+
+class TestKernelAgainstHkDerivatives:
+    """Every corrected pmf is h + eps (h' shift + h''/2 excess) at its mean m,
+    with h the Poisson weight checked against mpmath above."""
+
+    GRID_M = (0.3, 1.7, 6.0, 25.0)
+    GRID_EPS = (0.0, 0.1, 0.7)
+
+    @staticmethod
+    def assert_matches_hk(pmf, m, shift, excess, eps):
+        for k in range(min(pmf.kmax, int(m + 6 * math.sqrt(m)) + 3) + 1):
+            h, h1, h2, _ = hk_derivatives(k, m)
+            assert pmf.probs[k] == pytest.approx(
+                h + eps * (h1 * shift + 0.5 * h2 * excess), abs=1e-12
+            )
+
+    def test_count(self):
+        t = 2.0
+        for m in self.GRID_M:
+            lam = m / t
+            for shift in (-1.5, 0.0, 0.8):
+                for sigma2 in (0.0, 0.3, 1.25):
+                    for eps in self.GRID_EPS:
+                        pmf = corrected_count_pmf(lam, shift, sigma2, eps, t)
+                        self.assert_matches_hk(pmf, lam * t, shift, sigma2 * t, eps)
+
+    def test_queue(self):
+        t = 1.5
+        for service in (ExponentialService(1.3), UniformService(0.2, 2.0)):
+            survival = float(service.survival(t))
+            for m in self.GRID_M:
+                lam = m / service.survival_integral(t)
+                for g_x0 in (-1.5, 0.0, 0.8):
+                    for sigma2 in (0.0, 0.3, 1.25):
+                        excess = eta_squared(sigma2, service, t)
+                        for eps in self.GRID_EPS:
+                            pmf = corrected_queue_pmf(lam, g_x0, sigma2, service, eps, t)
+                            mean = mean_q0(lam, service, t)
+                            self.assert_matches_hk(pmf, mean, g_x0 * survival, excess, eps)
+
+    def test_periodic(self):
+        t = 1.0
+        for m in self.GRID_M:
+            intensity = PeriodicIntensity([0.0, 0.3], [3.0 * m, 0.5 * m])
+            for eps in (0.1, 0.35, 0.7):
+                c = periodic_correction_integral(intensity, eps, t)
+                pmf = corrected_count_pmf_periodic(intensity, eps, t)
+                self.assert_matches_hk(pmf, intensity.average_rate * t, c, 0.0, eps)
 
 
 class TestTvLimit:
