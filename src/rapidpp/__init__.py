@@ -84,12 +84,6 @@ from .markov_env import (
     stationary_distribution,
     validate_generator,
 )
-from .queue_sim import (
-    QueueObservation,
-    number_in_system,
-    sample_queue_counts,
-    sample_service,
-    simulate_queue_at_t,
-)
+from .queue_sim import number_in_system, sample_queue_counts, simulate_queue_at_t
 
 __version__ = "0.1.0"

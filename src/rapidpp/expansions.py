@@ -10,6 +10,7 @@ distance between the modulated stream and its constant-rate approximation
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -342,11 +343,11 @@ def mean_q0(lambda_star: float, service: ServiceModel, t: float) -> float:
     return lambda_star * service.survival_integral(t)
 
 
-def _quad_piecewise(fn, points: list[float], abs_tol: float) -> float:
-    """Absolute-tolerance quadrature over consecutive intervals in ``points``."""
+def _quad_piecewise(fn, points: list[float]) -> float:
+    """Quadrature to ``QUAD_ABS_TOL`` over consecutive intervals in ``points``."""
     total = 0.0
     err_total = 0.0
-    budget = abs_tol / max(1, len(points) - 1)
+    budget = QUAD_ABS_TOL / max(1, len(points) - 1)
     for a, b in zip(points[:-1], points[1:]):
         if b <= a:
             continue
@@ -358,16 +359,14 @@ def _quad_piecewise(fn, points: list[float], abs_tol: float) -> float:
                 raise QuadratureError(f"quadrature on [{a}, {b}] failed: {exc}") from exc
         total += val
         err_total += err
-    if err_total > abs_tol:
+    if err_total > QUAD_ABS_TOL:
         raise QuadratureError(
-            f"estimated quadrature error {err_total:.2e} exceeds tolerance {abs_tol:.2e}"
+            f"estimated quadrature error {err_total:.2e} exceeds tolerance {QUAD_ABS_TOL:.2e}"
         )
     return total
 
 
-def eta_squared(
-    sigma2: float, service: ServiceModel, t: float, abs_tol: float = QUAD_ABS_TOL
-) -> float:
+def eta_squared(sigma2: float, service: ServiceModel, t: float) -> float:
     """Queue-side variance constant.
 
     eta^2 = 2 sigma2 * integral_0^t survival(s) density(s) s ds
@@ -387,7 +386,7 @@ def eta_squared(
     def integrand(s):
         return float(service.survival(s) * service.density(s) * s)
 
-    integral = _quad_piecewise(integrand, points, abs_tol)
+    integral = _quad_piecewise(integrand, points)
     tail = float(service.survival(t)) ** 2 * t
     return 2.0 * sigma2 * integral + sigma2 * tail
 
@@ -434,24 +433,40 @@ MAX_TV_KMAX = 80
 MAX_TV_TERMS = 30_000_000
 
 
-def _rate_ratios(model: CtmcModel, analysis: StationaryAnalysis) -> np.ndarray:
+def _log_ratios(model: CtmcModel) -> tuple[StationaryAnalysis, np.ndarray, np.ndarray]:
+    """The model's analysis, its zero-rate mask and its log rate ratios.
+
+    The ratio of state i is rates[i] / lambda_star; its log is set to 0 where
+    the rate is zero, and every ratio is exactly one for a constant rate.
+    """
+    analysis = analyze(model)
     f = model.rates
     if np.all(f == f[0]):
         # mathematically the ratio is exactly one; avoid rounding noise
-        return np.ones(model.n)
-    return f / analysis.lambda_star
+        ratios = np.ones(model.n)
+    else:
+        ratios = f / analysis.lambda_star
+    zero = ratios == 0.0
+    log_r = np.where(zero, 0.0, np.log(np.where(zero, 1.0, ratios)))
+    return analysis, zero, log_r
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
-    """All nonnegative integer vectors of length ``parts`` summing to ``total``."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    blocks = []
-    for first in range(total + 1):
-        rest = _compositions(total - first, parts - 1)
-        first_col = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([first_col, rest]))
-    return np.vstack(blocks)
+    """All nonnegative integer vectors of length ``parts`` summing to ``total``.
+
+    Rows come in lexicographic order.  Stars and bars: each choice of
+    ``parts - 1`` bar positions among ``total + parts - 1`` slots is one
+    vector, whose parts are the gaps between consecutive bars, and
+    ``itertools.combinations`` yields the choices in lexicographic order.
+    """
+    slots = total + parts - 1
+    rows = math.comb(slots, parts - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
+        dtype=np.int64,
+        count=rows * (parts - 1),
+    ).reshape(rows, parts - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
 
 
 def tv_limit_exact(model: CtmcModel, t: float, truncation_mass: float = 1e-10) -> float:
@@ -465,9 +480,8 @@ def tv_limit_exact(model: CtmcModel, t: float, truncation_mass: float = 1e-10) -
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    analysis = analyze(model)
-    ratios = _rate_ratios(model, analysis)
-    if np.all(ratios == 1.0) or t == 0.0:
+    analysis, zero, log_r = _log_ratios(model)
+    if t == 0.0 or not (np.any(zero) or np.any(log_r)):  # every ratio is one
         return 0.0
     mu = analysis.lambda_star * t
     kmax = int(stats.poisson.ppf(1.0 - truncation_mass, mu))
@@ -482,17 +496,13 @@ def tv_limit_exact(model: CtmcModel, t: float, truncation_mass: float = 1e-10) -
             "composition count exceeds the supported enumeration budget"
         )
     log_pi = np.log(analysis.pi)
-    zero = ratios == 0.0
-    log_r = np.where(zero, 0.0, np.log(np.where(zero, 1.0, ratios)))
     pois = poisson_pmf(mu, kmax).probs
     total = 0.0
     for n in range(kmax + 1):
         comps = _compositions(n, n_states)
         logw = gammaln(n + 1) - gammaln(comps + 1).sum(axis=1) + comps @ log_pi
         log_prod = comps @ log_r
-        hits_zero = (comps[:, zero] > 0).any(axis=1) if np.any(zero) else np.zeros(
-            comps.shape[0], dtype=bool
-        )
+        hits_zero = (comps[:, zero] > 0).any(axis=1)
         absdev = np.where(hits_zero, 1.0, np.abs(np.expm1(log_prod)))
         total += pois[n] * float(np.exp(logw) @ absdev)
     return 0.5 * total
@@ -508,14 +518,11 @@ def tv_limit_mc(
     """
     if reps < 100:
         raise ValueError("reps must be at least 100")
-    analysis = analyze(model)
-    ratios = _rate_ratios(model, analysis)
+    analysis, zero, log_r = _log_ratios(model)
     mu = analysis.lambda_star * t
     counts = rng.poisson(mu, reps)
     total = int(counts.sum())
     states = rng.choice(model.n, size=total, p=analysis.pi)
-    zero = ratios == 0.0
-    log_r = np.where(zero, 0.0, np.log(np.where(zero, 1.0, ratios)))
     cum_log = np.concatenate(([0.0], np.cumsum(log_r[states])))
     cum_zero = np.concatenate(([0], np.cumsum(zero[states].astype(np.int64))))
     ends = np.cumsum(counts)

@@ -54,6 +54,7 @@ __all__ = [
 
 CHUNK_SIZE = 16_384
 MIN_BASELINE_PROB = 1e-4
+MIN_EXPECTED = 5.0
 Z99 = float(stats.norm.ppf(0.995))
 
 Model = CtmcModel | PeriodicIntensity | BaseProcessSpec
@@ -256,15 +257,15 @@ def _counts_with_overflow(counts: np.ndarray, kmax: int) -> np.ndarray:
     return out
 
 
-def _pool(table: np.ndarray, size, min_expected: float, sparse: str) -> np.ndarray:
+def _pool(table: np.ndarray, size, sparse: str) -> np.ndarray:
     """Pool adjacent rows of ``table`` (one row per count, one column per
-    series) until ``size(*row)`` reaches ``min_expected``; the remainder
+    series) until ``size(*row)`` reaches ``MIN_EXPECTED``; the remainder
     joins the last pooled row.  Needs at least two pooled rows."""
     bins = []
     acc = [0] * table.shape[1]
     for row in table.tolist():
         acc = [a + x for a, x in zip(acc, row)]
-        if size(*acc) >= min_expected:
+        if size(*acc) >= MIN_EXPECTED:
             bins.append(acc)
             acc = [0] * table.shape[1]
     if any(acc):
@@ -280,12 +281,12 @@ def _chi2_result(statistic: float, n_bins: int) -> GofResult:
     return GofResult(statistic, n_bins - 1, float(stats.chi2.sf(statistic, n_bins - 1)))
 
 
-def chi_square_gof(counts, ref: PmfVector, min_expected: float = 5.0) -> GofResult:
+def chi_square_gof(counts, ref: PmfVector) -> GofResult:
     """One-sample chi-square of observed counts against a reference pmf.
 
     Counts beyond the reference support go into an overflow category whose
     probability is the reference truncation mass; adjacent categories are
-    pooled until every expected count reaches ``min_expected``.
+    pooled until every expected count reaches ``MIN_EXPECTED``.
     """
     counts = np.asarray(counts, dtype=np.int64)
     reps = int(counts.sum())
@@ -294,11 +295,11 @@ def chi_square_gof(counts, ref: PmfVector, min_expected: float = 5.0) -> GofResu
     if np.any(probs < 0):
         raise ValueError("reference pmf must be nonnegative for a chi-square test")
     table = np.column_stack([observed, reps * probs])
-    obs, exp = _pool(table, lambda o, e: e, min_expected, "reference pmf has")
+    obs, exp = _pool(table, lambda o, e: e, "reference pmf has")
     return _chi2_result(float(np.sum((obs - exp) ** 2 / exp)), obs.size)
 
 
-def chi_square_two_sample(counts_a, counts_b, min_expected: float = 5.0) -> GofResult:
+def chi_square_two_sample(counts_a, counts_b) -> GofResult:
     """Two-sample chi-square test that two count samples share one law."""
     a = np.asarray(counts_a, dtype=np.int64)
     b = np.asarray(counts_b, dtype=np.int64)
@@ -307,9 +308,11 @@ def chi_square_two_sample(counts_a, counts_b, min_expected: float = 5.0) -> GofR
     b = np.pad(b, (0, width - b.size))
     n_a, n_b = int(a.sum()), int(b.sum())
     total = n_a + n_b
+    if total == 0:
+        raise ValueError("both samples are empty")
     share = min(n_a, n_b) / total
     table = np.column_stack([a, b])
-    oa, ob = _pool(table, lambda x, y: share * (x + y), min_expected, "samples have")
+    oa, ob = _pool(table, lambda x, y: share * (x + y), "samples have")
     pooled = (oa + ob) / total
     ea = n_a * pooled
     eb = n_b * pooled

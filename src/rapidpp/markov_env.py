@@ -235,16 +235,8 @@ def sample_path(model: CtmcModel, horizon: float, rng: np.random.Generator) -> E
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    q = model.generator.q
     exit_rates = model.generator.exit_rates
-    n = model.n
-    jump_probs = q.copy()
-    np.fill_diagonal(jump_probs, 0.0)
-    with np.errstate(invalid="ignore"):
-        jump_probs = np.where(
-            exit_rates[:, None] > 0, jump_probs / np.maximum(exit_rates, 1e-300)[:, None], 0.0
-        )
-    cum = np.cumsum(jump_probs, axis=1)
+    cum = _jump_cdf(model.generator)
 
     times = []
     states = [model.initial_state]
@@ -257,8 +249,7 @@ def sample_path(model: CtmcModel, horizon: float, rng: np.random.Generator) -> E
         t += rng.exponential(1.0 / rate)
         if t >= horizon:
             break
-        state = int(np.searchsorted(cum[state], rng.random() * cum[state, -1], side="right"))
-        state = min(state, n - 1)
+        state = int(np.searchsorted(cum[state], rng.random(), side="right"))
         times.append(t)
         states.append(state)
     return EnvironmentPath(horizon, np.array(times), np.array(states, dtype=np.int64))
@@ -274,6 +265,26 @@ def occupation_integral(path: EnvironmentPath, weights) -> float:
     return float(np.sum(weights[path.states] * durations))
 
 
+def _jump_cdf(generator: GeneratorMatrix) -> np.ndarray:
+    """Row-wise cdf of the next state: row i accumulates q[i][j] / exit rate.
+
+    Rounding can carry a partial sum past 1.0, so entries are capped at 1.0,
+    and the last entry of every row with a positive exit rate is set to
+    exactly 1.0, so an inverse-cdf lookup with u in [0, 1) never overruns.
+    Neither step moves the lookup for any such u.  The row of a state with
+    no exit is all zeros.
+    """
+    exit_rates = generator.exit_rates
+    rate_pos = exit_rates > 0
+    safe = np.where(rate_pos, exit_rates, 1.0)
+    jump_probs = generator.q.copy()
+    np.fill_diagonal(jump_probs, 0.0)
+    cum = np.cumsum(np.where(rate_pos[:, None], jump_probs / safe[:, None], 0.0), axis=1)
+    cum = np.minimum(cum, 1.0)
+    cum[rate_pos, -1] = 1.0
+    return cum
+
+
 def _segment_rounds(
     model: CtmcModel, horizon: float, size: int, rng: np.random.Generator
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -284,15 +295,9 @@ def _segment_rounds(
     Replications whose trajectory has reached the horizon drop out.
     """
     exit_rates = model.generator.exit_rates
-    q = model.generator.q
-    n = model.n
-    jump_probs = q.copy()
-    np.fill_diagonal(jump_probs, 0.0)
     rate_pos = exit_rates > 0
     safe = np.where(rate_pos, exit_rates, 1.0)
-    cum = np.cumsum(np.where(rate_pos[:, None], jump_probs / safe[:, None], 0.0), axis=1)
-    # guard against rounding so the inverse-cdf lookup never overruns
-    cum[rate_pos, -1] = 1.0
+    cum = _jump_cdf(model.generator)
 
     idx = np.arange(size)
     state = np.full(size, model.initial_state, dtype=np.int64)

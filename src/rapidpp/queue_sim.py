@@ -7,8 +7,6 @@ starts empty at time zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arrivals import ArrivalStream, _check_eps_t, cox_segments, simulate_cox
@@ -17,28 +15,13 @@ from .expansions import ServiceModel
 from .markov_env import CtmcModel
 
 __all__ = [
-    "QueueObservation",
-    "sample_service",
     "number_in_system",
     "simulate_queue_at_t",
     "sample_queue_counts",
 ]
 
 
-@dataclass(frozen=True)
-class QueueObservation:
-    """Number in system at the query time."""
-
-    t: float
-    count: int
-
-
-def sample_service(service: ServiceModel, rng: np.random.Generator) -> float:
-    """Draw one service duration."""
-    return float(service.sample(1, rng)[0])
-
-
-def number_in_system(arrivals: ArrivalStream, services, t: float) -> QueueObservation:
+def number_in_system(arrivals: ArrivalStream, services, t: float) -> int:
     """Count arrivals still in service at time t.
 
     ``services`` must hold one duration per arrival, in arrival order.
@@ -51,7 +34,7 @@ def number_in_system(arrivals: ArrivalStream, services, t: float) -> QueueObserv
     if t > arrivals.horizon:
         raise ValueError("query time exceeds the simulated horizon")
     in_system = (arrivals.times <= t) & (arrivals.times + services > t)
-    return QueueObservation(t, int(np.count_nonzero(in_system)))
+    return int(np.count_nonzero(in_system))
 
 
 def simulate_queue_at_t(
@@ -60,13 +43,13 @@ def simulate_queue_at_t(
     eps: float,
     t: float,
     rng: np.random.Generator,
-) -> QueueObservation:
+) -> int:
     """Simulate the modulated arrivals and return the occupancy at time t.
 
     Service draws are consumed in arrival order from the given stream.
     """
     if t == 0:
-        return QueueObservation(0.0, 0)
+        return 0
     stream, _ = simulate_cox(model, eps, t, rng)
     services = service.sample(stream.count, rng)
     return number_in_system(stream, services, t)

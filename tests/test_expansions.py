@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -25,6 +26,7 @@ from rapidpp import (
     tv_limit_exact,
     tv_limit_mc,
 )
+from rapidpp.expansions import _compositions
 
 from conftest import make_two_state, random_irreducible_model
 
@@ -318,6 +320,21 @@ class TestKernelAgainstHkDerivatives:
                 c = periodic_correction_integral(intensity, eps, t)
                 pmf = corrected_count_pmf_periodic(intensity, eps, t)
                 self.assert_matches_hk(pmf, intensity.average_rate * t, c, 0.0, eps)
+
+
+class TestCompositions:
+    def test_rows_are_sorted_brute_force_compositions(self):
+        # the row order fixes the summation order of tv_limit_exact
+        for parts in range(1, 7):
+            for total in range(11):
+                brute = sorted(
+                    c
+                    for c in itertools.product(range(total + 1), repeat=parts)
+                    if sum(c) == total
+                )
+                comps = _compositions(total, parts)
+                assert comps.dtype == np.int64
+                assert comps.tolist() == [list(c) for c in brute]
 
 
 class TestTvLimit:

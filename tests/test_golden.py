@@ -1,10 +1,14 @@
 """Golden CLI outputs: one config per model type and command, hashed.
 
 The sha256 of every output file is committed in ``golden_sha256.json``.
-A refactor must leave each of them byte-identical.  To record the hashes
-(only on a commit whose outputs are known good)::
+A refactor must leave each of them byte-identical.  To record the hashes of
+new cases (only on a commit whose outputs are known good)::
 
     PYTHONPATH=src python tests/test_golden.py
+
+This adds a hash for every case that has none and leaves recorded hashes
+as they are.  If a recorded hash no longer matches, it exits nonzero and
+names the cases.  To re-record a case, delete its entry from the file first.
 """
 
 import hashlib
@@ -23,6 +27,11 @@ MMPP = {"type": "mmpp", "generator": [[-1, 1], [1, -1]], "rates": [0, 2], "initi
 PERIODIC = {"type": "periodic", "breakpoints": [0, 0.5], "values": [2, 0]}
 CONSTANT = {"type": "constant", "rate": 1.5}
 RENEWAL = {"type": "renewal_gamma", "shape": 2, "rate": 2}
+FOUR_STATE = {
+    "type": "mmpp",
+    "generator": [[-3, 1, 1, 1], [1, -3, 1, 1], [1, 1, -3, 1], [1, 1, 1, -3]],
+    "rates": [0, 1, 2, 5],
+}
 SERVICES = {
     "exponential": {"type": "exponential", "rate": 1.0},
     "erlang": {"type": "erlang", "shape": 2, "rate": 2.0},
@@ -89,6 +98,7 @@ def _cases() -> dict:
             [],
         ),
         "tv-limit-reps": ("tv-limit", {"model": MMPP, "t": 1.0}, ["--reps", "4096", "--seed", "11"]),
+        "tv-limit-four": ("tv-limit", {"model": FOUR_STATE, "t": 3.0}, []),
     }
     for sname, service in SERVICES.items():
         for mname, model in (("mmpp", MMPP), ("constant", CONSTANT)):
@@ -138,9 +148,15 @@ def test_output_matches_golden_hash(name, tmp_path):
 
 
 if __name__ == "__main__":
+    hashes = _recorded()
     with tempfile.TemporaryDirectory() as tmp:
-        hashes = {name: run_case(name, tmp) for name in sorted(CASES)}
+        fresh = {name: run_case(name, tmp) for name in sorted(CASES)}
+    changed = sorted(name for name in hashes if name in fresh and fresh[name] != hashes[name])
+    if changed:
+        sys.exit(f"recorded hashes no longer match: {', '.join(changed)}")
+    added = sorted(set(fresh) - set(hashes))
+    hashes.update({name: fresh[name] for name in added})
     with open(HASH_FILE, "w", encoding="utf-8") as fh:
         json.dump(hashes, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    sys.stdout.write(f"recorded {len(hashes)} hashes in {HASH_FILE}\n")
+    sys.stdout.write(f"added {len(added)} hashes to {HASH_FILE}: {', '.join(added) or 'none'}\n")

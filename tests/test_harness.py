@@ -138,6 +138,11 @@ class TestChiSquare:
         )
         assert chi_square_two_sample(a.counts, b.counts).p_value < 1e-6
 
+    @pytest.mark.parametrize("counts", [[], [0]])
+    def test_two_empty_samples_rejected(self, counts):
+        with pytest.raises(ValueError):
+            chi_square_two_sample(counts, counts)
+
 
 class TestConstructionEquivalence:
     def test_two_state_agreement(self, two_state_model):

@@ -15,6 +15,7 @@ from rapidpp import (
     stationary_distribution,
     validate_generator,
 )
+from rapidpp.markov_env import _jump_cdf
 
 from conftest import make_two_state, random_irreducible_model
 
@@ -178,6 +179,24 @@ class TestSamplePath:
         path = sample_path(make_two_state(a=2.0, b=1.0, rates=(1.0, 1.0)), horizon, rng)
         se = np.sqrt(4 * 1.25 / 1.5**3 / horizon)
         assert abs(path.n_jumps / horizon - 4 / 3) < 3 * se
+
+
+class TestJumpCdf:
+    def test_rows_step_by_off_diagonal_rates_and_end_at_one(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            gen = random_irreducible_model(rng, max_states=8).generator
+            cum = _jump_cdf(gen)
+            off = gen.q.copy()
+            np.fill_diagonal(off, 0.0)
+            for i in range(gen.n):
+                assert np.all(np.diff(cum[i]) >= 0.0)
+                assert cum[i, -1] == 1.0
+                steps = np.diff(cum[i], prepend=0.0)
+                np.testing.assert_allclose(steps, off[i] / gen.exit_rates[i], rtol=0, atol=1e-12)
+
+    def test_one_state_row_is_zero(self):
+        assert _jump_cdf(validate_generator([[0.0]])).tolist() == [[0.0]]
 
 
 class TestOccupationIntegral:
