@@ -331,9 +331,17 @@ def _renewal_counts(
 ) -> np.ndarray:
     expected = horizon * base.long_run_rate
     block = max(8, int(expected + 6.0 * math.sqrt(expected + 1.0)))
-    totals = rng.gamma(base.shape, 1.0 / base.rate, (size, block)).cumsum(axis=1)
-    counts = (totals <= horizon).sum(axis=1).astype(np.int64)
-    last = totals[:, -1]
+    # The first block is drawn in row groups of about 2**20 doubles, so
+    # memory stays bounded as horizon grows; the gamma stream is consumed
+    # in the same order as one (size, block) draw.
+    rows = max(1, 2**20 // block)
+    counts = np.empty(size, dtype=np.int64)
+    last = np.empty(size)
+    for lo in range(0, size, rows):
+        hi = min(lo + rows, size)
+        totals = rng.gamma(base.shape, 1.0 / base.rate, (hi - lo, block)).cumsum(axis=1)
+        counts[lo:hi] = (totals <= horizon).sum(axis=1)
+        last[lo:hi] = totals[:, -1]
     alive = np.flatnonzero(last <= horizon)
     while alive.size:
         more = rng.gamma(base.shape, 1.0 / base.rate, (alive.size, block)).cumsum(axis=1)

@@ -285,6 +285,38 @@ def _jump_cdf(generator: GeneratorMatrix) -> np.ndarray:
     return cum
 
 
+def _jump_search_table(cum: np.ndarray) -> tuple[np.ndarray, int]:
+    """Flat, padded copy of a :func:`_jump_cdf` table for :func:`_next_state`.
+
+    Each row is padded to width W, the next power of two at least n, and
+    the rows are laid end to end.  The last column and the padding hold
+    2.0, above every u in [0, 1); the last column was 1.0 on every row that
+    can jump, so it never counts in the lookup anyway.  Returns (table, W).
+    """
+    n = cum.shape[1]
+    width = 1 << (n - 1).bit_length()
+    table = np.full((n, width), 2.0)
+    table[:, : n - 1] = cum[:, : n - 1]
+    return table.ravel(), width
+
+
+def _next_state(table: np.ndarray, width: int, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Next state of each chain: the count of entries of its cdf row that are <= u.
+
+    A branchless binary search over the padded rows of
+    :func:`_jump_search_table`, one 1-d gather per halving of W.  Every
+    row is nondecreasing (:func:`_jump_cdf` caps it at 1.0), so after the
+    steps W/2, ..., 1 the offset of ``pos`` in its row is exactly the count
+    ``(u[:, None] >= cum[state]).sum(axis=1)``, ties included.
+    """
+    pos = state * width
+    step = width >> 1
+    while step:
+        pos += (u >= table[step - 1 :][pos]) * step
+        step >>= 1
+    return pos & (width - 1)
+
+
 def _segment_rounds(
     model: CtmcModel, horizon: float, size: int, rng: np.random.Generator
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -292,12 +324,16 @@ def _segment_rounds(
 
     Yields (replication_index, state, start, end) arrays, one sojourn per
     replication per round, so consumers never hold full paths in memory.
-    Replications whose trajectory has reached the horizon drop out.
+    Replications whose trajectory has reached the horizon drop out; a round
+    in which every replication jumps keeps its arrays as they are.  The next
+    state comes from :func:`_next_state` on a padded table built once per
+    call, which gives the same integers as a scan of the whole cdf row, so
+    the draws and the yielded arrays are those of that scan.
     """
     exit_rates = model.generator.exit_rates
     rate_pos = exit_rates > 0
     safe = np.where(rate_pos, exit_rates, 1.0)
-    cum = _jump_cdf(model.generator)
+    table, width = _jump_search_table(_jump_cdf(model.generator))
 
     idx = np.arange(size)
     state = np.full(size, model.initial_state, dtype=np.int64)
@@ -310,11 +346,11 @@ def _segment_rounds(
         jumped = end < horizon
         if not np.any(jumped):
             return
-        idx = idx[jumped]
-        t_now = end[jumped]
-        jstate = state[jumped]
+        if not np.all(jumped):
+            idx, end, state = idx[jumped], end[jumped], state[jumped]
+        t_now = end
         u = rng.random(size=idx.size)
-        state = (u[:, None] >= cum[jstate]).sum(axis=1).astype(np.int64)
+        state = _next_state(table, width, state, u)
     return
 
 
@@ -328,12 +364,17 @@ def sample_occupation_integrals(
     """Draw ``size`` iid copies of the occupation integral of ``weights``.
 
     Streams segments instead of materializing paths, so memory stays O(size)
-    regardless of the horizon.
+    regardless of the horizon.  While no replication has reached the horizon
+    a round covers all of them, and its values are added without scattering.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     weights = np.asarray(weights, dtype=float)
     out = np.zeros(size)
     for idx, state, start, end in _segment_rounds(model, horizon, size, rng):
-        out[idx] += weights[state] * (end - start)
+        values = weights[state] * (end - start)
+        if idx.size == size:
+            out += values
+        else:
+            out[idx] += values
     return out

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from rapidpp import (
     simulate_periodic,
     thin_and_speed,
 )
-from rapidpp.arrivals import periodic_mean_count
+from rapidpp.arrivals import _renewal_counts, periodic_mean_count
 
 from conftest import make_two_state
 
@@ -196,6 +197,50 @@ class TestThinAndSpeed:
         )
         kern = np.bincount(sample_thinned_counts(base, 0.25, 1.0, 150_000, rng))
         assert chi_square_two_sample(ref, kern).p_value > 0.01
+
+
+def _one_block_renewal_counts(base, horizon, size, rng):
+    """Reference: the first gamma block drawn as one (size, block) matrix."""
+    expected = horizon * base.long_run_rate
+    block = max(8, int(expected + 6.0 * math.sqrt(expected + 1.0)))
+    totals = rng.gamma(base.shape, 1.0 / base.rate, (size, block)).cumsum(axis=1)
+    counts = (totals <= horizon).sum(axis=1).astype(np.int64)
+    last = totals[:, -1]
+    alive = np.flatnonzero(last <= horizon)
+    while alive.size:
+        more = rng.gamma(base.shape, 1.0 / base.rate, (alive.size, block)).cumsum(axis=1)
+        more += last[alive][:, None]
+        counts[alive] += (more <= horizon).sum(axis=1)
+        last[alive] = more[:, -1]
+        alive = alive[more[:, -1] <= horizon]
+    return counts
+
+
+class TestRenewalCounts:
+    @pytest.mark.parametrize(
+        "shape, rate, horizon, size",
+        [(2.0, 2.0, 500.0, 3000), (0.5, 3.0, 2000.0, 700), (3.0, 1.0, 4.0, 50), (1.0, 0.3, 0.1, 9)],
+    )
+    def test_row_groups_match_one_block(self, shape, rate, horizon, size):
+        base = RenewalGammaBase(shape, rate)
+        got = _renewal_counts(base, horizon, size, np.random.default_rng(31))
+        ref = _one_block_renewal_counts(base, horizon, size, np.random.default_rng(31))
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, ref)
+
+    def test_peak_memory_is_bounded_at_long_horizon(self):
+        # a single (16384, 634) first block would need 158 MiB at its peak
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            _renewal_counts(RenewalGammaBase(2, 2), 500, 16384, np.random.default_rng(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestStreamInvariants:

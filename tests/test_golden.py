@@ -32,6 +32,19 @@ FOUR_STATE = {
     "generator": [[-3, 1, 1, 1], [1, -3, 1, 1], [1, 1, -3, 1], [1, 1, 1, -3]],
     "rates": [0, 1, 2, 5],
 }
+# Five states pad the segment kernel's jump table to width 8.
+FIVE_STATE = {
+    "type": "mmpp",
+    "generator": [
+        [-2, 1, 0, 0.5, 0.5],
+        [0.5, -1.5, 1, 0, 0],
+        [0, 0.25, -0.75, 0.5, 0],
+        [1, 0, 1, -3, 1],
+        [0.5, 0.5, 0.5, 0.5, -2],
+    ],
+    "rates": [0, 3, 1, 0.5, 2],
+    "initial_state": 2,
+}
 SERVICES = {
     "exponential": {"type": "exponential", "rate": 1.0},
     "erlang": {"type": "erlang", "shape": 2, "rate": 2.0},
@@ -99,6 +112,18 @@ def _cases() -> dict:
         ),
         "tv-limit-reps": ("tv-limit", {"model": MMPP, "t": 1.0}, ["--reps", "4096", "--seed", "11"]),
         "tv-limit-four": ("tv-limit", {"model": FOUR_STATE, "t": 3.0}, []),
+        # One full 16,384-rep chunk over ~150 rounds on a padded jump table.
+        "simulate-mmpp-five-small-eps": (
+            "simulate",
+            {"model": FIVE_STATE, "t": 1.0, "eps": 0.01, "reps": 16_384, "master_seed": 14},
+            [],
+        ),
+        # Horizon 500: the renewal kernel's first gamma block spans several row groups.
+        "simulate-renewal-small-eps": (
+            "simulate",
+            {"model": RENEWAL, "t": 1.0, "eps": 0.002, "reps": REPS, "master_seed": 15},
+            [],
+        ),
     }
     for sname, service in SERVICES.items():
         for mname, model in (("mmpp", MMPP), ("constant", CONSTANT)):

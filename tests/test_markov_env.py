@@ -15,7 +15,7 @@ from rapidpp import (
     stationary_distribution,
     validate_generator,
 )
-from rapidpp.markov_env import _jump_cdf
+from rapidpp.markov_env import _jump_cdf, _jump_search_table, _next_state
 
 from conftest import make_two_state, random_irreducible_model
 
@@ -197,6 +197,52 @@ class TestJumpCdf:
 
     def test_one_state_row_is_zero(self):
         assert _jump_cdf(validate_generator([[0.0]])).tolist() == [[0.0]]
+
+
+def _scan_lookup(cum, state, u):
+    """Reference next-state lookup: scan the whole cdf row of each chain."""
+    return (u[:, None] >= cum[state]).sum(axis=1)
+
+
+def _generator_of_size(rng, n):
+    """Random sparse irreducible generator on n >= 2 states, sometimes with equal rates."""
+    q = np.where(rng.random((n, n)) < 0.5, rng.uniform(0.0, 5.0, (n, n)), 0.0)
+    if rng.random() < 0.3:
+        q = np.where(q > 0.0, 1.0, 0.0)
+    cycle = (np.arange(n), (np.arange(n) + 1) % n)
+    q[cycle] = np.maximum(q[cycle], 0.5)
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return validate_generator(q)
+
+
+class TestNextState:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 64, 200])
+    def test_matches_full_row_scan(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(5):
+            cum = _jump_cdf(_generator_of_size(rng, n))
+            table, width = _jump_search_table(cum)
+            assert width >= n and width < 2 * n and width & (width - 1) == 0
+            # ties: every table entry below 1.0, looked up in its own row
+            rows, cols = np.nonzero(cum < 1.0)
+            u = np.concatenate(
+                [rng.random(3000), cum[rows, cols], [0.0, np.nextafter(1.0, 0.0)] * n]
+            )
+            state = np.concatenate(
+                [rng.integers(0, n, 3000), rows, np.repeat(np.arange(n), 2)]
+            )
+            got = _next_state(table, width, state, u)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, _scan_lookup(cum, state, u))
+
+    def test_one_state_chain_stays_put(self):
+        # the lone state has no exit, so the kernel never looks its row up;
+        # the search over a width-1 row still returns that state
+        table, width = _jump_search_table(_jump_cdf(validate_generator([[0.0]])))
+        assert width == 1 and table.tolist() == [2.0]
+        u = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
+        assert _next_state(table, width, np.zeros(3, dtype=np.int64), u).tolist() == [0, 0, 0]
 
 
 class TestOccupationIntegral:
