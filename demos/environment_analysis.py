@@ -9,7 +9,7 @@ variance constant sigma2.
 
 import numpy as np
 
-from rapidpp import CtmcModel, analyze, sample_path, occupation_integral, validate_generator
+from rapidpp import CtmcModel, analyze, sample_occupation_integrals, validate_generator
 
 model = CtmcModel(validate_generator([[-1.0, 1.0], [1.0, -1.0]]), [0.0, 2.0])
 res = analyze(model)
@@ -21,13 +21,9 @@ print("deviation vector g:     ", res.g)
 print("variance constant s2:   ", res.sigma2)
 
 # g[x] is the expected total deviation of the rate from lambda* when the
-# chain starts in x; check it by brute-force path averaging.
+# chain starts in x; check it by averaging over simulated trajectories.
 rng = np.random.default_rng(1)
 horizon = 25.0  # ~50 relaxation times for this chain
-draws = []
-for _ in range(20_000):
-    path = sample_path(model, horizon, rng)
-    draws.append(occupation_integral(path, res.f_centered))
-draws = np.array(draws)
+draws = sample_occupation_integrals(model, res.f_centered, horizon, 20_000, rng)
 se = draws.std(ddof=1) / np.sqrt(draws.size)
 print(f"\nMonte Carlo check of g[0]: {draws.mean():+.4f} +/- {se:.4f}  (exact {res.g[0]:+.4f})")

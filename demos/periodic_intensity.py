@@ -12,24 +12,25 @@ from rapidpp import (
     corrected_count_pmf_periodic,
     periodic_correction_integral,
     poisson_pmf,
-    simulate_periodic,
+    sample_periodic_counts,
 )
 
 intensity = PeriodicIntensity([0.0, 0.5], [2.0, 0.0])
 print("period-average rate:", intensity.average_rate)
-
-rng = np.random.default_rng(4)
-stream = simulate_periodic(intensity, eps=0.25, t=3.0, rng=rng)
-phases = (stream.times / 0.25) % 1.0
-print(f"{stream.count} arrivals, all inside the on-phase: max phase {phases.max():.3f} < 0.5")
 
 # with t/eps = 2.5 periods, half an on-piece is left over
 eps, t = 0.4, 1.0
 integral = periodic_correction_integral(intensity, eps, t)
 print(f"\nfractional-period correction integral at eps={eps}: {integral}")
 
+reps = 200_000
+rng = np.random.default_rng(4)
+counts = sample_periodic_counts(intensity, eps, t, reps, rng)
+empirical = np.bincount(counts, minlength=7) / reps
+
 baseline = poisson_pmf(intensity.average_rate * t, kmax=6)
 corrected = corrected_count_pmf_periodic(intensity, eps, t, kmax=6)
-print("\n k   poisson    corrected")
+print(f"\nsimulated pmf from {reps} reps next to the expansions")
+print(" k   simulated  poisson    corrected")
 for k in range(7):
-    print(f"{k:>2}   {baseline.probs[k]:.5f}    {corrected.probs[k]:.5f}")
+    print(f"{k:>2}   {empirical[k]:.5f}    {baseline.probs[k]:.5f}    {corrected.probs[k]:.5f}")

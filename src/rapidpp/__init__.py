@@ -1,7 +1,8 @@
 """Simulation and analytics for point processes with rapidly fluctuating rates.
 
-The package simulates Markov-modulated, periodic and thinned arrival streams
-whose intensity fluctuates on a fast time scale eps, computes the matching
+The package samples the time-t counts and infinite-server occupancy of
+Markov-modulated, periodic and thinned arrival streams whose intensity
+fluctuates on a fast time scale eps, computes the matching
 constant-rate Poisson approximation together with its first-order
 eps-corrections for arrival counts and infinite-server occupancy, evaluates
 the limiting path total-variation distance between the fluctuating stream
@@ -10,7 +11,6 @@ deterministic Monte Carlo harness.
 """
 
 from .arrivals import (
-    ArrivalStream,
     BaseProcessSpec,
     CoxBase,
     PeriodicIntensity,
@@ -19,18 +19,12 @@ from .arrivals import (
     sample_cox_counts,
     sample_periodic_counts,
     sample_thinned_counts,
-    simulate_base,
-    simulate_constant_poisson,
-    simulate_cox,
-    simulate_periodic,
-    thin_and_speed,
 )
 from .errors import (
     ConfigError,
     DegenerateMeanError,
     EnumerationTooLargeError,
     GeneratorValidationError,
-    LengthMismatchError,
     NegativeOffDiagonalError,
     NonSquareError,
     QuadratureError,
@@ -74,16 +68,13 @@ from .harness import (
 )
 from .markov_env import (
     CtmcModel,
-    EnvironmentPath,
     GeneratorMatrix,
     StationaryAnalysis,
     analyze,
-    occupation_integral,
     sample_occupation_integrals,
-    sample_path,
     stationary_distribution,
     validate_generator,
 )
-from .queue_sim import number_in_system, sample_queue_counts, simulate_queue_at_t
+from .queue_sim import sample_queue_counts
 
 __version__ = "0.1.0"

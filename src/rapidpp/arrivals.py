@@ -1,15 +1,17 @@
-"""Exact simulation of the arrival processes.
+"""Arrival-process models and their vectorized time-t count kernels.
 
-Four generators are provided: a constant-rate Poisson stream, a Markov-
-modulated stream whose intensity at time s is rates[X(s/eps)] for an
-environment chain X, a fast periodic-intensity Poisson stream, and the
-speed-up-plus-thinning construction that runs any base stream on [0, t/eps],
-keeps each point independently with probability eps, and rescales time.
+Four models are covered: a constant-rate Poisson stream, a Markov-modulated
+stream whose intensity at time s is rates[X(s/eps)] for an environment chain
+X, a fast periodic-intensity Poisson stream, and the speed-up-plus-thinning
+construction that runs a base stream on [0, t/eps], keeps each point
+independently with probability eps, and rescales time.
 
-Piecewise-constant intensities are simulated exactly by per-segment Poisson
-counts with uniform placement; no rejection step is involved.  Alongside the
-stream-level generators, vectorized count kernels draw many iid copies of
-the time-t count without materializing paths or streams.
+The kernels draw many iid copies of the time-t count exactly, without
+materializing paths or streams: given the environment, the modulated count
+is Poisson with the time-scaled occupation integral as its mean, and a
+thinned count is a binomial draw from the base count.  The per-path stream
+construction they stand in for is kept as the test suite's reference, in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -19,26 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov_env import (
-    CtmcModel,
-    EnvironmentPath,
-    _segment_rounds,
-    sample_occupation_integrals,
-    sample_path,
-)
+from .markov_env import CtmcModel, _segment_rounds, sample_occupation_integrals
 
 __all__ = [
-    "ArrivalStream",
     "PeriodicIntensity",
     "PoissonBase",
     "RenewalGammaBase",
     "CoxBase",
     "BaseProcessSpec",
-    "simulate_constant_poisson",
-    "simulate_cox",
-    "simulate_periodic",
-    "simulate_base",
-    "thin_and_speed",
     "sample_cox_counts",
     "sample_periodic_counts",
     "sample_thinned_counts",
@@ -46,31 +36,6 @@ __all__ = [
 ]
 
 MIN_PIECE_WIDTH = 1e-3
-
-
-@dataclass(frozen=True, eq=False)
-class ArrivalStream:
-    """Strictly increasing arrival epochs on (0, horizon]."""
-
-    horizon: float
-    times: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if times.size:
-            if not np.all(np.diff(times) > 0):
-                raise ValueError("arrival times must be strictly increasing")
-            if times[0] <= 0 or times[-1] > self.horizon:
-                raise ValueError("arrival times must lie in (0, horizon]")
-        object.__setattr__(self, "times", times)
-
-    @property
-    def count(self) -> int:
-        return self.times.size
-
-    def count_before(self, t: float) -> int:
-        """Number of arrivals in (0, t]."""
-        return int(np.searchsorted(self.times, t, side="right"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,47 +126,17 @@ class CoxBase:
 BaseProcessSpec = PoissonBase | RenewalGammaBase | CoxBase
 
 
-def _check_eps_t(eps: float, t: float):
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+def _check_eps_t(eps: float, t: float, eps_zero: bool = False):
+    """Raise ValueError unless t > 0 and eps lies in (0, 1], or [0, 1] with ``eps_zero``.
 
-
-# ---------------------------------------------------------------------------
-# stream-level generators
-
-
-def simulate_constant_poisson(rate: float, t: float, rng: np.random.Generator) -> ArrivalStream:
-    """Poisson stream on (0, t]: Poisson(rate t) points placed as sorted uniforms."""
-    if rate <= 0 or t <= 0:
-        raise ValueError("rate and t must be positive")
-    n = rng.poisson(rate * t)
-    return ArrivalStream(t, t * np.sort(rng.random(n)))
-
-
-def simulate_cox(
-    model: CtmcModel, eps: float, t: float, rng: np.random.Generator
-) -> tuple[ArrivalStream, EnvironmentPath]:
-    """Arrival stream with intensity rates[X(s/eps)] on (0, t].
-
-    The environment is simulated on [0, t/eps]; each sojourn segment
-    contributes a Poisson count proportional to its time-scaled length, with
-    points placed uniformly inside the segment and all epochs scaled by eps.
-    The path is returned for diagnostics.
+    The samplers form t/eps and need eps > 0; the expansions and
+    ``ExperimentSpec`` accept eps 0, where the corrected pmf is the baseline.
+    Every comparison is written so that NaN fails it.
     """
-    _check_eps_t(eps, t)
-    path = sample_path(model, t / eps, rng)
-    bounds = np.concatenate(([0.0], path.jump_times, [path.horizon]))
-    starts = bounds[:-1]
-    lengths = np.diff(bounds)
-    seg_rates = model.rates[path.states]
-    counts = rng.poisson(seg_rates * eps * lengths)
-    total = int(counts.sum())
-    u = rng.random(total)
-    pos = np.repeat(starts, counts) + u * np.repeat(lengths, counts)
-    times = eps * np.sort(pos)
-    return ArrivalStream(t, times), path
+    if not (0.0 < eps <= 1.0 or (eps_zero and eps == 0.0)):
+        raise ValueError(f"eps must lie in {'[' if eps_zero else '('}0, 1], got {eps}")
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
 
 
 def periodic_mean_count(intensity: PeriodicIntensity, eps: float, t: float) -> float:
@@ -213,86 +148,8 @@ def periodic_mean_count(intensity: PeriodicIntensity, eps: float, t: float) -> f
     return eps * (whole * intensity.cumulative(1.0) + intensity.cumulative(frac))
 
 
-def simulate_periodic(
-    intensity: PeriodicIntensity, eps: float, t: float, rng: np.random.Generator
-) -> ArrivalStream:
-    """Poisson stream with rate intensity(s/eps) on (0, t], simulated exactly.
-
-    Points are drawn piece by piece: each piece of the period contributes a
-    Poisson count over its total (possibly fractional) exposure on [0, t/eps]
-    and the points land uniformly on that exposure.
-    """
-    _check_eps_t(eps, t)
-    horizon = t / eps
-    whole = math.floor(horizon)
-    frac = horizon - whole
-    bp = intensity.breakpoints
-    widths = intensity.widths
-    positions = []
-    for b, w, rate in zip(bp, widths, intensity.values):
-        if rate == 0.0:
-            continue
-        partial = min(max(frac - b, 0.0), w)
-        exposure = whole * w + partial
-        if exposure <= 0.0:
-            continue
-        n = rng.poisson(rate * eps * exposure)
-        u = exposure * rng.random(n)
-        in_full = u < whole * w
-        # clamp the period index so rounding can never push a point past
-        # its piece boundary into a neighbouring (possibly dead) piece
-        period = np.where(
-            in_full, np.minimum(np.floor(u / w), max(whole - 1, 0)), float(whole)
-        )
-        positions.append(period + b + (u - period * w))
-    if positions:
-        pos = np.concatenate(positions)
-    else:
-        pos = np.empty(0)
-    return ArrivalStream(t, eps * np.sort(pos))
-
-
-def _renewal_times(base: RenewalGammaBase, horizon: float, rng: np.random.Generator) -> np.ndarray:
-    expected = horizon * base.long_run_rate
-    block = max(16, int(expected + 6.0 * math.sqrt(expected + 1.0)))
-    times = rng.gamma(base.shape, 1.0 / base.rate, block).cumsum()
-    while times[-1] <= horizon:
-        more = rng.gamma(base.shape, 1.0 / base.rate, block)
-        times = np.concatenate([times, times[-1] + more.cumsum()])
-    return times[times <= horizon]
-
-
-def simulate_base(base: BaseProcessSpec, horizon: float, rng: np.random.Generator) -> ArrivalStream:
-    """Simulate a base stream at its natural speed on (0, horizon]."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if isinstance(base, PoissonBase):
-        return simulate_constant_poisson(base.rate, horizon, rng)
-    if isinstance(base, RenewalGammaBase):
-        return ArrivalStream(horizon, _renewal_times(base, horizon, rng))
-    if isinstance(base, CoxBase):
-        stream, _ = simulate_cox(base.model, 1.0, horizon, rng)
-        return stream
-    raise TypeError(f"unsupported base process {base!r}")
-
-
-def thin_and_speed(
-    base: BaseProcessSpec, eps: float, t: float, rng: np.random.Generator
-) -> ArrivalStream:
-    """Run the base on [0, t/eps], keep points with probability eps, rescale time.
-
-    One uniform is consumed per base arrival, in arrival order, so a fixed
-    stream reproduces the thinning decisions exactly; with eps = 1 the output
-    is the base stream itself.
-    """
-    _check_eps_t(eps, t)
-    stream = simulate_base(base, t / eps, rng)
-    keep = rng.random(stream.count) < eps
-    return ArrivalStream(t, eps * stream.times[keep])
-
-
 # ---------------------------------------------------------------------------
-# vectorized count kernels (no stream materialization)
+# vectorized count kernels
 
 
 def sample_cox_counts(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 
 from .arrivals import PeriodicIntensity, PoissonBase, RenewalGammaBase
@@ -51,7 +52,14 @@ def _require(obj: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"expected a number, got {value!r}", path)
-    return float(value)
+    # json.loads reads NaN, Infinity and integers too long for a float.
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError("expected a finite number", path)
+    return number
 
 
 def _integer(value, path: str) -> int:

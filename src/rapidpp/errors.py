@@ -37,16 +37,15 @@ class QuadratureError(RapidppError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
 
-class DegenerateMeanError(RapidppError):
-    """A baseline mean that must be positive is zero."""
+class DegenerateMeanError(RapidppError, ValueError):
+    """A baseline mean that must be positive is not (t = 0, say).
+
+    It is a ValueError, like every other unusable argument value.
+    """
 
 
 class EnumerationTooLargeError(RapidppError):
     """Exact enumeration would exceed the supported problem size."""
-
-
-class LengthMismatchError(RapidppError):
-    """Paired sequences (arrivals and service draws) differ in length."""
 
 
 class ConfigError(RapidppError):

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import integrate, stats
 from scipy.special import gammainc, gammaincc, gammaln
 
-from .arrivals import PeriodicIntensity
+from .arrivals import PeriodicIntensity, _check_eps_t
 from .errors import DegenerateMeanError, EnumerationTooLargeError, QuadratureError
 from .markov_env import CtmcModel, StationaryAnalysis, analyze
 
@@ -130,19 +130,19 @@ def hk_derivatives(k: int, y: float) -> tuple[float, float, float, float]:
 
 
 def _first_order_pmf(
-    mean: float, eps: float, kmax: int | None, term, degenerate: str
+    mean: float, eps: float, t: float, kmax: int | None, term, degenerate: str
 ) -> PmfVector:
     """Poisson(mean) pmf times (1 + term(d1, d2)): the one first-order kernel.
 
     d1 = k/m - 1 and d2 = 1/2 (1 - 2k/m + k(k-1)/m^2), m = mean, are h'/h and
     h''/(2h) for the Poisson weight h of :func:`hk_derivatives`.  ``term``
     weighs them by the model's shift and excess, times eps; it is called
-    once, after the baseline is built.
+    once, after the baseline is built.  A mean that is not positive raises
+    :class:`DegenerateMeanError` before eps and t are checked.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must lie in [0, 1], got {eps}")
-    if mean <= 0:
+    if not mean > 0:
         raise DegenerateMeanError(degenerate)
+    _check_eps_t(eps, t, eps_zero=True)
     base = poisson_pmf(mean, kmax)
     k = np.arange(base.kmax + 1, dtype=float)
     d1 = k / mean - 1.0
@@ -169,6 +169,7 @@ def corrected_count_pmf(
     return _first_order_pmf(
         lambda_star * t,
         eps,
+        t,
         kmax,
         lambda d1, d2: eps * (d1 * g_x0 + d2 * sigma2 * t),
         "lambda_star * t must be positive",
@@ -185,8 +186,7 @@ def periodic_correction_integral(intensity: PeriodicIntensity, eps: float, t: fl
     The trajectory covers t/eps periods; whole periods integrate to zero, so
     only the fractional remainder contributes.
     """
-    if eps <= 0 or t <= 0:
-        raise ValueError("eps and t must be positive")
+    _check_eps_t(eps, t)
     horizon = t / eps
     frac = horizon - math.floor(horizon)
     return intensity.cumulative(frac) - intensity.average_rate * frac
@@ -207,7 +207,7 @@ def corrected_count_pmf_periodic(
         return eps * d1 * c
 
     return _first_order_pmf(
-        intensity.average_rate * t, eps, kmax, term, "average rate times t must be positive"
+        intensity.average_rate * t, eps, t, kmax, term, "average rate times t must be positive"
     )
 
 
@@ -418,6 +418,7 @@ def corrected_queue_pmf(
     return _first_order_pmf(
         mean_q0(lambda_star, service, t),
         eps,
+        t,
         kmax,
         term,
         "mean occupancy is zero (t = 0 or lambda_star = 0)",

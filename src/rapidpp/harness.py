@@ -20,6 +20,7 @@ from .arrivals import (
     CoxBase,
     PeriodicIntensity,
     PoissonBase,
+    _check_eps_t,
     sample_cox_counts,
     sample_periodic_counts,
     sample_thinned_counts,
@@ -89,15 +90,12 @@ class ExperimentSpec:
         model = self.model
         if not isinstance(model, Model):
             raise ValueError(f"unsupported model {model!r}")
-        if self.t <= 0:
-            raise ValueError("t must be positive")
         if isinstance(model, PoissonBase):
             object.__setattr__(self, "eps", 1.0)
             if self.service is not None:
                 chain = CtmcModel(validate_generator([[0.0]]), np.array([model.rate]), 0)
                 object.__setattr__(self, "model", chain)
-        elif not 0.0 <= self.eps <= 1.0:
-            raise ValueError("eps must lie in [0, 1]")
+        _check_eps_t(self.eps, self.t, eps_zero=True)
         if self.service is not None and not isinstance(self.model, CtmcModel):
             raise ValueError("occupancy experiments need a CtmcModel or a PoissonBase")
 

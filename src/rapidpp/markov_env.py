@@ -5,8 +5,10 @@ The environment is an irreducible continuous-time Markov chain X on states
 rate vector f.  This module computes the stationary distribution pi, the
 long-run rate lambda_star = pi . f, the centered rate vector f - lambda_star,
 the accumulated-deviation vector g solving Q g = -(f - lambda_star) with
-pi . g = 0, and the time-average variance constant sigma2, and it simulates
-exact environment trajectories.
+pi . g = 0, and the time-average variance constant sigma2.  It also draws
+exact occupation integrals of many independent trajectories at once by
+streaming their sojourn segments, without holding any path; the path-by-path
+sampler kept in ``tests/reference.py`` is what the tests check them against.
 """
 
 from __future__ import annotations
@@ -32,12 +34,9 @@ __all__ = [
     "GeneratorMatrix",
     "CtmcModel",
     "StationaryAnalysis",
-    "EnvironmentPath",
     "validate_generator",
     "stationary_distribution",
     "analyze",
-    "sample_path",
-    "occupation_integral",
     "sample_occupation_integrals",
 ]
 
@@ -142,32 +141,6 @@ class StationaryAnalysis:
     sigma2: float
 
 
-@dataclass(frozen=True, eq=False)
-class EnvironmentPath:
-    """Piecewise-constant environment trajectory on [0, horizon].
-
-    ``states`` has one more entry than ``jump_times``; segment i occupies
-    [jump_times[i-1], jump_times[i]) in state states[i], with jump_times[-1]
-    read as 0 and the final segment ending at the horizon.
-    """
-
-    horizon: float
-    jump_times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        jt = np.asarray(self.jump_times, dtype=float)
-        st = np.asarray(self.states, dtype=np.int64)
-        if st.shape != (jt.size + 1,):
-            raise ValueError("states must be one longer than jump_times")
-        object.__setattr__(self, "jump_times", jt)
-        object.__setattr__(self, "states", st)
-
-    @property
-    def n_jumps(self) -> int:
-        return self.jump_times.size
-
-
 def _solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense solve with one step of iterative refinement."""
     try:
@@ -225,44 +198,6 @@ def analyze(model: CtmcModel) -> StationaryAnalysis:
             raise SingularSystemError(f"sigma2 = {sigma2:.3e} is negative beyond tolerance")
         sigma2 = 0.0
     return StationaryAnalysis(pi, lambda_star, f_centered, g, sigma2)
-
-
-def sample_path(model: CtmcModel, horizon: float, rng: np.random.Generator) -> EnvironmentPath:
-    """Exact CTMC trajectory on [0, horizon].
-
-    Sojourns are exponential with the state's exit rate; the next state is
-    drawn proportionally to the off-diagonal rates of the current row.
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    exit_rates = model.generator.exit_rates
-    cum = _jump_cdf(model.generator)
-
-    times = []
-    states = [model.initial_state]
-    t = 0.0
-    state = model.initial_state
-    while True:
-        rate = exit_rates[state]
-        if rate <= 0.0:
-            break
-        t += rng.exponential(1.0 / rate)
-        if t >= horizon:
-            break
-        state = int(np.searchsorted(cum[state], rng.random(), side="right"))
-        times.append(t)
-        states.append(state)
-    return EnvironmentPath(horizon, np.array(times), np.array(states, dtype=np.int64))
-
-
-def occupation_integral(path: EnvironmentPath, weights) -> float:
-    """Exact integral of weights[X(s)] over [0, horizon] along the path."""
-    weights = np.asarray(weights, dtype=float)
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be finite")
-    bounds = np.concatenate(([0.0], path.jump_times, [path.horizon]))
-    durations = np.diff(bounds)
-    return float(np.sum(weights[path.states] * durations))
 
 
 def _jump_cdf(generator: GeneratorMatrix) -> np.ndarray:
@@ -325,23 +260,27 @@ def _segment_rounds(
     Yields (replication_index, state, start, end) arrays, one sojourn per
     replication per round, so consumers never hold full paths in memory.
     Replications whose trajectory has reached the horizon drop out; a round
-    in which every replication jumps keeps its arrays as they are.  The next
+    in which every replication jumps keeps its arrays as they are.  The
+    chain is irreducible, so with n >= 2 every state has a positive exit
+    rate; a one-state chain yields [0, horizon] in one round.  The next
     state comes from :func:`_next_state` on a padded table built once per
     call, which gives the same integers as a scan of the whole cdf row, so
     the draws and the yielded arrays are those of that scan.
     """
-    exit_rates = model.generator.exit_rates
-    rate_pos = exit_rates > 0
-    safe = np.where(rate_pos, exit_rates, 1.0)
-    table, width = _jump_search_table(_jump_cdf(model.generator))
-
     idx = np.arange(size)
     state = np.full(size, model.initial_state, dtype=np.int64)
     t_now = np.zeros(size)
+    if model.n == 1:
+        # One state never jumps.  The draw keeps the stream where a sojourn
+        # of infinite length would leave it.
+        rng.exponential(size=size)
+        yield idx, state, t_now, np.full(size, float(horizon))
+        return
+    exit_rates = model.generator.exit_rates
+    table, width = _jump_search_table(_jump_cdf(model.generator))
     while idx.size:
         draws = rng.exponential(size=idx.size)
-        soj = np.where(rate_pos[state], draws / safe[state], np.inf)
-        end = np.minimum(t_now + soj, horizon)
+        end = np.minimum(t_now + draws / exit_rates[state], horizon)
         yield idx, state, t_now, end
         jumped = end < horizon
         if not np.any(jumped):
@@ -367,7 +306,7 @@ def sample_occupation_integrals(
     regardless of the horizon.  While no replication has reached the horizon
     a round covers all of them, and its values are added without scattering.
     """
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValueError("horizon must be positive")
     weights = np.asarray(weights, dtype=float)
     out = np.zeros(size)

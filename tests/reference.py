@@ -1,0 +1,282 @@
+"""Per-path reference simulators that the vectorized kernels are tested against.
+
+The package computes time-t marginals with vectorized count kernels that
+stream environment segments and never build a path.  This module keeps the
+path-level construction those kernels stand in for: exact environment
+trajectories, arrival streams of every model type (constant-rate Poisson,
+Markov-modulated, fast periodic, and a base stream sped up by 1/eps and
+thinned with keep probability eps), and the infinite-server occupancy
+counted arrival by arrival.  Tests check the kernels' laws and the
+constructions' equivalences against it.
+
+Piecewise-constant intensities are simulated exactly by per-segment Poisson
+counts with uniform placement; no rejection step is involved.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from rapidpp.arrivals import (
+    BaseProcessSpec,
+    CoxBase,
+    PeriodicIntensity,
+    PoissonBase,
+    RenewalGammaBase,
+    _check_eps_t,
+)
+from rapidpp.errors import RapidppError
+from rapidpp.expansions import ServiceModel
+from rapidpp.markov_env import CtmcModel, _jump_cdf
+
+
+class LengthMismatchError(RapidppError):
+    """Paired sequences (arrivals and service draws) differ in length."""
+
+
+# ---------------------------------------------------------------------------
+# environment paths
+
+
+@dataclass(frozen=True, eq=False)
+class EnvironmentPath:
+    """Piecewise-constant environment trajectory on [0, horizon].
+
+    ``states`` has one more entry than ``jump_times``; segment i occupies
+    [jump_times[i-1], jump_times[i]) in state states[i], with jump_times[-1]
+    read as 0 and the final segment ending at the horizon.
+    """
+
+    horizon: float
+    jump_times: np.ndarray
+    states: np.ndarray
+
+    def __post_init__(self):
+        jt = np.asarray(self.jump_times, dtype=float)
+        st = np.asarray(self.states, dtype=np.int64)
+        if st.shape != (jt.size + 1,):
+            raise ValueError("states must be one longer than jump_times")
+        object.__setattr__(self, "jump_times", jt)
+        object.__setattr__(self, "states", st)
+
+    @property
+    def n_jumps(self) -> int:
+        return self.jump_times.size
+
+
+def sample_path(model: CtmcModel, horizon: float, rng: np.random.Generator) -> EnvironmentPath:
+    """Exact CTMC trajectory on [0, horizon].
+
+    Sojourns are exponential with the state's exit rate; the next state is
+    drawn proportionally to the off-diagonal rates of the current row.
+    """
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    exit_rates = model.generator.exit_rates
+    cum = _jump_cdf(model.generator)
+
+    times = []
+    states = [model.initial_state]
+    t = 0.0
+    state = model.initial_state
+    while True:
+        rate = exit_rates[state]
+        if rate <= 0.0:
+            break
+        t += rng.exponential(1.0 / rate)
+        if t >= horizon:
+            break
+        state = int(np.searchsorted(cum[state], rng.random(), side="right"))
+        times.append(t)
+        states.append(state)
+    return EnvironmentPath(horizon, np.array(times), np.array(states, dtype=np.int64))
+
+
+def occupation_integral(path: EnvironmentPath, weights) -> float:
+    """Exact integral of weights[X(s)] over [0, horizon] along the path."""
+    weights = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
+    bounds = np.concatenate(([0.0], path.jump_times, [path.horizon]))
+    durations = np.diff(bounds)
+    return float(np.sum(weights[path.states] * durations))
+
+
+# ---------------------------------------------------------------------------
+# arrival streams
+
+
+@dataclass(frozen=True, eq=False)
+class ArrivalStream:
+    """Strictly increasing arrival epochs on (0, horizon]."""
+
+    horizon: float
+    times: np.ndarray
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=float)
+        if times.size:
+            if not np.all(np.diff(times) > 0):
+                raise ValueError("arrival times must be strictly increasing")
+            if times[0] <= 0 or times[-1] > self.horizon:
+                raise ValueError("arrival times must lie in (0, horizon]")
+        object.__setattr__(self, "times", times)
+
+    @property
+    def count(self) -> int:
+        return self.times.size
+
+    def count_before(self, t: float) -> int:
+        """Number of arrivals in (0, t]."""
+        return int(np.searchsorted(self.times, t, side="right"))
+
+
+def simulate_constant_poisson(rate: float, t: float, rng: np.random.Generator) -> ArrivalStream:
+    """Poisson stream on (0, t]: Poisson(rate t) points placed as sorted uniforms."""
+    if rate <= 0 or t <= 0:
+        raise ValueError("rate and t must be positive")
+    n = rng.poisson(rate * t)
+    return ArrivalStream(t, t * np.sort(rng.random(n)))
+
+
+def simulate_cox(
+    model: CtmcModel, eps: float, t: float, rng: np.random.Generator
+) -> tuple[ArrivalStream, EnvironmentPath]:
+    """Arrival stream with intensity rates[X(s/eps)] on (0, t].
+
+    The environment is simulated on [0, t/eps]; each sojourn segment
+    contributes a Poisson count proportional to its time-scaled length, with
+    points placed uniformly inside the segment and all epochs scaled by eps.
+    The path is returned for diagnostics.
+    """
+    _check_eps_t(eps, t)
+    path = sample_path(model, t / eps, rng)
+    bounds = np.concatenate(([0.0], path.jump_times, [path.horizon]))
+    starts = bounds[:-1]
+    lengths = np.diff(bounds)
+    seg_rates = model.rates[path.states]
+    counts = rng.poisson(seg_rates * eps * lengths)
+    total = int(counts.sum())
+    u = rng.random(total)
+    pos = np.repeat(starts, counts) + u * np.repeat(lengths, counts)
+    times = eps * np.sort(pos)
+    return ArrivalStream(t, times), path
+
+
+def simulate_periodic(
+    intensity: PeriodicIntensity, eps: float, t: float, rng: np.random.Generator
+) -> ArrivalStream:
+    """Poisson stream with rate intensity(s/eps) on (0, t], simulated exactly.
+
+    Points are drawn piece by piece: each piece of the period contributes a
+    Poisson count over its total (possibly fractional) exposure on [0, t/eps]
+    and the points land uniformly on that exposure.
+    """
+    _check_eps_t(eps, t)
+    horizon = t / eps
+    whole = math.floor(horizon)
+    frac = horizon - whole
+    bp = intensity.breakpoints
+    widths = intensity.widths
+    positions = []
+    for b, w, rate in zip(bp, widths, intensity.values):
+        if rate == 0.0:
+            continue
+        partial = min(max(frac - b, 0.0), w)
+        exposure = whole * w + partial
+        if exposure <= 0.0:
+            continue
+        n = rng.poisson(rate * eps * exposure)
+        u = exposure * rng.random(n)
+        in_full = u < whole * w
+        # clamp the period index so rounding can never push a point past
+        # its piece boundary into a neighbouring (possibly dead) piece
+        period = np.where(
+            in_full, np.minimum(np.floor(u / w), max(whole - 1, 0)), float(whole)
+        )
+        positions.append(period + b + (u - period * w))
+    if positions:
+        pos = np.concatenate(positions)
+    else:
+        pos = np.empty(0)
+    return ArrivalStream(t, eps * np.sort(pos))
+
+
+def _renewal_times(base: RenewalGammaBase, horizon: float, rng: np.random.Generator) -> np.ndarray:
+    expected = horizon * base.long_run_rate
+    block = max(16, int(expected + 6.0 * math.sqrt(expected + 1.0)))
+    times = rng.gamma(base.shape, 1.0 / base.rate, block).cumsum()
+    while times[-1] <= horizon:
+        more = rng.gamma(base.shape, 1.0 / base.rate, block)
+        times = np.concatenate([times, times[-1] + more.cumsum()])
+    return times[times <= horizon]
+
+
+def simulate_base(base: BaseProcessSpec, horizon: float, rng: np.random.Generator) -> ArrivalStream:
+    """Simulate a base stream at its natural speed on (0, horizon]."""
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    if isinstance(base, PoissonBase):
+        return simulate_constant_poisson(base.rate, horizon, rng)
+    if isinstance(base, RenewalGammaBase):
+        return ArrivalStream(horizon, _renewal_times(base, horizon, rng))
+    if isinstance(base, CoxBase):
+        stream, _ = simulate_cox(base.model, 1.0, horizon, rng)
+        return stream
+    raise TypeError(f"unsupported base process {base!r}")
+
+
+def thin_and_speed(
+    base: BaseProcessSpec, eps: float, t: float, rng: np.random.Generator
+) -> ArrivalStream:
+    """Run the base on [0, t/eps], keep points with probability eps, rescale time.
+
+    One uniform is consumed per base arrival, in arrival order, so a fixed
+    stream reproduces the thinning decisions exactly; with eps = 1 the output
+    is the base stream itself.
+    """
+    _check_eps_t(eps, t)
+    stream = simulate_base(base, t / eps, rng)
+    keep = rng.random(stream.count) < eps
+    return ArrivalStream(t, eps * stream.times[keep])
+
+
+# ---------------------------------------------------------------------------
+# infinite-server queue
+
+
+def number_in_system(arrivals: ArrivalStream, services, t: float) -> int:
+    """Count arrivals still in service at time t.
+
+    ``services`` must hold one duration per arrival, in arrival order.
+    """
+    services = np.asarray(services, dtype=float)
+    if services.shape != arrivals.times.shape:
+        raise LengthMismatchError(
+            f"{services.size} service draws for {arrivals.count} arrivals"
+        )
+    if t > arrivals.horizon:
+        raise ValueError("query time exceeds the simulated horizon")
+    in_system = (arrivals.times <= t) & (arrivals.times + services > t)
+    return int(np.count_nonzero(in_system))
+
+
+def simulate_queue_at_t(
+    model: CtmcModel,
+    service: ServiceModel,
+    eps: float,
+    t: float,
+    rng: np.random.Generator,
+) -> int:
+    """Simulate the modulated arrivals and return the occupancy at time t.
+
+    Service draws are consumed in arrival order from the given stream.
+    """
+    if t == 0:
+        return 0
+    stream, _ = simulate_cox(model, eps, t, rng)
+    services = service.sample(stream.count, rng)
+    return number_in_system(stream, services, t)

@@ -33,14 +33,13 @@ from rapidpp import (
     hk_derivatives,
     marginal_tv_distance,
     poisson_pmf,
-    simulate_base,
-    thin_and_speed,
     tv_limit_exact,
     tv_limit_mc,
 )
 from rapidpp.cli import main
 
 from conftest import make_two_state, random_irreducible_model
+from reference import simulate_base, thin_and_speed
 from test_markov_env import two_state_closed_form
 
 WORKED_MODEL = make_two_state()  # a = b = 1, rates (0, 2), started in state 0

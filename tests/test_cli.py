@@ -292,3 +292,45 @@ class TestOutputDestination:
         assert main(["expand", "--config", cfg, "--out", str(from_flag)]) == 0
         assert capsys.readouterr().out == ""
         assert from_flag.exists() and not from_config.exists()
+
+
+class TestNonFiniteNumbers:
+    """json.loads reads NaN, Infinity and integers too long for a float;
+    every number field must reject them."""
+
+    CASES = {
+        "t": ({"model": MMPP, "eps": 0.5}, lambda doc, v: doc.update(t=v)),
+        "model.rate": (
+            {"model": {"type": "constant", "rate": 1.0}},
+            lambda doc, v: doc["model"].update(rate=v),
+        ),
+        "model.shape": (
+            {"model": {"type": "renewal_gamma", "shape": 2, "rate": 2}, "eps": 0.5},
+            lambda doc, v: doc["model"].update(shape=v),
+        ),
+        "model.breakpoints[1]": (
+            {"model": PERIODIC, "eps": 0.5},
+            lambda doc, v: doc["model"].update(breakpoints=[0, v]),
+        ),
+        "service.rate": (
+            {"model": MMPP, "eps": 0.5, "kind": "queue",
+             "service": {"type": "exponential", "rate": 1.0}},
+            lambda doc, v: doc["service"].update(rate=v),
+        ),
+        "service.b": (
+            {"model": MMPP, "eps": 0.5, "kind": "queue",
+             "service": {"type": "uniform", "a": 0.0, "b": 2.0}},
+            lambda doc, v: doc["service"].update(b=v),
+        ),
+    }
+
+    @pytest.mark.parametrize("command", ["expand", "simulate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "huge"])
+    @pytest.mark.parametrize("field", list(CASES))
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, command, value, field):
+        base, set_value = self.CASES[field]
+        doc = json.loads(json.dumps(base))
+        set_value(doc, value)
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg]) == 2
+        assert f"{field}: " in capsys.readouterr().err

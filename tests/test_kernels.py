@@ -1,0 +1,111 @@
+"""Argument checks shared by the kernels and expansions, and the one-state segment round."""
+
+import math
+
+import numpy as np
+import pytest
+
+from rapidpp import (
+    CoxBase,
+    CtmcModel,
+    ExperimentSpec,
+    ExponentialService,
+    PeriodicIntensity,
+    RenewalGammaBase,
+    construction_equivalence_test,
+    corrected_count_pmf,
+    corrected_count_pmf_periodic,
+    corrected_queue_pmf,
+    periodic_correction_integral,
+    sample_cox_counts,
+    sample_occupation_integrals,
+    sample_periodic_counts,
+    sample_queue_counts,
+    sample_thinned_counts,
+    validate_generator,
+)
+from rapidpp.arrivals import periodic_mean_count
+from rapidpp.markov_env import _segment_rounds
+
+from conftest import make_two_state
+
+MODEL = make_two_state()
+HALF_ON = PeriodicIntensity([0.0, 0.5], [2.0, 0.0])
+SERVICE = ExponentialService(1.0)
+
+
+def _rng():
+    return np.random.default_rng(11)
+
+
+# Each entry calls one public function with the given (eps, t).  The
+# samplers form t/eps and need eps > 0; the rest accept eps 0.
+SAMPLERS = {
+    "sample_cox_counts": lambda eps, t: sample_cox_counts(MODEL, eps, t, 10, _rng()),
+    "sample_periodic_counts": lambda eps, t: sample_periodic_counts(HALF_ON, eps, t, 10, _rng()),
+    "sample_thinned_counts": lambda eps, t: sample_thinned_counts(
+        RenewalGammaBase(2.0, 2.0), eps, t, 10, _rng()
+    ),
+    "sample_thinned_counts_cox": lambda eps, t: sample_thinned_counts(
+        CoxBase(MODEL), eps, t, 10, _rng()
+    ),
+    "sample_queue_counts": lambda eps, t: sample_queue_counts(MODEL, SERVICE, eps, t, 10, _rng()),
+    "periodic_mean_count": lambda eps, t: periodic_mean_count(HALF_ON, eps, t),
+    "periodic_correction_integral": lambda eps, t: periodic_correction_integral(HALF_ON, eps, t),
+    "construction_equivalence_test": lambda eps, t: construction_equivalence_test(
+        MODEL, eps, t, 100, 0
+    ),
+}
+EXPANSIONS = {
+    "corrected_count_pmf": lambda eps, t: corrected_count_pmf(1.0, -0.5, 1.0, eps, t),
+    "corrected_count_pmf_periodic": lambda eps, t: corrected_count_pmf_periodic(HALF_ON, eps, t),
+    "corrected_queue_pmf": lambda eps, t: corrected_queue_pmf(1.0, -0.5, 1.0, SERVICE, eps, t),
+    "ExperimentSpec": lambda eps, t: ExperimentSpec(MODEL, t, eps),
+}
+EVERY = {**SAMPLERS, **EXPANSIONS}
+
+
+class TestEpsAndTChecks:
+    @pytest.mark.parametrize("name", list(EVERY))
+    @pytest.mark.parametrize("eps", [-0.1, 1.5, math.nan])
+    def test_eps_outside_unit_interval_rejected(self, name, eps):
+        with pytest.raises(ValueError):
+            EVERY[name](eps, 1.0)
+
+    @pytest.mark.parametrize("name", list(EVERY))
+    @pytest.mark.parametrize("t", [0.0, math.nan])
+    def test_t_not_positive_rejected(self, name, t):
+        with pytest.raises(ValueError):
+            EVERY[name](0.5, t)
+
+    @pytest.mark.parametrize("name", list(SAMPLERS))
+    def test_samplers_reject_eps_zero(self, name):
+        with pytest.raises(ValueError):
+            SAMPLERS[name](0.0, 1.0)
+
+    @pytest.mark.parametrize("name", list(EXPANSIONS))
+    def test_expansions_accept_eps_zero(self, name):
+        EXPANSIONS[name](0.0, 1.0)
+
+    @pytest.mark.parametrize("horizon", [0.0, math.nan])
+    def test_occupation_horizon_not_positive_rejected(self, horizon):
+        with pytest.raises(ValueError):
+            sample_occupation_integrals(MODEL, MODEL.rates, horizon, 10, _rng())
+
+
+class TestOneStateChain:
+    def test_one_segment_per_replication(self):
+        model = CtmcModel(validate_generator([[0.0]]), [1.5])
+        size, horizon = 1000, 7.25
+        rng = np.random.default_rng(3)
+        rounds = list(_segment_rounds(model, horizon, size, rng))
+        assert len(rounds) == 1
+        idx, state, start, end = rounds[0]
+        np.testing.assert_array_equal(idx, np.arange(size))
+        np.testing.assert_array_equal(state, np.zeros(size, dtype=np.int64))
+        np.testing.assert_array_equal(start, np.zeros(size))
+        np.testing.assert_array_equal(end, np.full(size, horizon))
+        # the round consumes one exponential per replication, like a sojourn
+        ref = np.random.default_rng(3)
+        ref.exponential(size=size)
+        assert rng.bit_generator.state == ref.bit_generator.state

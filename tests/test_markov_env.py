@@ -3,21 +3,19 @@ import pytest
 
 from rapidpp import (
     CtmcModel,
-    EnvironmentPath,
     NegativeOffDiagonalError,
     NonSquareError,
     ReducibleError,
     RowSumError,
     analyze,
-    occupation_integral,
     sample_occupation_integrals,
-    sample_path,
     stationary_distribution,
     validate_generator,
 )
 from rapidpp.markov_env import _jump_cdf, _jump_search_table, _next_state
 
 from conftest import make_two_state, random_irreducible_model
+from reference import EnvironmentPath, occupation_integral, sample_path
 
 
 class TestValidateGenerator:

