@@ -27,7 +27,6 @@ from .errors import (
     GeneratorValidationError,
     NegativeOffDiagonalError,
     NonSquareError,
-    QuadratureError,
     RapidppError,
     ReducibleError,
     RowSumError,
@@ -45,7 +44,6 @@ from .expansions import (
     corrected_queue_pmf,
     default_kmax,
     eta_squared,
-    eta_squared_exponential,
     hk_derivatives,
     mean_q0,
     periodic_correction_integral,

@@ -56,7 +56,7 @@ class PeriodicIntensity:
         vals = np.asarray(self.values, dtype=float)
         if bp.ndim != 1 or vals.shape != bp.shape or bp.size == 0:
             raise ValueError("breakpoints and values must be equal-length 1-d sequences")
-        if bp[0] != 0.0 or np.any(bp >= 1.0) or np.any(np.diff(bp) <= 0):
+        if not (bp[0] == 0.0 and np.all(np.diff(bp) > 0) and np.all(bp < 1.0)):
             raise ValueError("breakpoints must start at 0, increase strictly, and stay below 1")
         widths = np.diff(np.append(bp, 1.0))
         if np.any(widths < MIN_PIECE_WIDTH):
@@ -93,8 +93,8 @@ class PoissonBase:
     rate: float
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,8 @@ class RenewalGammaBase:
     rate: float
 
     def __post_init__(self):
-        if self.shape <= 0 or self.rate <= 0:
-            raise ValueError("shape and rate must be positive")
+        if not (0 < self.shape < math.inf and 0 < self.rate < math.inf):
+            raise ValueError("shape and rate must be positive and finite")
 
     @property
     def long_run_rate(self) -> float:

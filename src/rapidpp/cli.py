@@ -27,7 +27,6 @@ from .config import (
 from .errors import (
     ConfigError,
     EnumerationTooLargeError,
-    QuadratureError,
     SingularSystemError,
     ZeroMeanRateError,
 )
@@ -223,7 +222,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, SingularSystemError, ZeroMeanRateError) as exc:
+    except (SingularSystemError, ZeroMeanRateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except EnumerationTooLargeError as exc:

@@ -33,10 +33,6 @@ class ZeroMeanRateError(RapidppError):
     """The long-run average arrival rate is zero, so no analysis is possible."""
 
 
-class QuadratureError(RapidppError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
 class DegenerateMeanError(RapidppError, ValueError):
     """A baseline mean that must be positive is not (t = 0, say).
 

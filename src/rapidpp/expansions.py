@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
-from scipy.special import gammainc, gammaincc, gammaln
+from scipy import stats
+from scipy.special import binom, gammainc, gammaincc, gammaln
 
 from .arrivals import PeriodicIntensity, _check_eps_t
-from .errors import DegenerateMeanError, EnumerationTooLargeError, QuadratureError
+from .errors import DegenerateMeanError, EnumerationTooLargeError
 from .markov_env import CtmcModel, StationaryAnalysis, analyze
 
 __all__ = [
@@ -37,14 +36,12 @@ __all__ = [
     "corrected_count_pmf_periodic",
     "mean_q0",
     "eta_squared",
-    "eta_squared_exponential",
     "corrected_queue_pmf",
     "tv_limit_exact",
     "tv_limit_mc",
 ]
 
 TAIL_MASS = 1e-12
-QUAD_ABS_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +219,8 @@ class ExponentialService:
     rate: float
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
-
-    @property
-    def breakpoints(self) -> tuple:
-        return ()
-
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, self.rate * np.exp(-self.rate * x), 0.0)
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
@@ -241,6 +230,11 @@ class ExponentialService:
         if t <= 0:
             return 0.0
         return float(-np.expm1(-self.rate * t) / self.rate)
+
+    def survival_square_integral(self, t: float) -> float:
+        if t <= 0:
+            return 0.0
+        return float(-np.expm1(-2.0 * self.rate * t) / (2.0 * self.rate))
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return -np.log1p(-rng.random(size)) / self.rate
@@ -254,27 +248,11 @@ class ErlangService:
     rate: float
 
     def __post_init__(self):
-        if self.shape < 1 or self.shape != int(self.shape):
+        if not (self.shape >= 1 and float(self.shape).is_integer()):
             raise ValueError("shape must be a positive integer")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
         object.__setattr__(self, "shape", int(self.shape))
-
-    @property
-    def breakpoints(self) -> tuple:
-        return ()
-
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        pos = x > 0
-        xs = np.where(pos, x, 1.0)
-        log_pdf = (
-            self.shape * np.log(self.rate)
-            + (self.shape - 1) * np.log(xs)
-            - self.rate * xs
-            - gammaln(self.shape)
-        )
-        return np.where(pos, np.exp(log_pdf), 0.0)
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
@@ -286,6 +264,19 @@ class ErlangService:
         js = np.arange(1, self.shape + 1)
         return float(np.sum(gammainc(js, self.rate * t)) / self.rate)
 
+    def survival_square_integral(self, t: float) -> float:
+        """Integral of survival^2 over [0, t].
+
+        survival(s)^2 = e^{-2 rate s} sum_{i,j<shape} (rate s)^{i+j} / (i! j!),
+        and each term integrates to a regularized lower incomplete gamma.
+        """
+        if t <= 0:
+            return 0.0
+        i, j = np.indices((self.shape, self.shape))
+        n = i + j
+        terms = binom(n, i) * 0.5 ** (n + 1) * gammainc(n + 1, 2.0 * self.rate * t)
+        return float(np.sum(terms) / self.rate)
+
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random((size, self.shape))
         return -np.log1p(-u).sum(axis=1) / self.rate
@@ -293,27 +284,23 @@ class ErlangService:
 
 @dataclass(frozen=True)
 class UniformService:
-    """Service times uniform on [a, b] with 0 <= a < b."""
+    """Service times uniform on [a, b] with 0 <= a < b < inf."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        if self.a < 0 or self.b <= self.a:
-            raise ValueError("need 0 <= a < b")
-
-    @property
-    def breakpoints(self) -> tuple:
-        return (self.a, self.b)
-
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= self.a) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
+        if not 0 <= self.a < self.b < math.inf:
+            raise ValueError("need 0 <= a < b < inf")
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
         mid = (self.b - x) / (self.b - self.a)
         return np.clip(np.where(x < self.a, 1.0, np.where(x > self.b, 0.0, mid)), 0.0, 1.0)
+
+    # Past a, the integrals of survival and survival^2 are a + (b - a) (1 - r^p) / p,
+    # p = 2 and 3, with r = 1 - u and u the passed share of [a, b].  They are
+    # evaluated as a + (tt - a) * (1 - (1 - u)^p) / (p u), free of cancellation.
 
     def survival_integral(self, t: float) -> float:
         if t <= 0:
@@ -321,7 +308,17 @@ class UniformService:
         if t <= self.a:
             return float(t)
         tt = min(t, self.b)
-        return float(self.a + ((self.b - self.a) ** 2 - (self.b - tt) ** 2) / (2 * (self.b - self.a)))
+        u = (tt - self.a) / (self.b - self.a)
+        return float(self.a + (tt - self.a) * (1.0 - u / 2.0))
+
+    def survival_square_integral(self, t: float) -> float:
+        if t <= 0:
+            return 0.0
+        if t <= self.a:
+            return float(t)
+        tt = min(t, self.b)
+        u = (tt - self.a) / (self.b - self.a)
+        return float(self.a + (tt - self.a) * (1.0 - u + u * u / 3.0))
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return self.a + (self.b - self.a) * rng.random(size)
@@ -336,64 +333,28 @@ ServiceModel = ExponentialService | ErlangService | UniformService
 
 def mean_q0(lambda_star: float, service: ServiceModel, t: float) -> float:
     """Mean occupancy of the constant-rate infinite-server system at time t."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
-    if lambda_star < 0:
+    if not lambda_star >= 0:
         raise ValueError("lambda_star must be nonnegative")
     return lambda_star * service.survival_integral(t)
 
 
-def _quad_piecewise(fn, points: list[float]) -> float:
-    """Quadrature to ``QUAD_ABS_TOL`` over consecutive intervals in ``points``."""
-    total = 0.0
-    err_total = 0.0
-    budget = QUAD_ABS_TOL / max(1, len(points) - 1)
-    for a, b in zip(points[:-1], points[1:]):
-        if b <= a:
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", integrate.IntegrationWarning)
-            try:
-                val, err = integrate.quad(fn, a, b, epsabs=budget, epsrel=0.0, limit=500)
-            except integrate.IntegrationWarning as exc:
-                raise QuadratureError(f"quadrature on [{a}, {b}] failed: {exc}") from exc
-        total += val
-        err_total += err
-    if err_total > QUAD_ABS_TOL:
-        raise QuadratureError(
-            f"estimated quadrature error {err_total:.2e} exceeds tolerance {QUAD_ABS_TOL:.2e}"
-        )
-    return total
-
-
 def eta_squared(sigma2: float, service: ServiceModel, t: float) -> float:
-    """Queue-side variance constant.
+    """Queue-side variance constant eta^2 = sigma2 * integral_0^t S(s)^2 ds.
 
-    eta^2 = 2 sigma2 * integral_0^t survival(s) density(s) s ds
-            + sigma2 * t * survival(t)^2.
-    The integral is evaluated by adaptive quadrature split at density
-    breakpoints; for exponential services
-    :func:`eta_squared_exponential` provides an independent closed form.
+    The first-order occupancy term defines it as
+    2 sigma2 * integral_0^t S(s) g(s) s ds + sigma2 * t * S(t)^2, with S the
+    service survival function and g = -S' its pdf.  Since 2 S g = -(S^2)',
+    integration by parts turns the integral into
+    integral_0^t S(s)^2 ds - t * S(t)^2, whose boundary term cancels the
+    second summand.  Each service evaluates integral_0^t S^2 in closed form.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError("sigma2 must be nonnegative")
-    if sigma2 == 0.0:
-        return 0.0
-    points = sorted({0.0, t, *(p for p in service.breakpoints if 0.0 < p < t)})
-
-    def integrand(s):
-        return float(service.survival(s) * service.density(s) * s)
-
-    integral = _quad_piecewise(integrand, points)
-    tail = float(service.survival(t)) ** 2 * t
-    return 2.0 * sigma2 * integral + sigma2 * tail
-
-
-def eta_squared_exponential(sigma2: float, rate: float, t: float) -> float:
-    """Closed form of :func:`eta_squared` for exponential services."""
-    return sigma2 * -np.expm1(-2.0 * rate * t) / (2.0 * rate)
+    return sigma2 * service.survival_square_integral(t)
 
 
 def corrected_queue_pmf(

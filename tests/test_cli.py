@@ -60,6 +60,16 @@ class TestAnalyze:
         doc = json.loads(capsys.readouterr().out)
         assert doc["eta2"] == pytest.approx(0.5 - 0.5 * math.exp(-2), abs=1e-9)
 
+    def test_eta2_short_service_long_horizon(self, tmp_path, capsys):
+        # sigma2 = 1, so eta2 = integral of e^{-100 s} over [0, 1000] = 0.01
+        cfg = write_config(
+            tmp_path,
+            {"model": MMPP, "t": 1000.0, "service": {"type": "exponential", "rate": 50.0}},
+        )
+        assert main(["analyze", "--config", cfg]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["eta2"] == pytest.approx(0.01, rel=0, abs=1e-12)
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -130,6 +140,25 @@ class TestExpand:
         assert main(["expand", "--config", cfg, "--out", out]) == 0
         _, rows = read_csv(out)
         assert rows[0, 2] == pytest.approx(0.5527277777897868, abs=1e-12)
+
+    def test_queue_expansion_short_service_long_horizon(self, tmp_path):
+        # m = 0.05, S(t) = 0 and eta2 = 0.03125, so at k = 1
+        # p_corrected = 0.05 e^-0.05 (1 + 0.1 * (-19.5) * 0.03125)
+        out = str(tmp_path / "out.csv")
+        doc = {
+            "model": MMPP,
+            "service": {"type": "erlang", "shape": 2, "rate": 40.0},
+            "kind": "queue",
+            "t": 1000.0,
+            "eps": 0.1,
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["expand", "--config", cfg, "--out", out]) == 0
+        _, rows = read_csv(out)
+        assert np.all(rows[:, 2] != rows[:, 1])
+        expected = 0.05 * math.exp(-0.05) * (1 - 0.1 * 19.5 * 0.03125)
+        assert rows[1, 2] == pytest.approx(expected, rel=1e-12)
+        assert rows[1, 2] == pytest.approx(0.04466, abs=1e-5)
 
     def test_missing_eps_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"model": MMPP, "t": 1.0})

@@ -4,6 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rapidpp import (
@@ -18,7 +20,6 @@ from rapidpp import (
     corrected_queue_pmf,
     default_kmax,
     eta_squared,
-    eta_squared_exponential,
     hk_derivatives,
     mean_q0,
     periodic_correction_integral,
@@ -31,6 +32,36 @@ from rapidpp.expansions import _compositions
 from conftest import make_two_state, random_irreducible_model
 
 HALF_ON = PeriodicIntensity([0.0, 0.5], [2.0, 0.0])
+
+
+def _eta_squared_exponential(sigma2, rate, t):
+    """Closed form of eta^2 for exponential services."""
+    return sigma2 * -np.expm1(-2.0 * rate * t) / (2.0 * rate)
+
+
+def _mp_survival_and_pdf(service):
+    """30-digit survival function and pdf of a service, with the points where they kink."""
+    if isinstance(service, UniformService):
+        a, b = mp.mpf(service.a), mp.mpf(service.b)
+
+        def surv(s):
+            return mp.mpf(1) if s < a else ((b - s) / (b - a) if s < b else mp.mpf(0))
+
+        def pdf(s):
+            return 1 / (b - a) if a <= s <= b else mp.mpf(0)
+
+        return surv, pdf, [a, b]
+    k = service.shape if isinstance(service, ErlangService) else 1
+    rate = mp.mpf(service.rate)
+
+    def surv(s):
+        return mp.gammainc(k, rate * s, mp.inf, regularized=True)
+
+    def pdf(s):
+        return rate**k * s ** (k - 1) * mp.exp(-rate * s) / mp.factorial(k - 1)
+
+    # dyadic multiples of the mean service time, so short services are resolved
+    return surv, pdf, [mp.mpf(2) ** m * k / rate for m in range(-3, 40)]
 
 
 class TestPoissonPmf:
@@ -183,7 +214,8 @@ class TestMeanQ0:
     )
     def test_survival_integral_against_quadrature(self, service, t):
         mp.mp.dps = 30
-        pieces = sorted({0.0, t, *(p for p in service.breakpoints if 0 < p < t)})
+        kinks = (service.a, service.b) if isinstance(service, UniformService) else ()
+        pieces = sorted({0.0, t, *(p for p in kinks if 0 < p < t)})
         ref = float(mp.quad(lambda s: float(service.survival(float(s))), pieces))
         assert mean_q0(2.5, service, t) == pytest.approx(2.5 * ref, abs=1e-10)
 
@@ -200,7 +232,7 @@ class TestEtaSquared:
     @pytest.mark.parametrize("rate", [1.0, 2.5])
     def test_quadrature_matches_closed_form(self, t, rate):
         quad_val = eta_squared(1.7, ExponentialService(rate), t)
-        closed = eta_squared_exponential(1.7, rate, t)
+        closed = _eta_squared_exponential(1.7, rate, t)
         assert quad_val == pytest.approx(closed, abs=1e-9)
 
     def test_uniform_support_boundary(self):
@@ -226,6 +258,57 @@ class TestEtaSquared:
             service.survival(t)
         ) ** 2
         assert eta_squared(0.9, service, t) == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "service,t",
+        [
+            (UniformService(0.5, 2.0), 0.3),
+            (UniformService(0.5, 2.0), 1.2),
+            (UniformService(0.5, 2.0), 3.0),
+            (ErlangService(1, 2.0), 0.7),
+            (ErlangService(2, 2.0), 1.4),
+            (ErlangService(5, 1.3), 2.0),
+            # short services on long horizons (true integrals 0.01, 0.03125, 0.034375)
+            (ExponentialService(50.0), 1000.0),
+            (ErlangService(2, 40.0), 1000.0),
+            (ErlangService(3, 60.0), 2000.0),
+        ],
+    )
+    def test_against_defining_formula(self, service, t):
+        """eta^2 = 2 sigma2 int_0^t S g s ds + sigma2 t S(t)^2, at 30 digits."""
+        mp.mp.dps = 30
+        sigma2 = mp.mpf("0.9")
+        surv, pdf, kinks = _mp_survival_and_pdf(service)
+        pieces = [mp.mpf(0)] + [p for p in kinks if 0 < p < t] + [mp.mpf(t)]
+        integral = mp.quad(lambda s: surv(s) * pdf(s) * s, pieces)
+        ref = float(2 * sigma2 * integral + sigma2 * t * surv(mp.mpf(t)) ** 2)
+        assert eta_squared(0.9, service, t) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @given(
+        service=st.one_of(
+            st.builds(ExponentialService, st.floats(1e-3, 1e3)),
+            st.builds(ErlangService, st.integers(1, 8), st.floats(1e-3, 1e3)),
+            st.builds(
+                lambda a, width: UniformService(a, a + width),
+                st.floats(0.0, 1e3),
+                st.floats(1e-3, 1e3),
+            ),
+        ),
+        t=st.floats(1e-6, 1e4),
+        dt=st.floats(0.0, 1e4),
+    )
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_bounded_and_nondecreasing(self, service, t, dt):
+        """0 <= S <= 1 gives 0 <= int S^2 <= int S; the integrand is nonnegative.
+
+        Both comparisons allow a relative 1e-13 for rounding: as t -> 0 both
+        integrals tend to t, near the end of a uniform support eta^2 is nearly flat,
+        and the Erlang forms sum scipy's gammainc, good to a few dozen ulp.
+        """
+        slack = 1e-13
+        eta2 = eta_squared(1.0, service, t)
+        assert 0.0 <= eta2 <= service.survival_integral(t) * (1.0 + slack)
+        assert eta_squared(1.0, service, t + dt) >= eta2 * (1.0 - slack)
 
 
 class TestCorrectedQueuePmf:

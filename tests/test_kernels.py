@@ -1,4 +1,4 @@
-"""Argument checks shared by the kernels and expansions, and the one-state segment round."""
+"""Argument checks of the kernels, expansions and model constructors, and the one-state segment round."""
 
 import math
 
@@ -8,14 +8,19 @@ import pytest
 from rapidpp import (
     CoxBase,
     CtmcModel,
+    ErlangService,
     ExperimentSpec,
     ExponentialService,
     PeriodicIntensity,
+    PoissonBase,
     RenewalGammaBase,
+    UniformService,
     construction_equivalence_test,
     corrected_count_pmf,
     corrected_count_pmf_periodic,
     corrected_queue_pmf,
+    eta_squared,
+    mean_q0,
     periodic_correction_integral,
     sample_cox_counts,
     sample_occupation_integrals,
@@ -91,6 +96,40 @@ class TestEpsAndTChecks:
     def test_occupation_horizon_not_positive_rejected(self, horizon):
         with pytest.raises(ValueError):
             sample_occupation_integrals(MODEL, MODEL.rates, horizon, 10, _rng())
+
+
+# Each entry calls one function with a NaN in one argument.
+NAN_ARGUMENTS = {
+    "eta_squared_t": lambda: eta_squared(1.0, SERVICE, math.nan),
+    "eta_squared_sigma2": lambda: eta_squared(math.nan, SERVICE, 1.0),
+    "mean_q0_t": lambda: mean_q0(1.0, SERVICE, math.nan),
+    "mean_q0_lambda_star": lambda: mean_q0(math.nan, SERVICE, 1.0),
+}
+NON_FINITE_MODELS = {
+    "ExponentialService(nan)": lambda: ExponentialService(math.nan),
+    "ExponentialService(inf)": lambda: ExponentialService(math.inf),
+    "ErlangService(2, nan)": lambda: ErlangService(2, math.nan),
+    "ErlangService(nan, 1)": lambda: ErlangService(math.nan, 1.0),
+    "ErlangService(inf, 1)": lambda: ErlangService(math.inf, 1.0),
+    "UniformService(nan, 1)": lambda: UniformService(math.nan, 1.0),
+    "UniformService(0, inf)": lambda: UniformService(0.0, math.inf),
+    "PoissonBase(nan)": lambda: PoissonBase(math.nan),
+    "RenewalGammaBase(nan, 1)": lambda: RenewalGammaBase(math.nan, 1.0),
+    "RenewalGammaBase(2, inf)": lambda: RenewalGammaBase(2.0, math.inf),
+    "PeriodicIntensity([0, nan], [1, 1])": lambda: PeriodicIntensity([0.0, math.nan], [1.0, 1.0]),
+}
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("name", list(NAN_ARGUMENTS))
+    def test_nan_argument_rejected(self, name):
+        with pytest.raises(ValueError):
+            NAN_ARGUMENTS[name]()
+
+    @pytest.mark.parametrize("name", list(NON_FINITE_MODELS))
+    def test_non_finite_parameter_rejected(self, name):
+        with pytest.raises(ValueError):
+            NON_FINITE_MODELS[name]()
 
 
 class TestOneStateChain:
