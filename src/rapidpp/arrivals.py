@@ -9,9 +9,11 @@ independently with probability eps, and rescales time.
 The kernels draw many iid copies of the time-t count exactly, without
 materializing paths or streams: given the environment, the modulated count
 is Poisson with the time-scaled occupation integral as its mean, and a
-thinned count is a binomial draw from the base count.  The per-path stream
-construction they stand in for is kept as the test suite's reference, in
-``tests/reference.py``.
+thinned count is a binomial draw from the base count.  A gamma renewal base
+count R is drawn by inverting its exact CDF, P(R >= n) = P(S_n <= horizon)
+with S_n ~ gamma(n*shape, rate) its n-th point: one uniform per replication.
+The per-path stream construction they stand in for is kept as the test
+suite's reference, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaincc
 
 from .markov_env import CtmcModel, _segment_rounds, sample_occupation_integrals
 
@@ -101,15 +104,15 @@ class PoissonBase:
 class RenewalGammaBase:
     """Renewal base stream with gamma(shape, rate) interarrival times.
 
-    The long-run rate is rate/shape.
+    The long-run rate is rate/shape; it must be finite, which also bounds rate.
     """
 
     shape: float
     rate: float
 
     def __post_init__(self):
-        if not (0 < self.shape < math.inf and 0 < self.rate < math.inf):
-            raise ValueError("shape and rate must be positive and finite")
+        if not (0 < self.shape < math.inf and 0 < self.rate and self.rate / self.shape < math.inf):
+            raise ValueError("shape, rate and rate/shape must be positive and finite")
 
     @property
     def long_run_rate(self) -> float:
@@ -183,32 +186,28 @@ def sample_periodic_counts(
     return rng.poisson(periodic_mean_count(intensity, eps, t), size)
 
 
+def _renewal_cdf(base: RenewalGammaBase, horizon: float) -> tuple[int, np.ndarray]:
+    """(lo, q), q[i] = P(R <= lo + i - 1) = gammaincc((lo + i)*shape, rate*horizon).
+
+    The window starts 10 sd either side of the mean count on [0, horizon] and
+    doubles until at most 2**-64 lies below it (or lo = 1) and q[-1] == 1.
+    """
+    mean = horizon * base.long_run_rate
+    half = 10.0 * (math.sqrt(mean / base.shape) + 1.0)
+    while True:
+        lo = max(1, math.floor(mean - half))
+        q = gammaincc(np.arange(lo, math.ceil(mean + half) + 1) * base.shape, base.rate * horizon)
+        if (q[0] <= 2.0**-64 or lo == 1) and q[-1] == 1.0:
+            return lo, np.maximum.accumulate(q)  # like _jump_cdf's cap: no rounding dips
+        half *= 2.0
+
+
 def _renewal_counts(
     base: RenewalGammaBase, horizon: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    expected = horizon * base.long_run_rate
-    block = max(8, int(expected + 6.0 * math.sqrt(expected + 1.0)))
-    # The first block is drawn in row groups of about 2**20 doubles, so
-    # memory stays bounded as horizon grows; the gamma stream is consumed
-    # in the same order as one (size, block) draw.
-    rows = max(1, 2**20 // block)
-    counts = np.empty(size, dtype=np.int64)
-    last = np.empty(size)
-    for lo in range(0, size, rows):
-        hi = min(lo + rows, size)
-        totals = rng.gamma(base.shape, 1.0 / base.rate, (hi - lo, block)).cumsum(axis=1)
-        counts[lo:hi] = (totals <= horizon).sum(axis=1)
-        last[lo:hi] = totals[:, -1]
-    alive = np.flatnonzero(last <= horizon)
-    while alive.size:
-        more = rng.gamma(base.shape, 1.0 / base.rate, (alive.size, block)).cumsum(axis=1)
-        more += last[alive][:, None]
-        counts[alive] += (more <= horizon).sum(axis=1)
-        last_alive = more[:, -1]
-        still = last_alive <= horizon
-        last[alive] = last_alive
-        alive = alive[still]
-    return counts
+    """Draw ``size`` base counts on [0, horizon] by inverting their exact CDF."""
+    lo, q = _renewal_cdf(base, horizon)
+    return (lo - 1) + np.searchsorted(q, rng.random(size), side="right")
 
 
 def sample_thinned_counts(
@@ -221,8 +220,9 @@ def sample_thinned_counts(
 ):
     """Draw ``size`` iid copies of the thinned, sped-up count at time t.
 
-    The base count on [0, t/eps] is drawn first; independent keep/drop
-    decisions then reduce it binomially with success probability eps.
+    The base count on [0, t/eps] is drawn first (a renewal count R by inverting
+    P(R >= n) = P(S_n <= t/eps), S_n ~ gamma(n*shape, rate)); independent
+    keep/drop decisions then reduce it binomially with success probability eps.
     """
     _check_eps_t(eps, t)
     horizon = t / eps

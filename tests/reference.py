@@ -5,9 +5,10 @@ stream environment segments and never build a path.  This module keeps the
 path-level construction those kernels stand in for: exact environment
 trajectories, arrival streams of every model type (constant-rate Poisson,
 Markov-modulated, fast periodic, and a base stream sped up by 1/eps and
-thinned with keep probability eps), and the infinite-server occupancy
-counted arrival by arrival.  Tests check the kernels' laws and the
-constructions' equivalences against it.
+thinned with keep probability eps), the gamma renewal count summed from
+gamma blocks, and the infinite-server occupancy counted arrival by arrival.
+Tests check the kernels' laws and the constructions' equivalences against
+it.
 
 Piecewise-constant intensities are simulated exactly by per-segment Poisson
 counts with uniform placement; no rejection step is involved.
@@ -242,6 +243,40 @@ def thin_and_speed(
     stream = simulate_base(base, t / eps, rng)
     keep = rng.random(stream.count) < eps
     return ArrivalStream(t, eps * stream.times[keep])
+
+
+def gamma_block_renewal_counts(
+    base: RenewalGammaBase, horizon: float, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw ``size`` gamma renewal counts on [0, horizon] by summing gamma draws.
+
+    Each replication's interarrival times are drawn in blocks and summed, so
+    the cost grows linearly with horizon; the package's kernel inverts the
+    count's exact CDF instead.
+    """
+    expected = horizon * base.long_run_rate
+    block = max(8, int(expected + 6.0 * math.sqrt(expected + 1.0)))
+    # The first block is drawn in row groups of about 2**20 doubles, so
+    # memory stays bounded as horizon grows; the gamma stream is consumed
+    # in the same order as one (size, block) draw.
+    rows = max(1, 2**20 // block)
+    counts = np.empty(size, dtype=np.int64)
+    last = np.empty(size)
+    for lo in range(0, size, rows):
+        hi = min(lo + rows, size)
+        totals = rng.gamma(base.shape, 1.0 / base.rate, (hi - lo, block)).cumsum(axis=1)
+        counts[lo:hi] = (totals <= horizon).sum(axis=1)
+        last[lo:hi] = totals[:, -1]
+    alive = np.flatnonzero(last <= horizon)
+    while alive.size:
+        more = rng.gamma(base.shape, 1.0 / base.rate, (alive.size, block)).cumsum(axis=1)
+        more += last[alive][:, None]
+        counts[alive] += (more <= horizon).sum(axis=1)
+        last_alive = more[:, -1]
+        still = last_alive <= horizon
+        last[alive] = last_alive
+        alive = alive[still]
+    return counts
 
 
 # ---------------------------------------------------------------------------

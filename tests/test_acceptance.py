@@ -263,3 +263,26 @@ def test_A9_reproducibility(tmp_path):
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     _report("A9", elapsed, 120, "simulate and validate byte-identical at 1 and 8 workers")
+
+
+def test_A9_renewal_workers(tmp_path):
+    # three chunks of the thinned renewal count, at 1 and 2 workers
+    start = time.monotonic()
+    doc = {
+        "model": {"type": "renewal_gamma", "shape": 0.5, "rate": 1.0},
+        "eps": 0.01,
+        "t": 1.0,
+        "reps": 40_000,
+        "master_seed": 98,
+    }
+    outputs = []
+    for workers in (1, 2):
+        cfg_path = tmp_path / f"renewal_{workers}.json"
+        cfg_path.write_text(json.dumps(dict(doc, workers=workers)))
+        out_path = tmp_path / f"renewal_{workers}.out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+        outputs.append(out_path.read_bytes())
+    assert outputs[0] == outputs[1]
+    elapsed = time.monotonic() - start
+    assert elapsed < 120.0
+    _report("A9", elapsed, 120, "renewal simulate byte-identical at 1 and 2 workers")

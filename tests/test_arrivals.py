@@ -1,12 +1,17 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special, stats
 
 from rapidpp import (
     CoxBase,
     PeriodicIntensity,
+    PmfVector,
     PoissonBase,
     RenewalGammaBase,
     chi_square_gof,
@@ -16,10 +21,11 @@ from rapidpp import (
     sample_periodic_counts,
     sample_thinned_counts,
 )
-from rapidpp.arrivals import _renewal_counts, periodic_mean_count
+from rapidpp.arrivals import _renewal_cdf, _renewal_counts, periodic_mean_count
 
 from conftest import make_two_state
 from reference import (
+    gamma_block_renewal_counts,
     occupation_integral,
     simulate_base,
     simulate_constant_poisson,
@@ -225,24 +231,122 @@ class TestRenewalCounts:
     )
     def test_row_groups_match_one_block(self, shape, rate, horizon, size):
         base = RenewalGammaBase(shape, rate)
-        got = _renewal_counts(base, horizon, size, np.random.default_rng(31))
+        got = gamma_block_renewal_counts(base, horizon, size, np.random.default_rng(31))
         ref = _one_block_renewal_counts(base, horizon, size, np.random.default_rng(31))
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, ref)
 
     def test_peak_memory_is_bounded_at_long_horizon(self):
         # a single (16384, 634) first block would need 158 MiB at its peak
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            _renewal_counts(RenewalGammaBase(2, 2), 500, 16384, np.random.default_rng(5))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            if started:
-                tracemalloc.stop()
+        peak = _traced_peak(
+            lambda: _renewal_counts(RenewalGammaBase(2, 2), 500, 16384, np.random.default_rng(5))
+        )
         assert peak < 40 * 2**20
+
+    def test_peak_memory_is_bounded_at_horizon_1e6(self):
+        # summing gamma blocks would draw about 16384 * 1e6 doubles here
+        peak = _traced_peak(
+            lambda: _renewal_counts(RenewalGammaBase(2, 2), 1e6, 16384, np.random.default_rng(6))
+        )
+        assert peak < 40 * 2**20
+
+    @pytest.mark.parametrize(
+        "shape, rate, horizon, seed",
+        [(0.5, 1.0, 4.0, 41), (2.0, 2.0, 50.0, 42), (3.7, 5.55, 500.0, 43)],
+    )
+    def test_law_matches_gamma_block_reference(self, shape, rate, horizon, seed):
+        base = RenewalGammaBase(shape, rate)
+        rng = np.random.default_rng(seed)
+        got = np.bincount(_renewal_counts(base, horizon, 100_000, rng))
+        ref = np.bincount(gamma_block_renewal_counts(base, horizon, 100_000, rng))
+        assert chi_square_two_sample(got, ref).p_value > 1e-3
+
+
+def _traced_peak(call) -> int:
+    """Peak traced allocation, in bytes, while ``call()`` runs."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestRenewalCdf:
+    @pytest.mark.parametrize("shape", [1, 2, 3, 5])
+    @pytest.mark.parametrize("rate, horizon", [(2.0, 0.5), (1.5, 40.0), (2.0, 500.0)])
+    def test_erlang_pmf_is_poisson_block_sum(self, shape, rate, horizon):
+        # An Erlang(a, rate) renewal is every a-th point of a Poisson(rate)
+        # stream, so P(R = n) = sum of Poisson(rate*horizon) over [n*a, n*a + a).
+        # The tolerance is set by scipy's Poisson pmf, whose relative error
+        # grows with the mean (1.6e-13 absolute at mean 12000).
+        lo, q = _renewal_cdf(RenewalGammaBase(float(shape), rate), horizon)
+        n = np.arange(lo, lo + q.size - 1)
+        x = rate * horizon
+        blocks = stats.poisson.pmf(n[:, None] * shape + np.arange(shape), x).sum(axis=1)
+        np.testing.assert_allclose(np.diff(q), blocks, rtol=0, atol=1e-13)
+        assert q[0] == pytest.approx(stats.poisson.cdf(lo * shape - 1, x), abs=1e-13)
+
+    @pytest.mark.parametrize("shape", [0.05, 0.5, 2.5])
+    @pytest.mark.parametrize(
+        "rate, horizon", [(1.0, 0.3), (2.0, 50.0), (0.7, 400.0), (3.0, 4000.0)]
+    )
+    def test_fractional_shapes_match_mpmath(self, shape, rate, horizon):
+        # mpmath gets the same double arguments as the table: a = n*shape and
+        # x = rate*horizon rounded, as the kernel forms them.
+        lo, q = _renewal_cdf(RenewalGammaBase(shape, rate), horizon)
+        idx = np.unique(np.linspace(0, q.size - 1, 100).astype(int))
+        with mp.workdps(30):
+            exact = [
+                float(mp.gammainc(float((lo + i) * shape), rate * horizon, mp.inf,
+                                  regularized=True))
+                for i in idx
+            ]
+        np.testing.assert_allclose(q[idx], exact, rtol=0, atol=1e-15)
+
+    @given(
+        shape=st.floats(0.01, 50.0),
+        rate=st.floats(1e-3, 1e6),
+        data=st.data(),
+    )
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_table_invariants(self, shape, rate, data):
+        # The table holds about 20*sqrt(rate*horizon)/shape entries; the cap on
+        # horizon keeps it below about 2e5, so each example takes well under 1 s.
+        horizon = data.draw(st.floats(1e-3, min(1e6, 1e8 * shape**2 / rate)))
+        lo, q = _renewal_cdf(RenewalGammaBase(shape, rate), horizon)
+        assert lo >= 1
+        assert np.all(np.diff(q) >= 0)
+        assert q[-1] == 1.0
+        assert q[0] <= 2.0**-64 or lo == 1
+
+
+def _thinned_renewal_pmf(base, eps, t, kmax):
+    """Exact pmf over 0..kmax of Binomial(R, eps), R the base count on [0, t/eps]."""
+    x = base.rate * t / eps
+    mean = x / base.shape
+    nmax = int(mean + 20.0 * math.sqrt(mean / base.shape) + 20.0)
+    n = np.arange(nmax + 2)
+    at_least = special.gammainc(n * base.shape, x)  # P(R >= n); 1 at n = 0
+    p_r = at_least[:-1] - at_least[1:]
+    probs = stats.binom.pmf(np.arange(kmax + 1)[None, :], n[:-1, None], eps).T @ p_r
+    return PmfVector(probs, kmax, max(0.0, 1.0 - float(probs.sum())))
+
+
+class TestThinnedRenewalLaw:
+    @pytest.mark.parametrize("eps", [0.25, 0.02, 0.002])
+    @pytest.mark.parametrize("shape", [0.5, 2.0, 3.7])
+    def test_matches_exact_thinned_pmf(self, shape, eps):
+        base = RenewalGammaBase(shape, 1.5 * shape)
+        rng = np.random.default_rng(int(1000 * shape + 1 / eps))
+        counts = sample_thinned_counts(base, eps, 1.0, 200_000, rng)
+        ref = _thinned_renewal_pmf(base, eps, 1.0, 25)
+        assert ref.truncation_mass < 1e-9
+        assert chi_square_gof(np.bincount(counts), ref).p_value > 1e-3
 
 
 class TestStreamInvariants:

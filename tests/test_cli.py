@@ -363,3 +363,14 @@ class TestNonFiniteNumbers:
         cfg = write_config(tmp_path, doc)
         assert main([command, "--config", cfg]) == 2
         assert f"{field}: " in capsys.readouterr().err
+
+
+class TestOverflowingRenewalRate:
+    @pytest.mark.parametrize("command", ["expand", "simulate"])
+    @pytest.mark.parametrize("shape, rate", [(1e-310, 1), (1e-300, 1e10)])
+    def test_exits_2_at_model(self, tmp_path, capsys, command, shape, rate):
+        # rate/shape is inf: the long-run rate, and so every mean, would be too
+        model = {"type": "renewal_gamma", "shape": shape, "rate": rate}
+        cfg = write_config(tmp_path, {"model": model, "eps": 0.5, "reps": 100})
+        assert main([command, "--config", cfg]) == 2
+        assert "model: " in capsys.readouterr().err

@@ -118,10 +118,23 @@ def _cases() -> dict:
             {"model": FIVE_STATE, "t": 1.0, "eps": 0.01, "reps": 16_384, "master_seed": 14},
             [],
         ),
-        # Horizon 500: the renewal kernel's first gamma block spans several row groups.
+        # Horizon 500: the renewal CDF table spans a few hundred counts.
         "simulate-renewal-small-eps": (
             "simulate",
             {"model": RENEWAL, "t": 1.0, "eps": 0.002, "reps": REPS, "master_seed": 15},
+            [],
+        ),
+        # Shape 0.5: the table covers R = 0, so it starts at n = 1.
+        "simulate-renewal-fractional-shape": (
+            "simulate",
+            {"model": {"type": "renewal_gamma", "shape": 0.5, "rate": 1}, "t": 1.0, "eps": 0.02,
+             "reps": REPS, "master_seed": 16},
+            [],
+        ),
+        # Horizon 1e6: summing gamma draws would take about 8,192 * 1e6 of them.
+        "simulate-renewal-tiny-eps": (
+            "simulate",
+            {"model": RENEWAL, "t": 1.0, "eps": 1e-6, "reps": REPS, "master_seed": 17},
             [],
         ),
     }

@@ -116,6 +116,9 @@ NON_FINITE_MODELS = {
     "PoissonBase(nan)": lambda: PoissonBase(math.nan),
     "RenewalGammaBase(nan, 1)": lambda: RenewalGammaBase(math.nan, 1.0),
     "RenewalGammaBase(2, inf)": lambda: RenewalGammaBase(2.0, math.inf),
+    # rate/shape overflows to inf, so the long-run rate is not finite
+    "RenewalGammaBase(1e-310, 1)": lambda: RenewalGammaBase(1e-310, 1.0),
+    "RenewalGammaBase(1e-300, 1e10)": lambda: RenewalGammaBase(1e-300, 1e10),
     "PeriodicIntensity([0, nan], [1, 1])": lambda: PeriodicIntensity([0.0, math.nan], [1.0, 1.0]),
 }
 
