@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc
 
+from .errors import EnumerationTooLargeError
 from .markov_env import CtmcModel, _segment_rounds, sample_occupation_integrals
 
 __all__ = [
@@ -186,15 +187,23 @@ def sample_periodic_counts(
     return rng.poisson(periodic_mean_count(intensity, eps, t), size)
 
 
+MAX_RENEWAL_TABLE = 2**24
+
+
 def _renewal_cdf(base: RenewalGammaBase, horizon: float) -> tuple[int, np.ndarray]:
     """(lo, q), q[i] = P(R <= lo + i - 1) = gammaincc((lo + i)*shape, rate*horizon).
 
     The window starts 10 sd either side of the mean count on [0, horizon] and
     doubles until at most 2**-64 lies below it (or lo = 1) and q[-1] == 1.
+    A window over MAX_RENEWAL_TABLE entries, or NaN, raises EnumerationTooLargeError.
     """
     mean = horizon * base.long_run_rate
     half = 10.0 * (math.sqrt(mean / base.shape) + 1.0)
     while True:
+        if not 2.0 * half <= MAX_RENEWAL_TABLE:
+            raise EnumerationTooLargeError(
+                f"renewal CDF table of {2 * half:.3g} entries > {MAX_RENEWAL_TABLE}"
+            )
         lo = max(1, math.floor(mean - half))
         q = gammaincc(np.arange(lo, math.ceil(mean + half) + 1) * base.shape, base.rate * horizon)
         if (q[0] <= 2.0**-64 or lo == 1) and q[-1] == 1.0:

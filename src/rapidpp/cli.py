@@ -5,7 +5,7 @@ Flags: --config PATH, --out PATH, --seed U64, --reps N (each overrides its
 config field), and simulate-only --kind counts|queue.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 guard
-violation (exact enumeration bound exceeded).
+violation (the TV limit's product grid or the renewal CDF table is too large).
 """
 
 from __future__ import annotations

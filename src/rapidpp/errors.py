@@ -41,7 +41,7 @@ class DegenerateMeanError(RapidppError, ValueError):
 
 
 class EnumerationTooLargeError(RapidppError):
-    """Exact enumeration would exceed the supported problem size."""
+    """An exact table or grid would exceed its supported size."""
 
 
 class ConfigError(RapidppError):

@@ -5,12 +5,11 @@ correction of the count distribution for a rapidly modulated arrival stream,
 the analogous correction for the infinite-server queue occupancy, the
 periodic-intensity correction, and the limiting path total-variation
 distance between the modulated stream and its constant-rate approximation
-(exact by enumeration, or Monte Carlo).
+(exact, as the distance between two product-Poisson laws, or Monte Carlo).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -390,8 +389,6 @@ def corrected_queue_pmf(
 # limiting total-variation distance
 
 
-MAX_TV_STATES = 6
-MAX_TV_KMAX = 80
 MAX_TV_TERMS = 30_000_000
 
 
@@ -413,32 +410,26 @@ def _log_ratios(model: CtmcModel) -> tuple[StationaryAnalysis, np.ndarray, np.nd
     return analysis, zero, log_r
 
 
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """All nonnegative integer vectors of length ``parts`` summing to ``total``.
-
-    Rows come in lexicographic order.  Stars and bars: each choice of
-    ``parts - 1`` bar positions among ``total + parts - 1`` slots is one
-    vector, whose parts are the gaps between consecutive bars, and
-    ``itertools.combinations`` yields the choices in lexicographic order.
-    """
-    slots = total + parts - 1
-    rows = math.comb(slots, parts - 1)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
-        dtype=np.int64,
-        count=rows * (parts - 1),
-    ).reshape(rows, parts - 1)
-    return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
-
-
 def tv_limit_exact(model: CtmcModel, t: float, truncation_mass: float = 1e-10) -> float:
     """Limiting path total-variation distance to the constant-rate approximation.
 
     Equals half the expected absolute deviation from one of the product of
-    iid stationary rate ratios taken over a Poisson(lambda_star t) number of
-    factors.  Evaluated by exact enumeration over state-count compositions
-    with multinomial log-weights; the Poisson tail beyond the truncation is
-    at most ``truncation_mass``.
+    iid stationary rate ratios over a Poisson(mu) number of factors,
+    mu = lambda_star t.  The product depends only on how many factors carry
+    each distinct ratio r_v, and by Poisson colouring those counts are
+    independent: Poisson(mu pi_v) under the approximation and
+    Poisson(mu pi_v r_v) under the modulated stream.  The limit is the
+    distance between these two product laws; a zero ratio enters as the
+    approximation's chance e^(-mu pi_0) of none, and a ratio of one drops out.
+
+    Each other ratio is an axis of counts up to the Poisson quantile 1 - tail
+    of its larger mean, tail = truncation_mass / (2 axes) floored at 2**-52
+    (below it the quantile is infinite).  The axes form a grid, shortest
+    first; before each is added, the lightest points are dropped while they
+    carry at most tail under each law.  Truncation and dropping lower the
+    result by at most 2 axes tail, which is truncation_mass above the floor.
+    A grid that would exceed MAX_TV_TERMS points raises
+    EnumerationTooLargeError.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -446,28 +437,27 @@ def tv_limit_exact(model: CtmcModel, t: float, truncation_mass: float = 1e-10) -
     if t == 0.0 or not (np.any(zero) or np.any(log_r)):  # every ratio is one
         return 0.0
     mu = analysis.lambda_star * t
-    kmax = int(stats.poisson.ppf(1.0 - truncation_mass, mu))
-    n_states = model.n
-    if n_states > MAX_TV_STATES or kmax > MAX_TV_KMAX:
-        raise EnumerationTooLargeError(
-            f"enumeration supports up to {MAX_TV_STATES} states and Poisson "
-            f"truncation {MAX_TV_KMAX}; got {n_states} states, truncation {kmax}"
+    log_stay = -mu * float(analysis.pi[zero].sum())
+    values, groups = np.unique(log_r[~zero], return_inverse=True)
+    masses = mu * np.bincount(groups, weights=analysis.pi[~zero])
+    means = [(m, m * math.exp(v)) for v, m in zip(values, masses) if v != 0.0]
+    tail = max(truncation_mass / (2 * max(len(means), 1)), 2.0**-52)
+    lengths = [int(stats.poisson.ppf(1.0 - tail, max(m))) + 1 for m in means]
+    log_p, log_q = np.array([log_stay]), np.array([0.0])
+    for n, (approx, modulated) in sorted(zip(lengths, means)):
+        order = np.argsort(np.maximum(log_p, log_q))
+        light = min(
+            np.searchsorted(np.exp(log_p[order]).cumsum(), tail, side="right"),
+            np.searchsorted(np.exp(log_q[order]).cumsum(), tail, side="right"),
         )
-    if math.comb(kmax + n_states, n_states) > MAX_TV_TERMS:
-        raise EnumerationTooLargeError(
-            "composition count exceeds the supported enumeration budget"
-        )
-    log_pi = np.log(analysis.pi)
-    pois = poisson_pmf(mu, kmax).probs
-    total = 0.0
-    for n in range(kmax + 1):
-        comps = _compositions(n, n_states)
-        logw = gammaln(n + 1) - gammaln(comps + 1).sum(axis=1) + comps @ log_pi
-        log_prod = comps @ log_r
-        hits_zero = (comps[:, zero] > 0).any(axis=1)
-        absdev = np.where(hits_zero, 1.0, np.abs(np.expm1(log_prod)))
-        total += pois[n] * float(np.exp(logw) @ absdev)
-    return 0.5 * total
+        log_p, log_q = log_p[order[light:]], log_q[order[light:]]
+        if log_p.size * n > MAX_TV_TERMS:
+            raise EnumerationTooLargeError(f"the product grid exceeds {MAX_TV_TERMS} points")
+        log_p = np.add.outer(log_p, stats.poisson.logpmf(np.arange(n), approx)).ravel()
+        log_q = np.add.outer(log_q, stats.poisson.logpmf(np.arange(n), modulated)).ravel()
+    hi, lo = np.maximum(log_p, log_q), np.minimum(log_p, log_q)
+    total = -math.expm1(log_stay) + math.fsum(np.exp(hi) * -np.expm1(lo - hi))
+    return min(1.0, 0.5 * total)  # pmf rounding at large means can pass 1
 
 
 def tv_limit_mc(

@@ -8,7 +8,9 @@ Markov-modulated, fast periodic, and a base stream sped up by 1/eps and
 thinned with keep probability eps), the gamma renewal count summed from
 gamma blocks, and the infinite-server occupancy counted arrival by arrival.
 Tests check the kernels' laws and the constructions' equivalences against
-it.
+it.  It also keeps the limiting total-variation distance computed by
+enumerating state-count compositions, which the package's product-Poisson
+form is checked against.
 
 Piecewise-constant intensities are simulated exactly by per-segment Poisson
 counts with uniform placement; no rejection step is involved.
@@ -16,10 +18,13 @@ counts with uniform placement; no rejection step is involved.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import stats
+from scipy.special import gammaln
 
 from rapidpp.arrivals import (
     BaseProcessSpec,
@@ -29,8 +34,8 @@ from rapidpp.arrivals import (
     RenewalGammaBase,
     _check_eps_t,
 )
-from rapidpp.errors import RapidppError
-from rapidpp.expansions import ServiceModel
+from rapidpp.errors import EnumerationTooLargeError, RapidppError
+from rapidpp.expansions import ServiceModel, _log_ratios, poisson_pmf
 from rapidpp.markov_env import CtmcModel, _jump_cdf
 
 
@@ -315,3 +320,69 @@ def simulate_queue_at_t(
     stream, _ = simulate_cox(model, eps, t, rng)
     services = service.sample(stream.count, rng)
     return number_in_system(stream, services, t)
+
+
+# ---------------------------------------------------------------------------
+# limiting total-variation distance by composition enumeration
+
+
+MAX_TV_STATES = 6
+MAX_TV_KMAX = 80
+MAX_TV_TERMS = 30_000_000
+
+
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """All nonnegative integer vectors of length ``parts`` summing to ``total``.
+
+    Rows come in lexicographic order.  Stars and bars: each choice of
+    ``parts - 1`` bar positions among ``total + parts - 1`` slots is one
+    vector, whose parts are the gaps between consecutive bars, and
+    ``itertools.combinations`` yields the choices in lexicographic order.
+    """
+    slots = total + parts - 1
+    rows = math.comb(slots, parts - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
+        dtype=np.int64,
+        count=rows * (parts - 1),
+    ).reshape(rows, parts - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+
+
+def tv_limit_enumeration(model: CtmcModel, t: float, truncation_mass: float = 1e-10) -> float:
+    """Limiting path total-variation distance to the constant-rate approximation.
+
+    Equals half the expected absolute deviation from one of the product of
+    iid stationary rate ratios taken over a Poisson(lambda_star t) number of
+    factors.  Evaluated by exact enumeration over state-count compositions
+    with multinomial log-weights; the Poisson tail beyond the truncation is
+    at most ``truncation_mass``.
+    """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    analysis, zero, log_r = _log_ratios(model)
+    if t == 0.0 or not (np.any(zero) or np.any(log_r)):  # every ratio is one
+        return 0.0
+    mu = analysis.lambda_star * t
+    kmax = int(stats.poisson.ppf(1.0 - truncation_mass, mu))
+    n_states = model.n
+    if n_states > MAX_TV_STATES or kmax > MAX_TV_KMAX:
+        raise EnumerationTooLargeError(
+            f"enumeration supports up to {MAX_TV_STATES} states and Poisson "
+            f"truncation {MAX_TV_KMAX}; got {n_states} states, truncation {kmax}"
+        )
+    if math.comb(kmax + n_states, n_states) > MAX_TV_TERMS:
+        raise EnumerationTooLargeError(
+            "composition count exceeds the supported enumeration budget"
+        )
+    log_pi = np.log(analysis.pi)
+    pois = poisson_pmf(mu, kmax).probs
+    total = 0.0
+    for n in range(kmax + 1):
+        comps = _compositions(n, n_states)
+        logw = gammaln(n + 1) - gammaln(comps + 1).sum(axis=1) + comps @ log_pi
+        log_prod = comps @ log_r
+        hits_zero = (comps[:, zero] > 0).any(axis=1)
+        absdev = np.where(hits_zero, 1.0, np.abs(np.expm1(log_prod)))
+        total += pois[n] * float(np.exp(logw) @ absdev)
+    return 0.5 * total

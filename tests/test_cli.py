@@ -291,14 +291,37 @@ class TestTvLimit:
         assert main(["tv-limit", "--config", cfg, "--reps", "99"]) == 2
         assert "reps" in capsys.readouterr().err
 
-    def test_enumeration_guard_exits_4(self, tmp_path, capsys):
+    @staticmethod
+    def _seven_states(t):
         q = np.full((7, 7), 1.0)
         np.fill_diagonal(q, 0.0)
         np.fill_diagonal(q, -q.sum(axis=1))
-        model = {"type": "mmpp", "generator": q.tolist(), "rates": list(range(7))}
-        cfg = write_config(tmp_path, {"model": model, "t": 1.0})
+        return {"model": {"type": "mmpp", "generator": q.tolist(), "rates": list(range(7))}, "t": t}
+
+    def test_seven_states_answered(self, tmp_path, capsys):
+        # once beyond the enumeration's state cap
+        cfg = write_config(tmp_path, self._seven_states(1.0))
+        assert main(["tv-limit", "--config", cfg, "--reps", "200000", "--seed", "3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        mc = doc["tv_limit_mc"]
+        assert abs(mc["estimate"] - doc["tv_limit_exact"]) <= 3 * mc["se"] + 1e-10
+
+    def test_enumeration_guard_exits_4(self, tmp_path, capsys):
+        # rates 0..6 at t = 200: the product grid exceeds MAX_TV_TERMS
+        cfg = write_config(tmp_path, self._seven_states(200.0))
         assert main(["tv-limit", "--config", cfg]) == 4
         assert "guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, field", [("tv-limit", "tv_limit_exact"), ("analyze", "tv_limit")]
+    )
+    def test_tiny_truncation_mass(self, tmp_path, capsys, command, field):
+        # below about 5.6e-17 the Poisson quantile at 1 - truncation_mass is infinite
+        doc = {"model": MMPP, "t": 1.0, "tv_limit": True, "truncation_mass": 1e-20}
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out[field] == pytest.approx(-math.expm1(-0.5), abs=1e-12)
 
 
 class TestOutputDestination:
@@ -374,3 +397,16 @@ class TestOverflowingRenewalRate:
         cfg = write_config(tmp_path, {"model": model, "eps": 0.5, "reps": 100})
         assert main([command, "--config", cfg]) == 2
         assert "model: " in capsys.readouterr().err
+
+
+class TestRenewalTableGuard:
+    @pytest.mark.parametrize(
+        "shape, rate, eps",
+        [(2, 2, 1e-300), (2, 2, 1e-320), (0.01, 1, 1e-12)],
+        ids=["huge-horizon", "infinite-horizon", "huge-table"],
+    )
+    def test_exits_4(self, tmp_path, capsys, shape, rate, eps):
+        model = {"type": "renewal_gamma", "shape": shape, "rate": rate}
+        cfg = write_config(tmp_path, {"model": model, "t": 1.0, "eps": eps, "reps": 100})
+        assert main(["simulate", "--config", cfg]) == 4
+        assert "renewal CDF table" in capsys.readouterr().err

@@ -27,9 +27,8 @@ from rapidpp import (
     tv_limit_exact,
     tv_limit_mc,
 )
-from rapidpp.expansions import _compositions
-
 from conftest import make_two_state, random_irreducible_model
+from reference import _compositions, tv_limit_enumeration
 
 HALF_ON = PeriodicIntensity([0.0, 0.5], [2.0, 0.0])
 
@@ -407,7 +406,7 @@ class TestKernelAgainstHkDerivatives:
 
 class TestCompositions:
     def test_rows_are_sorted_brute_force_compositions(self):
-        # the row order fixes the summation order of tv_limit_exact
+        # the row order fixes the summation order of tv_limit_enumeration
         for parts in range(1, 7):
             for total in range(11):
                 brute = sorted(
@@ -430,10 +429,9 @@ class TestTvLimit:
 
     def test_worked_two_state_closed_form(self, two_state_model):
         # given n draws the deviation is 2(1 - 2^-n), so the limit is 1 - e^(-t/2)
-        val = tv_limit_exact(two_state_model, 1.0)
-        assert val == pytest.approx(1 - math.exp(-0.5), abs=1e-9)
-        val2 = tv_limit_exact(two_state_model, 2.0)
-        assert val2 == pytest.approx(1 - math.exp(-1.0), abs=1e-9)
+        for t in (1.0, 2.0, 10.0, 50.0, 60.0, 1e3, 1e5):
+            val = tv_limit_exact(two_state_model, t)
+            assert val == pytest.approx(-math.expm1(-t / 2.0), abs=1e-9)
 
     def test_bounds_and_positivity(self):
         rng = np.random.default_rng(2)
@@ -445,7 +443,28 @@ class TestTvLimit:
             if not np.all(model.rates == model.rates[0]):
                 assert val > 0.0
 
+    def test_agrees_with_composition_enumeration(self):
+        rng = np.random.default_rng(10)
+        for _ in range(60):
+            model = random_irreducible_model(rng, max_states=4, max_rate=3.0)
+            t = rng.uniform(0.1, 2.0)
+            for mass in (1e-10, 1e-6):
+                diff = tv_limit_exact(model, t, mass) - tv_limit_enumeration(model, t, mass)
+                assert abs(diff) <= 2 * mass
+
+    @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 5.0), dt=st.floats(0.0, 5.0))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_bounded_and_nondecreasing_in_t(self, seed, t, dt):
+        # restricting the paths to [0, t] cannot increase their distance
+        mass = 1e-10
+        model = random_irreducible_model(np.random.default_rng(seed), max_states=4, max_rate=3.0)
+        val = tv_limit_exact(model, t, mass)
+        assert 0.0 <= val <= 1.0
+        assert tv_limit_exact(model, t + dt, mass) >= val - 2 * mass
+
     def test_guard_on_state_count(self):
+        # seven states, and a Poisson truncation beyond 80 at t = 60, are
+        # past what the reference enumeration accepts; the product grid is not
         rng = np.random.default_rng(8)
         q = np.full((7, 7), 1.0)
         np.fill_diagonal(q, 0.0)
@@ -454,10 +473,14 @@ class TestTvLimit:
         from rapidpp import CtmcModel, validate_generator
 
         model7 = CtmcModel(validate_generator(q), rng.uniform(0, 2, 7))
+        exact = tv_limit_exact(model7, 1.0)
+        est, se = tv_limit_mc(model7, 1.0, 200_000, np.random.default_rng(0))
+        assert abs(est - exact) <= 3 * se + 1e-10
+        assert tv_limit_exact(model_big, 60.0) == pytest.approx(-math.expm1(-30.0), abs=1e-9)
+        # rates 0..6 at t = 200: five ratio axes of about 200 counts each
+        rates7 = CtmcModel(validate_generator(q), np.arange(7.0))
         with pytest.raises(EnumerationTooLargeError):
-            tv_limit_exact(model7, 1.0)
-        with pytest.raises(EnumerationTooLargeError):
-            tv_limit_exact(model_big, 60.0)  # Poisson truncation beyond 80
+            tv_limit_exact(rates7, 200.0)
 
     def test_mc_constant_rates_exact_zero(self):
         model = make_two_state(rates=(2.0, 2.0))

@@ -112,6 +112,8 @@ def _cases() -> dict:
         ),
         "tv-limit-reps": ("tv-limit", {"model": MMPP, "t": 1.0}, ["--reps", "4096", "--seed", "11"]),
         "tv-limit-four": ("tv-limit", {"model": FOUR_STATE, "t": 3.0}, []),
+        # Poisson truncation near 110 counts: beyond what a composition enumeration reaches.
+        "tv-limit-worked-long": ("tv-limit", {"model": MMPP, "t": 60.0}, []),
         # One full 16,384-rep chunk over ~150 rounds on a padded jump table.
         "simulate-mmpp-five-small-eps": (
             "simulate",
