@@ -9,9 +9,17 @@ independently with probability eps, and rescales time.
 The kernels draw many iid copies of the time-t count exactly, without
 materializing paths or streams: given the environment, the modulated count
 is Poisson with the time-scaled occupation integral as its mean, and a
-thinned count is a binomial draw from the base count.  A gamma renewal base
-count R is drawn by inverting its exact CDF, P(R >= n) = P(S_n <= horizon)
-with S_n ~ gamma(n*shape, rate) its n-th point: one uniform per replication.
+thinned count is a binomial draw from the base count.  Two counts are drawn
+by inverting an exact CDF table, one uniform per replication:
+
+- the modulated count, from one matrix exponential of the (count, state)
+  chain (Fischer & Meier-Hellstern, "The MMPP cookbook", 1993), at a cost
+  that grows only with log(t/eps); above the table's size cap, and when
+  the conditional means are asked for, the environment is streamed instead;
+- a gamma renewal base count R, from P(R >= n) = P(S_n <= horizon) with
+  S_n ~ gamma(n*shape, rate) its n-th point, at a cost that does not grow
+  with t/eps.
+
 The per-path stream construction they stand in for is kept as the test
 suite's reference, in ``tests/reference.py``.
 """
@@ -22,9 +30,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.linalg import expm
+from scipy.special import gammaincc, pdtrc
 
-from .errors import EnumerationTooLargeError
+from .errors import EnumerationTooLargeError, SingularSystemError
 from .markov_env import CtmcModel, _segment_rounds, sample_occupation_integrals
 
 __all__ = [
@@ -143,10 +152,24 @@ def _check_eps_t(eps: float, t: float, eps_zero: bool = False):
         raise ValueError(f"t must be positive, got {t}")
 
 
-def periodic_mean_count(intensity: PeriodicIntensity, eps: float, t: float) -> float:
-    """Exact mean of the time-t count for the fast periodic stream."""
+def _finite_horizon(eps: float, t: float) -> float:
+    """t/eps after the sampler form of :func:`_check_eps_t`; ValueError unless finite.
+
+    The modulated, queue and periodic kernels walk, tabulate or floor
+    environment time, so they need it finite (NaN fails too).  The renewal
+    kernel does not call it: its CDF table guard already reports an infinite
+    horizon as :class:`EnumerationTooLargeError`.
+    """
     _check_eps_t(eps, t)
     horizon = t / eps
+    if not horizon < math.inf:
+        raise ValueError(f"t/eps must be finite, got {t}/{eps}")
+    return horizon
+
+
+def periodic_mean_count(intensity: PeriodicIntensity, eps: float, t: float) -> float:
+    """Exact mean of the time-t count for the fast periodic stream."""
+    horizon = _finite_horizon(eps, t)
     whole = math.floor(horizon)
     frac = horizon - whole
     return eps * (whole * intensity.cumulative(1.0) + intensity.cumulative(frac))
@@ -154,6 +177,79 @@ def periodic_mean_count(intensity: PeriodicIntensity, eps: float, t: float) -> f
 
 # ---------------------------------------------------------------------------
 # vectorized count kernels
+
+
+def _invert_cdf(q: np.ndarray, offset: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` draws of offset + (the number of entries of q that are <= u), u uniform.
+
+    With q[i] = P(X <= offset + i), nondecreasing and ending at exactly 1.0,
+    that is ``size`` iid copies of X: one uniform per copy.
+    """
+    return offset + np.searchsorted(q, rng.random(size), side="right")
+
+
+MAX_COX_TABLE = 512
+MAX_RENEWAL_TABLE = 2**24
+# The smallest entry a scaled generator may hold and keep full precision.
+MIN_SCALED_ENTRY = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def _cox_count_pmf(model: CtmcModel, eps: float, t: float) -> np.ndarray | None:
+    """P(N = j) for j = 0..J, N the time-t modulated count started in
+    ``model.initial_state``; None when the table needs over MAX_COX_TABLE rows.
+
+    N is stochastically below Poisson(max(rates)*t), so J, the smallest count
+    with pdtrc(J, max(rates)*t) <= 2**-64, bounds its tail.  Over environment
+    time T = t/eps the (count, state) chain has the block upper-bidiagonal
+    generator B with Q - eps*F on the diagonal and eps*F above it,
+    F = diag(rates) (T*B is formed as T*Q - t*F and t*F).  Counts above J
+    are merged into one absorbing block; B is block upper-triangular, so
+    this leaves P(N = j, X_T = y | X_0 = x0) exact for j <= J, and row x0
+    summed over y is the pmf.
+
+    exp(T*B) is ``expm`` of T*B / 2**s, norm below 1, squared s times.
+    Every row of the exponential of this generator sums to 1, so each
+    square is renormalized to that: otherwise a row-sum error doubles with
+    each of the log2(t/eps) squarings (a plain ``expm`` is off in mass by
+    1e-4 at eps 1e-12 on a two-state chain).  A generator that is not
+    finite, or a scaled entry below MIN_SCALED_ENTRY (eps*rate/exit rate
+    below about 1e-292), raises SingularSystemError.
+    """
+    n = model.n
+    fits = pdtrc(np.arange(MAX_COX_TABLE // n), model.rates.max() * t) <= 2.0**-64
+    if not fits.any():
+        return None
+    rows = int(np.argmax(fits)) + 1
+    arrivals = np.diag(t * model.rates)
+    gen = np.kron(np.eye(rows + 1), t / eps * model.generator.q - arrivals)
+    gen += np.kron(np.eye(rows + 1, k=1), arrivals)
+    gen[rows * n :] = 0.0  # the block of counts above J absorbs
+    norm = np.abs(gen).sum(axis=1).max()
+    squarings = max(0, math.frexp(norm)[1])  # norm / 2**squarings < 1; 0 for inf and NaN
+    scaled = np.ldexp(gen, -squarings)
+    if not (norm < math.inf and np.abs(scaled[scaled != 0]).min() >= MIN_SCALED_ENTRY):
+        raise SingularSystemError(
+            f"count table at t/eps = {t / eps:.3g} needs generator entries beyond double precision"
+        )
+    p = expm(scaled)
+    for _ in range(squarings):
+        p = p @ p
+        p /= p.sum(axis=1, keepdims=True)
+    return p[model.initial_state, : rows * n].reshape(rows, n).sum(axis=1)
+
+
+def _cox_count_cdf(model: CtmcModel, eps: float, t: float) -> np.ndarray | None:
+    """Exact CDF q[j] = P(N <= j) of :func:`_cox_count_pmf`, or None above its cap.
+
+    As in :func:`_renewal_cdf`, the cumsum is capped by its running maximum
+    and at 1.0, and its last entry is set to exactly 1.0.
+    """
+    pmf = _cox_count_pmf(model, eps, t)
+    if pmf is None:
+        return None
+    q = np.minimum(np.maximum.accumulate(np.cumsum(pmf)), 1.0)
+    q[-1] = 1.0
+    return q
 
 
 def sample_cox_counts(
@@ -166,14 +262,18 @@ def sample_cox_counts(
 ):
     """Draw ``size`` iid copies of the modulated count at time t.
 
-    Conditional on the environment, the count is Poisson with mean equal to
-    the time-scaled occupation integral of the rates, so segments are
-    streamed and only that integral is accumulated per replication.  With
-    ``return_means`` the per-path conditional means are returned as well.
+    The count is drawn by inverting its exact CDF (:func:`_cox_count_cdf`),
+    one uniform per replication, at a cost that grows only with log(t/eps).
+    Above the table's size cap, and with ``return_means``, segments are
+    streamed instead: conditional on the environment, the count is Poisson
+    with mean equal to the time-scaled occupation integral of the rates, and
+    ``return_means`` returns those per-path conditional means as well.
     """
-    _check_eps_t(eps, t)
-    occ = sample_occupation_integrals(model, model.rates, t / eps, size, rng)
-    means = eps * occ
+    horizon = _finite_horizon(eps, t)
+    q = None if return_means else _cox_count_cdf(model, eps, t)
+    if q is not None:
+        return _invert_cdf(q, 0, size, rng)
+    means = eps * sample_occupation_integrals(model, model.rates, horizon, size, rng)
     counts = rng.poisson(means)
     if return_means:
         return counts, means
@@ -185,9 +285,6 @@ def sample_periodic_counts(
 ) -> np.ndarray:
     """Draw ``size`` iid copies of the fast-periodic count at time t."""
     return rng.poisson(periodic_mean_count(intensity, eps, t), size)
-
-
-MAX_RENEWAL_TABLE = 2**24
 
 
 def _renewal_cdf(base: RenewalGammaBase, horizon: float) -> tuple[int, np.ndarray]:
@@ -216,7 +313,7 @@ def _renewal_counts(
 ) -> np.ndarray:
     """Draw ``size`` base counts on [0, horizon] by inverting their exact CDF."""
     lo, q = _renewal_cdf(base, horizon)
-    return (lo - 1) + np.searchsorted(q, rng.random(size), side="right")
+    return _invert_cdf(q, lo - 1, size, rng)
 
 
 def sample_thinned_counts(

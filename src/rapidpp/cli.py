@@ -4,19 +4,22 @@ Subcommands: analyze | expand | simulate | validate | tv-limit.
 Flags: --config PATH, --out PATH, --seed U64, --reps N (each overrides its
 config field), and simulate-only --kind counts|queue.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 guard
-violation (the TV limit's product grid or the renewal CDF table is too large).
+Exit codes: 0 success, 2 config error, 3 numerical failure (including a
+modulated count table whose generator needs entries below double precision),
+4 guard violation (the TV limit's product grid or the renewal CDF table is
+too large).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from .arrivals import PoissonBase
+from .arrivals import PeriodicIntensity, PoissonBase
 from .config import (
     ExperimentConfig,
     config_sha256,
@@ -90,6 +93,19 @@ def _eps(cfg: ExperimentConfig) -> float:
     return cfg.eps
 
 
+def _check_horizon(cfg: ExperimentConfig, eps_values, path: str):
+    """Reject a t/eps that overflows to infinity before a sampler sees it.
+
+    The modulated, queue and periodic samplers walk or tabulate environment
+    time on [0, t/eps]; a renewal stream's CDF table has its own guard
+    (exit 4), and a constant rate samples at eps 1.
+    """
+    if isinstance(cfg.model, (CtmcModel, PeriodicIntensity)) and not all(
+        cfg.t / eps < math.inf for eps in eps_values
+    ):
+        raise ConfigError("t/eps must be finite to sample", path)
+
+
 def _experiment(cfg: ExperimentConfig, eps: float) -> ExperimentSpec:
     service = cfg.service if cfg.kind == "queue" else None
     return ExperimentSpec(cfg.model, cfg.t, eps, service)
@@ -126,6 +142,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
     eps = _eps(cfg)
     if eps == 0.0:
         raise ConfigError("eps must lie in (0, 1] for simulation", "eps")
+    _check_horizon(cfg, [eps], "eps")
     spec = _experiment(cfg, eps)
     base, corrected = spec.expansion(cfg.kmax)
     est = estimate_pmf(
@@ -149,6 +166,7 @@ def _cmd_validate(cfg: ExperimentConfig, out: str | None) -> int:
     model = _require_mmpp(cfg)
     if cfg.eps_grid is None:
         raise ConfigError("missing required field", "eps_grid")
+    _check_horizon(cfg, cfg.eps_grid, "eps_grid")
     service = cfg.service if cfg.kind == "queue" else None
     report = convergence_study(
         model,

@@ -26,7 +26,8 @@ class ReducibleError(GeneratorValidationError):
 
 
 class SingularSystemError(RapidppError):
-    """A linear system that should be solvable turned out numerically degenerate."""
+    """A linear system or a matrix exponential that should be computable
+    turned out numerically degenerate."""
 
 
 class ZeroMeanRateError(RapidppError):

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import binom, gammainc, gammaincc, gammaln
 
-from .arrivals import PeriodicIntensity, _check_eps_t
+from .arrivals import PeriodicIntensity, _check_eps_t, _finite_horizon
 from .errors import DegenerateMeanError, EnumerationTooLargeError
 from .markov_env import CtmcModel, StationaryAnalysis, analyze
 
@@ -182,8 +182,7 @@ def periodic_correction_integral(intensity: PeriodicIntensity, eps: float, t: fl
     The trajectory covers t/eps periods; whole periods integrate to zero, so
     only the fractional remainder contributes.
     """
-    _check_eps_t(eps, t)
-    horizon = t / eps
+    horizon = _finite_horizon(eps, t)
     frac = horizon - math.floor(horizon)
     return intensity.cumulative(frac) - intensity.average_rate * frac
 

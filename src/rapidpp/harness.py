@@ -328,7 +328,12 @@ def construction_equivalence_test(
     workers: int = 1,
 ) -> GofResult:
     """Two-sample chi-square between the thin-and-speed construction and the
-    directly modulated stream, both built over the same environment law."""
+    directly modulated stream, both built over the same environment law.
+
+    The two draws share no code path: the thinned count streams environment
+    segments and thins a Poisson base count binomially, while the direct
+    count is inverted from its exact table (:func:`sample_cox_counts`).
+    """
     thin_spec = ExperimentSpec(CoxBase(model), t, eps)
     cox_spec = ExperimentSpec(model, t, eps)
     est_thin = estimate_pmf(thin_spec, reps, master_seed, workers=workers, stream_key=(1,))

@@ -306,8 +306,8 @@ def sample_occupation_integrals(
     regardless of the horizon.  While no replication has reached the horizon
     a round covers all of them, and its values are added without scattering.
     """
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < np.inf:  # an infinite horizon would never end the rounds
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     weights = np.asarray(weights, dtype=float)
     out = np.zeros(size)
     for idx, state, start, end in _segment_rounds(model, horizon, size, rng):

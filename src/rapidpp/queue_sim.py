@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arrivals import _check_eps_t, cox_segments
+from .arrivals import _finite_horizon, cox_segments
 from .expansions import ServiceModel
 from .markov_env import CtmcModel
 
@@ -33,10 +33,10 @@ def sample_queue_counts(
     still receives an explicit service draw, so this is the discrete event
     logic of the per-path reference, vectorized.
     """
-    _check_eps_t(eps, t)
+    horizon = _finite_horizon(eps, t)
     occupancy = np.zeros(size, dtype=np.int64)
     rates = model.rates
-    for idx, state, start, end in cox_segments(model, t / eps, size, rng):
+    for idx, state, start, end in cox_segments(model, horizon, size, rng):
         seg_len = end - start
         arrivals = rng.poisson(rates[state] * eps * seg_len)
         total = int(arrivals.sum())

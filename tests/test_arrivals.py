@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
+from scipy.sparse.linalg import expm_multiply
 
 from rapidpp import (
     CoxBase,
+    ExperimentSpec,
     PeriodicIntensity,
     PmfVector,
     PoissonBase,
@@ -18,12 +20,21 @@ from rapidpp import (
     chi_square_two_sample,
     poisson_pmf,
     sample_cox_counts,
+    sample_occupation_integrals,
     sample_periodic_counts,
     sample_thinned_counts,
 )
-from rapidpp.arrivals import _renewal_cdf, _renewal_counts, periodic_mean_count
+from rapidpp.arrivals import (
+    MAX_COX_TABLE,
+    _cox_count_cdf,
+    _cox_count_pmf,
+    _renewal_cdf,
+    _renewal_counts,
+    periodic_mean_count,
+)
+from rapidpp.errors import SingularSystemError
 
-from conftest import make_two_state
+from conftest import make_two_state, random_irreducible_model
 from reference import (
     gamma_block_renewal_counts,
     occupation_integral,
@@ -113,6 +124,120 @@ class TestSimulateCox:
         stream, path = simulate_cox(two_state_model, 0.5, 2.0, rng)
         assert path.horizon == pytest.approx(4.0)
         assert stream.horizon == 2.0
+
+
+def _segment_cox_counts(model, eps, t, size, rng):
+    """The streamed construction: Poisson counts given the occupation integrals."""
+    return rng.poisson(eps * sample_occupation_integrals(model, model.rates, t / eps, size, rng))
+
+
+def _expm_multiply_pmf(model, eps, t, rows):
+    """Row initial_state of exp(T*B), summed over states, by expm_multiply.
+
+    B is the (count, state) generator built block by block: Q - eps*F on the
+    diagonal and eps*F above it, F = diag(rates), over T = t/eps.
+    """
+    n = model.n
+    f = np.diag(model.rates)
+    b = np.zeros((rows * n, rows * n))
+    for j in range(rows):
+        b[j * n : (j + 1) * n, j * n : (j + 1) * n] = model.generator.q - eps * f
+        if j + 1 < rows:
+            b[j * n : (j + 1) * n, (j + 1) * n : (j + 2) * n] = eps * f
+    start = np.zeros(rows * n)
+    start[model.initial_state] = 1.0
+    return expm_multiply((t / eps) * b.T, start).reshape(rows, n).sum(axis=1)
+
+
+def _table_models():
+    rng = np.random.default_rng(2024)
+    return [make_two_state()] + [
+        random_irreducible_model(rng, max_states=8, max_rate=3.0) for _ in range(3)
+    ]
+
+
+class TestCoxCountTable:
+    @pytest.mark.parametrize("eps", [0.05, 0.01, 1e-3])
+    def test_entries_match_expm_multiply(self, eps):
+        # expm_multiply costs O(t/eps), so it is an independent check only at
+        # moderate eps; the worst gap measured here is 2.4e-13 (at eps 1e-3).
+        for model in _table_models():
+            pmf = _cox_count_pmf(model, eps, 1.0)
+            ref = _expm_multiply_pmf(model, eps, 1.0, pmf.size)
+            np.testing.assert_allclose(pmf, ref, rtol=0, atol=1e-12)
+
+    def test_mass_is_one_on_random_chains(self):
+        # the worst gap measured on these 80 tables is 2.2e-16
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            model = random_irreducible_model(rng, max_states=8, max_rate=3.0)
+            for eps in (0.4, 0.05, 0.01, 1e-3):
+                pmf = _cox_count_pmf(model, eps, 1.0)
+                assert abs(pmf.sum() - 1.0) <= 1e-12
+
+    def test_tail_bound_covers_the_count(self, two_state_model):
+        # rates (0, 2): the count is below Poisson(2), and the table stops at
+        # the first j with P(Poisson(2) > j) <= 2**-64
+        pmf = _cox_count_pmf(two_state_model, 0.1, 1.0)
+        j = pmf.size - 1
+        assert special.pdtrc(j, 2.0) <= 2.0**-64 < special.pdtrc(j - 1, 2.0)
+        q = _cox_count_cdf(two_state_model, 0.1, 1.0)
+        assert q.size == pmf.size and q[-1] == 1.0 and np.all(np.diff(q) >= 0)
+
+    @pytest.mark.parametrize("eps, seed", [(0.4, 51), (0.05, 52), (0.01, 53), (1e-3, 54)])
+    def test_law_matches_segment_kernel(self, eps, seed):
+        models = _table_models()
+        for i, model in enumerate((models[0], models[1])):
+            rng = np.random.default_rng([seed, i])
+            table = np.bincount(sample_cox_counts(model, eps, 1.0, 100_000, rng))
+            segment = np.bincount(_segment_cox_counts(model, eps, 1.0, 30_000, rng))
+            assert chi_square_two_sample(table, segment).p_value > 1e-3
+
+    def test_above_cap_draws_the_segment_path_bytes(self, two_state_model):
+        # t = 300: the count's tail bound is over 256, so 2-state rows exceed the cap
+        assert _cox_count_pmf(two_state_model, 0.5, 300.0) is None
+        assert _cox_count_cdf(two_state_model, 0.5, 300.0) is None
+        got = sample_cox_counts(two_state_model, 0.5, 300.0, 500, np.random.default_rng(8))
+        ref = _segment_cox_counts(two_state_model, 0.5, 300.0, 500, np.random.default_rng(8))
+        assert got.tobytes() == ref.tobytes()
+
+    def test_table_size_stays_within_cap(self):
+        model = random_irreducible_model(np.random.default_rng(9), max_states=8, max_rate=3.0)
+        for t in (1.0, 10.0, 50.0, 100.0):
+            pmf = _cox_count_pmf(model, 0.1, t)
+            assert pmf is None or pmf.size * model.n <= MAX_COX_TABLE
+
+    def test_return_means_draws_the_segment_path_bytes(self, two_state_model):
+        counts, means = sample_cox_counts(
+            two_state_model, 0.25, 1.0, 2000, np.random.default_rng(10), return_means=True
+        )
+        rng = np.random.default_rng(10)
+        ref_means = 0.25 * sample_occupation_integrals(
+            two_state_model, two_state_model.rates, 4.0, 2000, rng
+        )
+        ref_counts = rng.poisson(ref_means)
+        assert means.tobytes() == ref_means.tobytes()
+        assert counts.tobytes() == ref_counts.tobytes()
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-12, 1e-16, 1e-100])
+    def test_tiny_eps_matches_first_order_expansion(self, eps):
+        # The first-order pmf is off by O(eps**2): an exact oracle at tiny eps,
+        # where a plain expm of T*B loses its mass (by 1e-4 at eps 1e-12).
+        # The worst gap measured here is 2.3e-13 at eps 1e-6, 1.6e-15 below.
+        for model in _table_models():
+            pmf = _cox_count_pmf(model, eps, 1.0)
+            _, corrected = ExperimentSpec(model, 1.0, eps).expansion(pmf.size - 1)
+            np.testing.assert_allclose(pmf, corrected.probs, rtol=0, atol=eps**2 + 1e-14)
+
+    def test_entries_beyond_double_precision_raise(self, two_state_model):
+        with pytest.raises(SingularSystemError):
+            _cox_count_cdf(two_state_model, 1e-300, 1.0)
+        with pytest.raises(SingularSystemError):
+            sample_cox_counts(two_state_model, 1e-300, 1.0, 10, np.random.default_rng(0))
+
+    def test_infinite_horizon_rejected(self, two_state_model):
+        with pytest.raises(ValueError):
+            sample_cox_counts(two_state_model, 1e-320, 1.0, 10, np.random.default_rng(0))
 
 
 class TestSimulatePeriodic:

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from rapidpp import chi_square_gof, poisson_pmf
 from rapidpp.cli import main
 
 MMPP = {"type": "mmpp", "generator": [[-1, 1], [1, -1]], "rates": [0, 2], "initial_state": 0}
@@ -410,3 +414,52 @@ class TestRenewalTableGuard:
         cfg = write_config(tmp_path, {"model": model, "t": 1.0, "eps": eps, "reps": 100})
         assert main(["simulate", "--config", cfg]) == 4
         assert "renewal CDF table" in capsys.readouterr().err
+
+
+class TestExtremeEps:
+    QUEUE = {"service": {"type": "exponential", "rate": 1.0}, "kind": "queue"}
+
+    @pytest.mark.parametrize(
+        "command, extra, field",
+        [
+            ("simulate", {"eps": 1e-320}, "eps"),
+            ("simulate", dict(QUEUE, eps=1e-320), "eps"),
+            ("validate", {"eps_grid": [0.5, 1e-320]}, "eps_grid"),
+            ("simulate", {"model": PERIODIC, "eps": 1e-320}, "eps"),
+        ],
+        ids=["counts", "queue", "validate", "periodic"],
+    )
+    def test_infinite_horizon_exits_2(self, tmp_path, command, extra, field):
+        # t/eps is inf: the segment rounds would never reach the horizon, so
+        # the command runs in a child that a timeout can stop.
+        cfg = write_config(tmp_path, {"model": MMPP, "t": 1.0, "reps": 100, **extra})
+        out = tmp_path / "out"
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rapidpp", command, "--config", cfg, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"{field}: " in proc.stderr
+        assert not out.exists()
+
+    def test_beyond_double_precision_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": MMPP, "t": 1.0, "eps": 1e-300, "reps": 100})
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        assert "double precision" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tiny_eps_is_answered(self, tmp_path):
+        # At eps 1e-16 the count is Poisson(lambda* t) to within 1e-16; a
+        # plain expm table would have lost 40% of its mass here.
+        doc = {"model": MMPP, "t": 1.0, "eps": 1e-16, "reps": 200_000, "master_seed": 3}
+        cfg = write_config(tmp_path, doc)
+        out = str(tmp_path / "tiny.csv")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
+        _, rows = read_csv(out)
+        counts = np.rint(rows[:, 1] * doc["reps"]).astype(np.int64)
+        assert counts.sum() == doc["reps"]
+        assert chi_square_gof(counts, poisson_pmf(1.0)).p_value > 1e-3

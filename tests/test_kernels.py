@@ -97,6 +97,18 @@ class TestEpsAndTChecks:
         with pytest.raises(ValueError):
             sample_occupation_integrals(MODEL, MODEL.rates, horizon, 10, _rng())
 
+    # The renewal sampler is left out: its CDF table guard reports an
+    # infinite horizon as EnumerationTooLargeError (see test_cli).
+    @pytest.mark.parametrize("name", [n for n in SAMPLERS if n != "sample_thinned_counts"])
+    def test_samplers_reject_infinite_horizon(self, name):
+        # 1/1e-320 overflows to inf; the segment rounds would never end
+        with pytest.raises(ValueError):
+            SAMPLERS[name](1e-320, 1.0)
+
+    def test_occupation_horizon_infinite_rejected(self):
+        with pytest.raises(ValueError):
+            sample_occupation_integrals(MODEL, MODEL.rates, math.inf, 10, _rng())
+
 
 # Each entry calls one function with a NaN in one argument.
 NAN_ARGUMENTS = {
