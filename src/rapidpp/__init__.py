@@ -44,7 +44,6 @@ from .expansions import (
     corrected_queue_pmf,
     default_kmax,
     eta_squared,
-    hk_derivatives,
     mean_q0,
     periodic_correction_integral,
     poisson_pmf,

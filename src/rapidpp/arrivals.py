@@ -14,8 +14,8 @@ by inverting an exact CDF table, one uniform per replication:
 
 - the modulated count, from one matrix exponential of the (count, state)
   chain (Fischer & Meier-Hellstern, "The MMPP cookbook", 1993), at a cost
-  that grows only with log(t/eps); above the table's size cap, and when
-  the conditional means are asked for, the environment is streamed instead;
+  that grows only with log(t/eps); above the table's size cap the
+  environment is streamed instead;
 - a gamma renewal base count R, from P(R >= n) = P(S_n <= horizon) with
   S_n ~ gamma(n*shape, rate) its n-th point, at a cost that does not grow
   with t/eps.
@@ -258,26 +258,20 @@ def sample_cox_counts(
     t: float,
     size: int,
     rng: np.random.Generator,
-    return_means: bool = False,
-):
+) -> np.ndarray:
     """Draw ``size`` iid copies of the modulated count at time t.
 
     The count is drawn by inverting its exact CDF (:func:`_cox_count_cdf`),
     one uniform per replication, at a cost that grows only with log(t/eps).
-    Above the table's size cap, and with ``return_means``, segments are
-    streamed instead: conditional on the environment, the count is Poisson
-    with mean equal to the time-scaled occupation integral of the rates, and
-    ``return_means`` returns those per-path conditional means as well.
+    Above the table's size cap, segments are streamed instead: conditional
+    on the environment, the count is Poisson with mean equal to the
+    time-scaled occupation integral of the rates.
     """
     horizon = _finite_horizon(eps, t)
-    q = None if return_means else _cox_count_cdf(model, eps, t)
+    q = _cox_count_cdf(model, eps, t)
     if q is not None:
         return _invert_cdf(q, 0, size, rng)
-    means = eps * sample_occupation_integrals(model, model.rates, horizon, size, rng)
-    counts = rng.poisson(means)
-    if return_means:
-        return counts, means
-    return counts
+    return rng.poisson(eps * sample_occupation_integrals(model, model.rates, horizon, size, rng))
 
 
 def sample_periodic_counts(
@@ -322,8 +316,7 @@ def sample_thinned_counts(
     t: float,
     size: int,
     rng: np.random.Generator,
-    return_base_counts: bool = False,
-):
+) -> np.ndarray:
     """Draw ``size`` iid copies of the thinned, sped-up count at time t.
 
     The base count on [0, t/eps] is drawn first (a renewal count R by inverting
@@ -343,10 +336,7 @@ def sample_thinned_counts(
         base_counts = rng.poisson(occ)
     else:
         raise TypeError(f"unsupported base process {base!r}")
-    thinned = rng.binomial(base_counts, eps)
-    if return_base_counts:
-        return thinned, base_counts
-    return thinned
+    return rng.binomial(base_counts, eps)
 
 
 # An alias of _segment_rounds, kept because bench/tracer.py patches queue_sim.cox_segments.

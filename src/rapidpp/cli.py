@@ -6,8 +6,8 @@ config field), and simulate-only --kind counts|queue.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure (including a
 modulated count table whose generator needs entries below double precision),
-4 guard violation (the TV limit's product grid or the renewal CDF table is
-too large).
+4 guard violation (the TV limit's product grid, the renewal CDF table or an
+environment segment walk is too large).
 """
 
 from __future__ import annotations
@@ -97,13 +97,14 @@ def _check_horizon(cfg: ExperimentConfig, eps_values, path: str):
     """Reject a t/eps that overflows to infinity before a sampler sees it.
 
     The modulated, queue and periodic samplers walk or tabulate environment
-    time on [0, t/eps]; a renewal stream's CDF table has its own guard
-    (exit 4), and a constant rate samples at eps 1.
+    time on [0, t/eps], and the periodic correction reads its fractional
+    period; a renewal stream's CDF table has its own guard (exit 4), and a
+    constant rate samples at eps 1.
     """
     if isinstance(cfg.model, (CtmcModel, PeriodicIntensity)) and not all(
         cfg.t / eps < math.inf for eps in eps_values
     ):
-        raise ConfigError("t/eps must be finite to sample", path)
+        raise ConfigError("t/eps must be finite", path)
 
 
 def _experiment(cfg: ExperimentConfig, eps: float) -> ExperimentSpec:
@@ -129,7 +130,10 @@ def _cmd_analyze(cfg: ExperimentConfig, out: str | None) -> int:
 
 
 def _cmd_expand(cfg: ExperimentConfig, out: str | None) -> int:
-    base, corrected = _experiment(cfg, _eps(cfg)).expansion(cfg.kmax)
+    eps = _eps(cfg)
+    if isinstance(cfg.model, PeriodicIntensity) and eps > 0.0:
+        _check_horizon(cfg, [eps], "eps")  # no other correction needs t/eps
+    base, corrected = _experiment(cfg, eps).expansion(cfg.kmax)
     rows = [
         f"{k},{float(p)!r},{float(c)!r}"
         for k, (p, c) in enumerate(zip(base.probs, corrected.probs))

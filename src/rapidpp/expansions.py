@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
-from scipy.special import binom, gammainc, gammaincc, gammaln
+from scipy.special import binom, gammainc, gammaincc, pdtr, pdtrc
 
 from .arrivals import PeriodicIntensity, _check_eps_t, _finite_horizon
 from .errors import DegenerateMeanError, EnumerationTooLargeError
@@ -29,7 +29,6 @@ __all__ = [
     "ServiceModel",
     "default_kmax",
     "poisson_pmf",
-    "hk_derivatives",
     "corrected_count_pmf",
     "periodic_correction_integral",
     "corrected_count_pmf_periodic",
@@ -97,31 +96,6 @@ def poisson_pmf(mean: float, kmax: int | None = None) -> PmfVector:
 
 
 # ---------------------------------------------------------------------------
-# Poisson weight function and derivatives
-
-
-def hk_derivatives(k: int, y: float) -> tuple[float, float, float, float]:
-    """The Poisson weight h(y) = e^-y y^k / k! and its first three y-derivatives.
-
-    Uses the closed forms
-    h' = h (k/y - 1),
-    h'' = h (1 - 2k/y + k(k-1)/y^2),
-    h''' = h (k(k-1)(k-2)/y^3 - 3k(k-1)/y^2 + 3k/y - 1).
-    """
-    if y <= 0:
-        raise ValueError("y must be positive")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    h = math.exp(k * math.log(y) - y - gammaln(k + 1))
-    h1 = h * (k / y - 1.0)
-    h2 = h * (1.0 - 2.0 * k / y + k * (k - 1.0) / y**2)
-    h3 = h * (
-        k * (k - 1.0) * (k - 2.0) / y**3 - 3.0 * k * (k - 1.0) / y**2 + 3.0 * k / y - 1.0
-    )
-    return h, h1, h2, h3
-
-
-# ---------------------------------------------------------------------------
 # first-order corrected pmfs
 
 
@@ -131,7 +105,7 @@ def _first_order_pmf(
     """Poisson(mean) pmf times (1 + term(d1, d2)): the one first-order kernel.
 
     d1 = k/m - 1 and d2 = 1/2 (1 - 2k/m + k(k-1)/m^2), m = mean, are h'/h and
-    h''/(2h) for the Poisson weight h of :func:`hk_derivatives`.  ``term``
+    h''/(2h) for the Poisson weight h(m) = e^-m m^k / k!.  ``term``
     weighs them by the model's shift and excess, times eps; it is called
     once, after the baseline is built.  A mean that is not positive raises
     :class:`DegenerateMeanError` before eps and t are checked.
@@ -210,6 +184,10 @@ def corrected_count_pmf_periodic(
 # service-time models
 
 
+# Every service's survival_integral(t) takes a scalar or an array of t and
+# works elementwise; it is 0 for t <= 0.
+
+
 @dataclass(frozen=True)
 class ExponentialService:
     """Exponential service times with the given rate."""
@@ -224,18 +202,18 @@ class ExponentialService:
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0, np.exp(-self.rate * x), 1.0)
 
-    def survival_integral(self, t: float) -> float:
-        if t <= 0:
-            return 0.0
-        return float(-np.expm1(-self.rate * t) / self.rate)
+    def survival_integral(self, t):
+        return -np.expm1(-self.rate * np.maximum(t, 0.0)) / self.rate
 
     def survival_square_integral(self, t: float) -> float:
         if t <= 0:
             return 0.0
         return float(-np.expm1(-2.0 * self.rate * t) / (2.0 * self.rate))
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        return -np.log1p(-rng.random(size)) / self.rate
+
+# Up to this shape the Erlang survival integral is a sum over the shape's
+# Poisson weights; above it, two incomplete gamma functions cost less.
+MAX_ERLANG_SUM_SHAPE = 32
 
 
 @dataclass(frozen=True)
@@ -256,11 +234,28 @@ class ErlangService:
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0, gammaincc(self.shape, self.rate * x), 1.0)
 
-    def survival_integral(self, t: float) -> float:
-        if t <= 0:
-            return 0.0
-        js = np.arange(1, self.shape + 1)
-        return float(np.sum(gammainc(js, self.rate * t)) / self.rate)
+    def survival_integral(self, t):
+        """Integral of survival over [0, t]: E[min(N, shape)] / rate, N ~ Poisson(rate t).
+
+        survival(s) = P(N_s < shape) with N_s ~ Poisson(rate s), so the
+        integral is sum_{j=1..shape} P(N >= j) / rate; let y = rate t.  Up to
+        MAX_ERLANG_SUM_SHAPE that sum is shape (1 - e^-y) minus
+        sum_{0<i<shape} (shape - i) w_i, Poisson weights w_i = e^-y y^i / i!
+        built as w_{i-1} y / i so that no y^i overflows; it loses about
+        log2(shape) bits to cancellation at small y.  Above it the mean is
+        y P(N < shape) + shape P(N > shape), two positive terms.  y is capped
+        at the largest double, so an overflowing rate t gives shape / rate.
+        """
+        k = self.shape
+        y = np.minimum(self.rate * np.maximum(t, 0.0), np.finfo(float).max)
+        if k > MAX_ERLANG_SUM_SHAPE:
+            return (y * pdtr(k - 1, y) + k * pdtrc(k, y)) / self.rate
+        w = np.exp(-y)
+        mean = k * -np.expm1(-y)
+        for i in range(1, k):
+            w = w * y / i
+            mean = mean - (k - i) * w
+        return mean / self.rate
 
     def survival_square_integral(self, t: float) -> float:
         """Integral of survival^2 over [0, t].
@@ -274,10 +269,6 @@ class ErlangService:
         n = i + j
         terms = binom(n, i) * 0.5 ** (n + 1) * gammainc(n + 1, 2.0 * self.rate * t)
         return float(np.sum(terms) / self.rate)
-
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random((size, self.shape))
-        return -np.log1p(-u).sum(axis=1) / self.rate
 
 
 @dataclass(frozen=True)
@@ -300,14 +291,12 @@ class UniformService:
     # p = 2 and 3, with r = 1 - u and u the passed share of [a, b].  They are
     # evaluated as a + (tt - a) * (1 - (1 - u)^p) / (p u), free of cancellation.
 
-    def survival_integral(self, t: float) -> float:
-        if t <= 0:
-            return 0.0
-        if t <= self.a:
-            return float(t)
-        tt = min(t, self.b)
+    def survival_integral(self, t):
+        t = np.asarray(t, dtype=float)
+        tt = np.clip(t, self.a, self.b)
         u = (tt - self.a) / (self.b - self.a)
-        return float(self.a + (tt - self.a) * (1.0 - u / 2.0))
+        past_a = self.a + (tt - self.a) * (1.0 - u / 2.0)
+        return np.where(t <= self.a, np.maximum(t, 0.0), past_a)
 
     def survival_square_integral(self, t: float) -> float:
         if t <= 0:
@@ -317,9 +306,6 @@ class UniformService:
         tt = min(t, self.b)
         u = (tt - self.a) / (self.b - self.a)
         return float(self.a + (tt - self.a) * (1.0 - u + u * u / 3.0))
-
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        return self.a + (self.b - self.a) * rng.random(size)
 
 
 ServiceModel = ExponentialService | ErlangService | UniformService
@@ -335,7 +321,7 @@ def mean_q0(lambda_star: float, service: ServiceModel, t: float) -> float:
         raise ValueError("t must be nonnegative")
     if not lambda_star >= 0:
         raise ValueError("lambda_star must be nonnegative")
-    return lambda_star * service.survival_integral(t)
+    return lambda_star * float(service.survival_integral(t))
 
 
 def eta_squared(sigma2: float, service: ServiceModel, t: float) -> float:

@@ -22,6 +22,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
+    EnumerationTooLargeError,
     NegativeOffDiagonalError,
     NonSquareError,
     ReducibleError,
@@ -42,6 +43,9 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
+# Largest horizon * max exit rate a segment walk accepts; the product bounds
+# the walk's mean number of jumps, one less than its rounds, from above.
+MAX_SEGMENT_ROUNDS = 2**24
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,8 +269,16 @@ def _segment_rounds(
     rate; a one-state chain yields [0, horizon] in one round.  The next
     state comes from :func:`_next_state` on a padded table built once per
     call, which gives the same integers as a scan of the whole cdf row, so
-    the draws and the yielded arrays are those of that scan.
+    the draws and the yielded arrays are those of that scan.  A horizon
+    times maximum exit rate above MAX_SEGMENT_ROUNDS raises
+    EnumerationTooLargeError before the first draw.
     """
+    exit_rates = model.generator.exit_rates
+    if horizon * exit_rates.max() > MAX_SEGMENT_ROUNDS:
+        raise EnumerationTooLargeError(
+            f"segment walk: horizon times the largest exit rate is "
+            f"{horizon * exit_rates.max():.3g} > {MAX_SEGMENT_ROUNDS}"
+        )
     idx = np.arange(size)
     state = np.full(size, model.initial_state, dtype=np.int64)
     t_now = np.zeros(size)
@@ -276,7 +288,6 @@ def _segment_rounds(
         rng.exponential(size=size)
         yield idx, state, t_now, np.full(size, float(horizon))
         return
-    exit_rates = model.generator.exit_rates
     table, width = _jump_search_table(_jump_cdf(model.generator))
     while idx.size:
         draws = rng.exponential(size=idx.size)

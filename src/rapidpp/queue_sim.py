@@ -2,10 +2,15 @@
 
 Every arrival enters service immediately; the number in system at a query
 time t counts arrivals whose service has not yet finished.  The system
-starts empty at time zero.  The kernel draws many iid copies of that
-occupancy at once from streamed environment segments; the arrival-by-arrival
-simulation of one path is kept as the test suite's reference, in
-``tests/reference.py``.
+starts empty at time zero.  Given the environment path, the arrivals form a
+Poisson process with intensity f(X(u/eps)), and each one is still in service
+at t with probability S(t - u), S the service survival function.  By the
+marking theorem the occupancy is then exactly Poisson with mean
+integral_0^t f(X(u/eps)) S(t - u) du.  On a sojourn in state x over
+environment time [a, b] that mean gains f[x] (SI(t - eps a) - SI(t - eps b)),
+SI the service's ``survival_integral``, so the kernel draws no arrival and
+no service time.  The arrival-by-arrival simulation of one path is kept as
+the test suite's reference, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -29,21 +34,18 @@ def sample_queue_counts(
 ) -> np.ndarray:
     """Draw ``size`` iid copies of the occupancy at time t.
 
-    Streams environment segments for all replications at once; every arrival
-    still receives an explicit service draw, so this is the discrete event
-    logic of the per-path reference, vectorized.
+    Streams environment segments for all replications at once.  ``left``
+    holds SI(t - eps start) of each replication's current segment, so each
+    round costs one SI evaluation per replication; after the walk, one
+    Poisson draw per replication.  SI is monotone only to rounding, so a
+    mean that sums to a hair below zero is drawn as zero.
     """
     horizon = _finite_horizon(eps, t)
-    occupancy = np.zeros(size, dtype=np.int64)
     rates = model.rates
-    for idx, state, start, end in cox_segments(model, horizon, size, rng):
-        seg_len = end - start
-        arrivals = rng.poisson(rates[state] * eps * seg_len)
-        total = int(arrivals.sum())
-        if total == 0:
-            continue
-        rep = np.repeat(idx, arrivals)
-        pos = eps * (np.repeat(start, arrivals) + rng.random(total) * np.repeat(seg_len, arrivals))
-        still_in = pos + service.sample(total, rng) > t
-        occupancy += np.bincount(rep[still_in], minlength=size)
-    return occupancy
+    means = np.zeros(size)
+    left = np.full(size, service.survival_integral(t))
+    for idx, state, _, end in cox_segments(model, horizon, size, rng):
+        right = service.survival_integral(t - eps * end)
+        means[idx] += rates[state] * (left[idx] - right)
+        left[idx] = right
+    return rng.poisson(np.maximum(means, 0.0))

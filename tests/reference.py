@@ -6,11 +6,13 @@ path-level construction those kernels stand in for: exact environment
 trajectories, arrival streams of every model type (constant-rate Poisson,
 Markov-modulated, fast periodic, and a base stream sped up by 1/eps and
 thinned with keep probability eps), the gamma renewal count summed from
-gamma blocks, and the infinite-server occupancy counted arrival by arrival.
+gamma blocks, and the infinite-server occupancy counted arrival by arrival,
+with one service time drawn per arrival.
 Tests check the kernels' laws and the constructions' equivalences against
 it.  It also keeps the limiting total-variation distance computed by
 enumerating state-count compositions, which the package's product-Poisson
-form is checked against.
+form is checked against, and the Poisson weight with its derivatives, which
+the first-order expansions are built from.
 
 Piecewise-constant intensities are simulated exactly by per-segment Poisson
 counts with uniform placement; no rejection step is involved.
@@ -35,7 +37,14 @@ from rapidpp.arrivals import (
     _check_eps_t,
 )
 from rapidpp.errors import EnumerationTooLargeError, RapidppError
-from rapidpp.expansions import ServiceModel, _log_ratios, poisson_pmf
+from rapidpp.expansions import (
+    ErlangService,
+    ExponentialService,
+    ServiceModel,
+    UniformService,
+    _log_ratios,
+    poisson_pmf,
+)
 from rapidpp.markov_env import CtmcModel, _jump_cdf
 
 
@@ -288,6 +297,18 @@ def gamma_block_renewal_counts(
 # infinite-server queue
 
 
+def sample_service(service: ServiceModel, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``size`` iid service times by inversion, one uniform per exponential phase."""
+    if isinstance(service, ExponentialService):
+        return -np.log1p(-rng.random(size)) / service.rate
+    if isinstance(service, ErlangService):
+        u = rng.random((size, service.shape))
+        return -np.log1p(-u).sum(axis=1) / service.rate
+    if isinstance(service, UniformService):
+        return service.a + (service.b - service.a) * rng.random(size)
+    raise TypeError(f"unsupported service {service!r}")
+
+
 def number_in_system(arrivals: ArrivalStream, services, t: float) -> int:
     """Count arrivals still in service at time t.
 
@@ -318,7 +339,7 @@ def simulate_queue_at_t(
     if t == 0:
         return 0
     stream, _ = simulate_cox(model, eps, t, rng)
-    services = service.sample(stream.count, rng)
+    services = sample_service(service, stream.count, rng)
     return number_in_system(stream, services, t)
 
 
@@ -386,3 +407,28 @@ def tv_limit_enumeration(model: CtmcModel, t: float, truncation_mass: float = 1e
         absdev = np.where(hits_zero, 1.0, np.abs(np.expm1(log_prod)))
         total += pois[n] * float(np.exp(logw) @ absdev)
     return 0.5 * total
+
+
+# ---------------------------------------------------------------------------
+# Poisson weight function and derivatives
+
+
+def hk_derivatives(k: int, y: float) -> tuple[float, float, float, float]:
+    """The Poisson weight h(y) = e^-y y^k / k! and its first three y-derivatives.
+
+    Uses the closed forms
+    h' = h (k/y - 1),
+    h'' = h (1 - 2k/y + k(k-1)/y^2),
+    h''' = h (k(k-1)(k-2)/y^3 - 3k(k-1)/y^2 + 3k/y - 1).
+    """
+    if y <= 0:
+        raise ValueError("y must be positive")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    h = math.exp(k * math.log(y) - y - gammaln(k + 1))
+    h1 = h * (k / y - 1.0)
+    h2 = h * (1.0 - 2.0 * k / y + k * (k - 1.0) / y**2)
+    h3 = h * (
+        k * (k - 1.0) * (k - 2.0) / y**3 - 3.0 * k * (k - 1.0) / y**2 + 3.0 * k / y - 1.0
+    )
+    return h, h1, h2, h3

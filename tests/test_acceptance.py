@@ -30,7 +30,6 @@ from rapidpp import (
     corrected_queue_pmf,
     estimate_pmf,
     eta_squared,
-    hk_derivatives,
     marginal_tv_distance,
     poisson_pmf,
     tv_limit_exact,
@@ -39,7 +38,7 @@ from rapidpp import (
 from rapidpp.cli import main
 
 from conftest import make_two_state, random_irreducible_model
-from reference import simulate_base, thin_and_speed
+from reference import hk_derivatives, simulate_base, thin_and_speed
 from test_markov_env import two_state_closed_form
 
 WORKED_MODEL = make_two_state()  # a = b = 1, rates (0, 2), started in state 0

@@ -91,14 +91,6 @@ class TestSimulateCox:
         res = chi_square_two_sample(ref, kern)
         assert res.p_value > 0.01
 
-    def test_compensator_mean_identity(self, two_state_model, rng):
-        counts, means = sample_cox_counts(
-            two_state_model, 0.25, 1.0, 100_000, rng, return_means=True
-        )
-        diff = counts - means
-        se = diff.std(ddof=1) / math.sqrt(diff.size)
-        assert abs(diff.mean()) < 3 * se
-
     def test_compensator_identity_on_reference_paths(self, two_state_model, rng):
         diffs = []
         for _ in range(4000):
@@ -207,18 +199,6 @@ class TestCoxCountTable:
             pmf = _cox_count_pmf(model, 0.1, t)
             assert pmf is None or pmf.size * model.n <= MAX_COX_TABLE
 
-    def test_return_means_draws_the_segment_path_bytes(self, two_state_model):
-        counts, means = sample_cox_counts(
-            two_state_model, 0.25, 1.0, 2000, np.random.default_rng(10), return_means=True
-        )
-        rng = np.random.default_rng(10)
-        ref_means = 0.25 * sample_occupation_integrals(
-            two_state_model, two_state_model.rates, 4.0, 2000, rng
-        )
-        ref_counts = rng.poisson(ref_means)
-        assert means.tobytes() == ref_means.tobytes()
-        assert counts.tobytes() == ref_counts.tobytes()
-
     @pytest.mark.parametrize("eps", [1e-6, 1e-12, 1e-16, 1e-100])
     def test_tiny_eps_matches_first_order_expansion(self, eps):
         # The first-order pmf is off by O(eps**2): an exact oracle at tiny eps,
@@ -301,14 +281,6 @@ class TestThinAndSpeed:
         )
         direct = np.bincount(sample_cox_counts(two_state_model, 0.2, 1.0, 150_000, rng))
         assert chi_square_two_sample(thin, direct).p_value > 0.01
-
-    def test_thinned_mean_identity_with_base_count(self, two_state_model, rng):
-        thinned, base = sample_thinned_counts(
-            CoxBase(two_state_model), 0.25, 1.0, 100_000, rng, return_base_counts=True
-        )
-        diff = thinned - 0.25 * base
-        se = diff.std(ddof=1) / math.sqrt(diff.size)
-        assert abs(diff.mean()) < 3 * se
 
     def test_renewal_base_approaches_poisson(self):
         # gamma(2, 2) interarrivals: long-run rate 1; thinned counts drift

@@ -416,6 +416,17 @@ class TestRenewalTableGuard:
         assert "renewal CDF table" in capsys.readouterr().err
 
 
+def run_child(command, cfg, out):
+    """Run the CLI in a child process that a timeout can stop."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "rapidpp", command, "--config", cfg, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 class TestExtremeEps:
     QUEUE = {"service": {"type": "exponential", "rate": 1.0}, "kind": "queue"}
 
@@ -426,23 +437,39 @@ class TestExtremeEps:
             ("simulate", dict(QUEUE, eps=1e-320), "eps"),
             ("validate", {"eps_grid": [0.5, 1e-320]}, "eps_grid"),
             ("simulate", {"model": PERIODIC, "eps": 1e-320}, "eps"),
+            # the periodic correction reads the fractional period of t/eps
+            ("expand", {"model": PERIODIC, "eps": 1e-320}, "eps"),
         ],
-        ids=["counts", "queue", "validate", "periodic"],
+        ids=["counts", "queue", "validate", "periodic", "periodic-expand"],
     )
     def test_infinite_horizon_exits_2(self, tmp_path, command, extra, field):
         # t/eps is inf: the segment rounds would never reach the horizon, so
         # the command runs in a child that a timeout can stop.
         cfg = write_config(tmp_path, {"model": MMPP, "t": 1.0, "reps": 100, **extra})
         out = tmp_path / "out"
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "rapidpp", command, "--config", cfg, "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = run_child(command, cfg, out)
         assert proc.returncode == 2, proc.stderr
         assert f"{field}: " in proc.stderr
+        assert not out.exists()
+
+    def test_mmpp_expand_needs_no_horizon(self, tmp_path):
+        # The count correction is eps times terms in t alone: at eps 1e-320
+        # it rounds away, and both columns are the Poisson baseline.
+        cfg = write_config(tmp_path, {"model": MMPP, "t": 1.0, "eps": 1e-320})
+        out = str(tmp_path / "expand.csv")
+        assert main(["expand", "--config", cfg, "--out", out]) == 0
+        _, rows = read_csv(out)
+        assert np.array_equal(rows[:, 1], rows[:, 2])
+
+    def test_segment_walk_guard_exits_4(self, tmp_path):
+        # t/eps = 1e300 is finite, but the queue's walk would take about 1e300
+        # rounds: it is refused before the first draw, in a child a timeout can stop.
+        cfg = write_config(tmp_path, {"model": MMPP, "t": 1.0, "reps": 100,
+                                      **self.QUEUE, "eps": 1e-300})
+        out = tmp_path / "out"
+        proc = run_child("simulate", cfg, out)
+        assert proc.returncode == 4, proc.stderr
+        assert "segment walk" in proc.stderr
         assert not out.exists()
 
     def test_beyond_double_precision_exits_3(self, tmp_path, capsys):

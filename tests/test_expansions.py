@@ -4,9 +4,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import gammainc
 
 from rapidpp import (
     DegenerateMeanError,
@@ -20,7 +21,6 @@ from rapidpp import (
     corrected_queue_pmf,
     default_kmax,
     eta_squared,
-    hk_derivatives,
     mean_q0,
     periodic_correction_integral,
     poisson_pmf,
@@ -28,7 +28,7 @@ from rapidpp import (
     tv_limit_mc,
 )
 from conftest import make_two_state, random_irreducible_model
-from reference import _compositions, tv_limit_enumeration
+from reference import _compositions, hk_derivatives, tv_limit_enumeration
 
 HALF_ON = PeriodicIntensity([0.0, 0.5], [2.0, 0.0])
 
@@ -186,7 +186,63 @@ class TestPeriodicCorrection:
         assert abs(pmf.probs.sum() - 1.0) <= 1e-9 + pmf.truncation_mass
 
 
+def _scalar_survival_integral(service, t):
+    """The scalar survival integrals the services had before they took arrays."""
+    if t <= 0:
+        return 0.0
+    if isinstance(service, ExponentialService):
+        return float(-np.expm1(-service.rate * t) / service.rate)
+    if isinstance(service, ErlangService):
+        js = np.arange(1, service.shape + 1)
+        return float(np.sum(gammainc(js, service.rate * t)) / service.rate)
+    if t <= service.a:
+        return float(t)
+    tt = min(t, service.b)
+    u = (tt - service.a) / (service.b - service.a)
+    return float(service.a + (tt - service.a) * (1.0 - u / 2.0))
+
+
+# rate in [1e-8, 1e8]; rate * t in [1e-290, 1e300], or t = -1 for None
+_LOG_RATE = st.floats(-8.0, 8.0)
+_LOG_YS = st.lists(st.none() | st.floats(-290.0, 300.0), min_size=1, max_size=12)
+
+
+def _times(log_rate, log_ys):
+    rate = 10.0**log_rate
+    return rate, np.array([-1.0 if ly is None else 10.0**ly / rate for ly in log_ys])
+
+
 class TestMeanQ0:
+    @given(shape=st.integers(1, 1000), log_rate=_LOG_RATE, log_ys=_LOG_YS)
+    @example(shape=8, log_rate=3.0, log_ys=[303.0])  # y^8 / 8! overflows here
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_erlang_array_matches_scalar_formula(self, shape, log_rate, log_ys):
+        rate, t = _times(log_rate, log_ys)
+        service = ErlangService(shape, rate)
+        got = service.survival_integral(t)
+        ref = [_scalar_survival_integral(service, x) for x in t]
+        assert not np.isnan(got).any()
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
+    @given(
+        log_rate=_LOG_RATE,
+        log_ys=_LOG_YS,
+        a=st.floats(0.0, 10.0),
+        width=st.floats(1e-3, 10.0),
+    )
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_exponential_and_uniform_arrays_match_scalar_formulas(
+        self, log_rate, log_ys, a, width
+    ):
+        rate, t = _times(log_rate, log_ys)
+        uniform = UniformService(a, a + width)
+        uniform_t = np.concatenate([t, a + width * np.linspace(-1.5, 1.5, 7)])
+        for service, ts in ((ExponentialService(rate), t), (uniform, uniform_t)):
+            got = service.survival_integral(ts)
+            ref = [_scalar_survival_integral(service, x) for x in ts]
+            assert not np.isnan(got).any()
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
     def test_zero_time_starts_empty(self):
         assert mean_q0(1.0, ExponentialService(1.0), 0.0) == 0.0
 

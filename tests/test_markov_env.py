@@ -3,16 +3,24 @@ import pytest
 
 from rapidpp import (
     CtmcModel,
+    EnumerationTooLargeError,
+    ExponentialService,
     NegativeOffDiagonalError,
     NonSquareError,
     ReducibleError,
     RowSumError,
     analyze,
     sample_occupation_integrals,
+    sample_queue_counts,
     stationary_distribution,
     validate_generator,
 )
-from rapidpp.markov_env import _jump_cdf, _jump_search_table, _next_state
+from rapidpp.markov_env import (
+    MAX_SEGMENT_ROUNDS,
+    _jump_cdf,
+    _jump_search_table,
+    _next_state,
+)
 
 from conftest import make_two_state, random_irreducible_model
 from reference import EnvironmentPath, occupation_integral, sample_path
@@ -288,3 +296,20 @@ class TestOccupationSampler:
         )
         se = np.sqrt(kernel.var() / kernel.size + ref.var() / ref.size)
         assert abs(kernel.mean() - ref.mean()) < 3 * se
+
+    def test_walk_beyond_round_cap_raises_before_any_draw(self, two_state_model):
+        # The queue kernel walks the same segments; both refuse at once.
+        horizon = 2.0 * MAX_SEGMENT_ROUNDS  # exit rate 1: about 2**25 rounds
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(EnumerationTooLargeError, match="segment walk"):
+            sample_occupation_integrals(two_state_model, [1.0, 1.0], horizon, 10, rng)
+        with pytest.raises(EnumerationTooLargeError, match="segment walk"):
+            sample_queue_counts(two_state_model, ExponentialService(1.0), 1e-300, 1.0, 10, rng)
+        assert rng.bit_generator.state == state
+
+    def test_one_state_walk_has_no_round_cap(self):
+        # One state never jumps, so any finite horizon is one round.
+        model = CtmcModel(validate_generator([[0.0]]), [2.0])
+        out = sample_occupation_integrals(model, [2.0], 1e300, 3, np.random.default_rng(6))
+        assert np.all(out == 2e300)

@@ -22,6 +22,7 @@ from reference import (
     LengthMismatchError,
     number_in_system,
     sample_path,
+    sample_service,
     simulate_queue_at_t,
 )
 
@@ -33,16 +34,16 @@ def one_state_model(rate):
 class TestSampleService:
     def test_uniform_support(self, rng):
         service = UniformService(0.0, 2.0)
-        draws = service.sample(2000, rng)
+        draws = sample_service(service, 2000, rng)
         assert np.all((draws > 0) & (draws < 2.0))
 
     def test_exponential_mean(self, rng):
-        draws = ExponentialService(1.0).sample(100_000, rng)
+        draws = sample_service(ExponentialService(1.0), 100_000, rng)
         assert abs(draws.mean() - 1.0) < 3e-3 * 3
 
     def test_erlang_moments(self, rng):
         reps = 100_000
-        draws = ErlangService(2, 2.0).sample(reps, rng)
+        draws = sample_service(ErlangService(2, 2.0), reps, rng)
         assert abs(draws.mean() - 1.0) < 3 * math.sqrt(0.5 / reps)
         # var(sample variance) ~ (mu4 - var^2)/reps with mu4 = 6 var^2
         se_var = math.sqrt(5 * 0.25 / reps)
@@ -94,9 +95,14 @@ class TestSimulateQueue:
         ref = poisson_pmf(mean_q0(1.0, service, 1.0))
         assert chi_square_gof(np.bincount(counts), ref).p_value > 0.01
 
-    def test_kernel_and_reference_share_one_law(self, two_state_model):
+    @pytest.mark.parametrize(
+        "service",
+        # uniform(0.2, 0.8): both ends of the support fall inside [0, t]
+        [ExponentialService(1.0), ErlangService(2, 2.0), UniformService(0.2, 0.8)],
+        ids=["exponential", "erlang", "uniform"],
+    )
+    def test_kernel_and_reference_share_one_law(self, two_state_model, service):
         rng = np.random.default_rng(14)
-        service = ErlangService(2, 2.0)
         ref = np.bincount(
             [
                 simulate_queue_at_t(two_state_model, service, 0.25, 1.0, rng)
