@@ -26,6 +26,7 @@ suite's reference, in ``tests/reference.py``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -238,17 +239,23 @@ def _cox_count_pmf(model: CtmcModel, eps: float, t: float) -> np.ndarray | None:
     return p[model.initial_state, : rows * n].reshape(rows, n).sum(axis=1)
 
 
+@functools.lru_cache(maxsize=8)
 def _cox_count_cdf(model: CtmcModel, eps: float, t: float) -> np.ndarray | None:
     """Exact CDF q[j] = P(N <= j) of :func:`_cox_count_pmf`, or None above its cap.
 
     As in :func:`_renewal_cdf`, the cumsum is capped by its running maximum
     and at 1.0, and its last entry is set to exactly 1.0.
+
+    Built once per (model, eps, t) and shared read-only by every chunk of a
+    run.  ``CtmcModel`` compares by identity; the cache holds the model, so
+    its id is not reused while the entry lives.
     """
     pmf = _cox_count_pmf(model, eps, t)
     if pmf is None:
         return None
     q = np.minimum(np.maximum.accumulate(np.cumsum(pmf)), 1.0)
     q[-1] = 1.0
+    q.flags.writeable = False
     return q
 
 

@@ -161,6 +161,9 @@ class ExperimentConfig:
 
 
 _KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} - {"raw"}
+# An explicit kmax sizes every pmf column and count histogram; above this the
+# arrays alone would take gigabytes.
+MAX_KMAX = 2**20
 
 
 def parse_experiment_config(obj) -> ExperimentConfig:
@@ -210,8 +213,8 @@ def parse_experiment_config(obj) -> ExperimentConfig:
     kmax = obj.get("kmax")
     if kmax is not None:
         kmax = _integer(kmax, "kmax")
-        if kmax < 0:
-            raise ConfigError("kmax must be nonnegative", "kmax")
+        if not 0 <= kmax <= MAX_KMAX:
+            raise ConfigError(f"kmax must lie in [0, {MAX_KMAX}]", "kmax")
     workers = _integer(obj.get("workers", 1), "workers")
     if workers < 1:
         raise ConfigError("workers must be at least 1", "workers")

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import binom, gammainc, gammaincc, pdtr, pdtrc
+from scipy.special import binom, gammainc, gammaincc, gammaln, pdtr, pdtrc, pdtrik, xlogy
 
 from .arrivals import PeriodicIntensity, _check_eps_t, _finite_horizon
 from .errors import DegenerateMeanError, EnumerationTooLargeError
@@ -75,11 +74,27 @@ class PmfVector:
 
 def default_kmax(mean: float) -> int:
     """Smallest K whose Poisson(mean) CDF is at least 1 - 1e-12."""
-    if mean < 0:
-        raise ValueError("mean must be nonnegative")
-    if mean == 0:
-        return 0
-    return int(stats.poisson.ppf(1.0 - TAIL_MASS, mean))
+    return _poisson_ppf(1.0 - TAIL_MASS, mean)
+
+
+def _poisson_ppf(q: float, mean: float) -> int:
+    """Smallest K with P(Poisson(mean) <= K) >= q, for 0 < q < 1 and mean >= 0.
+
+    This is scipy's own ``poisson._ppf`` (an inverse from ``pdtrik``, then
+    one ``pdtr`` step back), so it gives the bits of ``stats.poisson.ppf``
+    without importing ``scipy.stats``.
+    """
+    if not (0.0 < q < 1.0 and mean >= 0.0):
+        raise ValueError("the Poisson quantile needs 0 < q < 1 and a nonnegative mean")
+    above = math.ceil(pdtrik(q, mean))
+    below = max(above - 1, 0)
+    return below if pdtr(below, mean) >= q else above
+
+
+def _poisson_logpmf(n: int, mean: float) -> np.ndarray:
+    """log P(Poisson(mean) = k) for k = 0..n-1, as ``stats.poisson.logpmf`` forms it."""
+    k = np.arange(n)
+    return xlogy(k, mean) - gammaln(k + 1) - mean
 
 
 def poisson_pmf(mean: float, kmax: int | None = None) -> PmfVector:
@@ -427,7 +442,7 @@ def tv_limit_exact(model: CtmcModel, t: float, truncation_mass: float = 1e-10) -
     masses = mu * np.bincount(groups, weights=analysis.pi[~zero])
     means = [(m, m * math.exp(v)) for v, m in zip(values, masses) if v != 0.0]
     tail = max(truncation_mass / (2 * max(len(means), 1)), 2.0**-52)
-    lengths = [int(stats.poisson.ppf(1.0 - tail, max(m))) + 1 for m in means]
+    lengths = [_poisson_ppf(1.0 - tail, max(m)) + 1 for m in means]
     log_p, log_q = np.array([log_stay]), np.array([0.0])
     for n, (approx, modulated) in sorted(zip(lengths, means)):
         order = np.argsort(np.maximum(log_p, log_q))
@@ -438,8 +453,8 @@ def tv_limit_exact(model: CtmcModel, t: float, truncation_mass: float = 1e-10) -
         log_p, log_q = log_p[order[light:]], log_q[order[light:]]
         if log_p.size * n > MAX_TV_TERMS:
             raise EnumerationTooLargeError(f"the product grid exceeds {MAX_TV_TERMS} points")
-        log_p = np.add.outer(log_p, stats.poisson.logpmf(np.arange(n), approx)).ravel()
-        log_q = np.add.outer(log_q, stats.poisson.logpmf(np.arange(n), modulated)).ravel()
+        log_p = np.add.outer(log_p, _poisson_logpmf(n, approx)).ravel()
+        log_q = np.add.outer(log_q, _poisson_logpmf(n, modulated)).ravel()
     hi, lo = np.maximum(log_p, log_q), np.minimum(log_p, log_q)
     total = -math.expm1(log_stay) + math.fsum(np.exp(hi) * -np.expm1(lo - hi))
     return min(1.0, 0.5 * total)  # pmf rounding at large means can pass 1

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc, ndtri
 
 from .arrivals import (
     BaseProcessSpec,
@@ -56,7 +56,7 @@ __all__ = [
 CHUNK_SIZE = 16_384
 MIN_BASELINE_PROB = 1e-4
 MIN_EXPECTED = 5.0
-Z99 = float(stats.norm.ppf(0.995))
+Z99 = float(ndtri(0.995))
 
 Model = CtmcModel | PeriodicIntensity | BaseProcessSpec
 
@@ -276,7 +276,7 @@ def _pool(table: np.ndarray, size, sparse: str) -> np.ndarray:
 
 
 def _chi2_result(statistic: float, n_bins: int) -> GofResult:
-    return GofResult(statistic, n_bins - 1, float(stats.chi2.sf(statistic, n_bins - 1)))
+    return GofResult(statistic, n_bins - 1, float(chdtrc(n_bins - 1, statistic)))
 
 
 def chi_square_gof(counts, ref: PmfVector) -> GofResult:

@@ -176,6 +176,12 @@ class TestCoxCountTable:
         q = _cox_count_cdf(two_state_model, 0.1, 1.0)
         assert q.size == pmf.size and q[-1] == 1.0 and np.all(np.diff(q) >= 0)
 
+    def test_cdf_is_read_only(self, two_state_model):
+        # the table is cached and shared by every chunk of a run
+        q = _cox_count_cdf(two_state_model, 0.1, 1.0)
+        with pytest.raises(ValueError):
+            q[0] = 0.5
+
     @pytest.mark.parametrize("eps, seed", [(0.4, 51), (0.05, 52), (0.01, 53), (1e-3, 54)])
     def test_law_matches_segment_kernel(self, eps, seed):
         models = _table_models()

@@ -416,15 +416,19 @@ class TestRenewalTableGuard:
         assert "renewal CDF table" in capsys.readouterr().err
 
 
-def run_child(command, cfg, out):
-    """Run the CLI in a child process that a timeout can stop."""
+def run_python(*args):
+    """Run this interpreter on this checkout's sources, in a child a timeout can stop."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "rapidpp", command, "--config", cfg, "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def run_child(command, cfg, out):
+    """Run the CLI in a child process that a timeout can stop."""
+    return run_python("-m", "rapidpp", command, "--config", cfg, "--out", str(out))
 
 
 class TestExtremeEps:
@@ -490,3 +494,32 @@ class TestExtremeEps:
         counts = np.rint(rows[:, 1] * doc["reps"]).astype(np.int64)
         assert counts.sum() == doc["reps"]
         assert chi_square_gof(counts, poisson_pmf(1.0)).p_value > 1e-3
+
+
+class TestHugeKmax:
+    @pytest.mark.parametrize("command", ["expand", "simulate"])
+    def test_exits_2_naming_kmax(self, tmp_path, command):
+        # a 10**13-entry pmf column would need 73 TiB
+        cfg = write_config(tmp_path, {"model": MMPP, "eps": 0.5, "reps": 100, "kmax": 10**13})
+        out = tmp_path / "out"
+        proc = run_child(command, cfg, out)
+        assert proc.returncode == 2, proc.stderr
+        assert "kmax: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
+def test_import_loads_no_scipy_stats():
+    # scipy.stats takes about half a second to import; rapidpp needs only scipy.special
+    code = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return [m for m in sys.modules if m == 'scipy.stats' or m.startswith('scipy.stats.')]\n"
+        "import rapidpp\n"
+        "print(loaded())\n"
+        "import rapidpp.cli\n"
+        "print(loaded())\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]

@@ -2,6 +2,7 @@ import pytest
 
 from rapidpp import ConfigError, CtmcModel, PeriodicIntensity, PoissonBase, RenewalGammaBase
 from rapidpp.config import (
+    MAX_KMAX,
     config_sha256,
     load_config_file,
     parse_experiment_config,
@@ -88,6 +89,12 @@ class TestExperimentConfig:
     def test_grid_must_decrease(self):
         with pytest.raises(ConfigError):
             parse_experiment_config({"model": MMPP, "eps_grid": [0.2, 0.4]})
+
+    def test_kmax_is_capped(self):
+        assert parse_experiment_config({"model": MMPP, "kmax": MAX_KMAX}).kmax == MAX_KMAX
+        with pytest.raises(ConfigError) as err:
+            parse_experiment_config({"model": MMPP, "kmax": MAX_KMAX + 1})
+        assert err.value.path == "kmax"
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):

@@ -27,6 +27,8 @@ from rapidpp import (
     tv_limit_exact,
     tv_limit_mc,
 )
+from rapidpp.expansions import _poisson_logpmf, _poisson_ppf
+
 from conftest import make_two_state, random_irreducible_model
 from reference import _compositions, hk_derivatives, tv_limit_enumeration
 
@@ -87,6 +89,40 @@ class TestPoissonPmf:
         assert stats.poisson.cdf(k, mean) >= 1 - 1e-12
         if k > 0:
             assert stats.poisson.cdf(k - 1, mean) < 1 - 1e-12
+
+
+class TestScipyStatsForms:
+    """The scipy.special forms give the bits of the scipy.stats calls they replace."""
+
+    @given(
+        log_mean=st.floats(math.log(1e-300), math.log(1e7)),
+        q=st.sampled_from([1.0 - 1e-12, 1.0 - 2.0**-52, 0.5]),
+    )
+    @example(log_mean=math.log(1e-300), q=1.0 - 2.0**-52)
+    @example(log_mean=math.log(1e7), q=1.0 - 1e-12)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_ppf_matches_stats(self, log_mean, q):
+        mean = math.exp(log_mean)
+        assert _poisson_ppf(q, mean) == int(stats.poisson.ppf(q, mean))
+
+    @pytest.mark.parametrize("mean", [1e-300, 1e-6, 0.37, 2.0, 45.5, 399.0, 1e4, 1e7])
+    def test_logpmf_matches_stats(self, mean):
+        got = _poisson_logpmf(400, mean)
+        assert got.tobytes() == stats.poisson.logpmf(np.arange(400), mean).tobytes()
+
+    @pytest.mark.parametrize("mean", [0.0, 5e-324, 1e-310])
+    def test_ppf_at_zero_and_subnormal_means(self, mean):
+        # a TV axis mass mu*pi underflows to these at subnormal t
+        assert _poisson_ppf(1.0 - 1e-10, mean) == int(stats.poisson.ppf(1.0 - 1e-10, mean)) == 0
+
+    @pytest.mark.parametrize(
+        "q, mean", [(0.0, 1.0), (1.0, 1.0), (0.5, -1.0), (math.nan, 1.0), (0.5, math.nan)]
+    )
+    def test_ppf_rejects_q_at_0_or_1_and_bad_means(self, q, mean):
+        # stats.poisson.ppf answers q = 0 and q = 1 through wrapper branches,
+        # and NaN for the rest; no caller needs either
+        with pytest.raises(ValueError):
+            _poisson_ppf(q, mean)
 
 
 class TestHkDerivatives:

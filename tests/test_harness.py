@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rapidpp import (
@@ -23,6 +25,9 @@ from rapidpp import (
     poisson_pmf,
     tv_limit_exact,
 )
+
+from rapidpp import arrivals
+from rapidpp.harness import CHUNK_SIZE, Z99, _chi2_result
 
 from conftest import make_two_state
 
@@ -84,6 +89,21 @@ class TestEstimatePmf:
         assert covered / total >= 0.97
 
 
+    def test_count_table_is_built_once_per_run(self, monkeypatch):
+        built = []
+        build = arrivals._cox_count_pmf
+
+        def counting(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(arrivals, "_cox_count_pmf", counting)
+        spec = ExperimentSpec(make_two_state(), 1.0, 0.05)
+        est = estimate_pmf(spec, 4 * CHUNK_SIZE, 3)
+        assert est.counts.sum() == 4 * CHUNK_SIZE
+        assert len(built) == 1
+
+
 class TestMarginalTv:
     def test_exact_match_gives_zero(self):
         est = PmfEstimate.from_counts(np.array([100]), 100, 0)
@@ -142,6 +162,14 @@ class TestChiSquare:
     def test_two_empty_samples_rejected(self, counts):
         with pytest.raises(ValueError):
             chi_square_two_sample(counts, counts)
+
+    @given(statistic=st.floats(0.0, 1e4), dof=st.integers(1, 500))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_p_value_matches_stats(self, statistic, dof):
+        assert _chi2_result(statistic, dof + 1).p_value == float(stats.chi2.sf(statistic, dof))
+
+    def test_z99_matches_stats(self):
+        assert Z99 == float(stats.norm.ppf(0.995))
 
 
 class TestConstructionEquivalence:
