@@ -21,6 +21,7 @@ from .arrivals import (
     sample_thinned_counts,
 )
 from .errors import (
+    ArgumentError,
     ConfigError,
     DegenerateMeanError,
     EnumerationTooLargeError,

@@ -34,8 +34,8 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammaincc, pdtrc
 
-from .errors import EnumerationTooLargeError, SingularSystemError
-from .markov_env import CtmcModel, _segment_rounds, sample_occupation_integrals
+from .errors import ArgumentError, EnumerationTooLargeError, SingularSystemError
+from .markov_env import CtmcModel, sample_occupation_integrals
 
 __all__ = [
     "PeriodicIntensity",
@@ -141,20 +141,20 @@ BaseProcessSpec = PoissonBase | RenewalGammaBase | CoxBase
 
 
 def _check_eps_t(eps: float, t: float, eps_zero: bool = False):
-    """Raise ValueError unless t > 0 and eps lies in (0, 1], or [0, 1] with ``eps_zero``.
+    """Raise ArgumentError unless t > 0 and eps lies in (0, 1], or [0, 1] with ``eps_zero``.
 
     The samplers form t/eps and need eps > 0; the expansions and
     ``ExperimentSpec`` accept eps 0, where the corrected pmf is the baseline.
     Every comparison is written so that NaN fails it.
     """
     if not (0.0 < eps <= 1.0 or (eps_zero and eps == 0.0)):
-        raise ValueError(f"eps must lie in {'[' if eps_zero else '('}0, 1], got {eps}")
+        raise ArgumentError(f"must lie in {'[' if eps_zero else '('}0, 1], got {eps}", "eps")
     if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+        raise ArgumentError(f"must be positive, got {t}", "t")
 
 
 def _finite_horizon(eps: float, t: float) -> float:
-    """t/eps after the sampler form of :func:`_check_eps_t`; ValueError unless finite.
+    """t/eps after the sampler form of :func:`_check_eps_t`; ArgumentError unless finite.
 
     The modulated, queue and periodic kernels walk, tabulate or floor
     environment time, so they need it finite (NaN fails too).  The renewal
@@ -164,7 +164,7 @@ def _finite_horizon(eps: float, t: float) -> float:
     _check_eps_t(eps, t)
     horizon = t / eps
     if not horizon < math.inf:
-        raise ValueError(f"t/eps must be finite, got {t}/{eps}")
+        raise ArgumentError(f"t/eps must be finite, got {t}/{eps}", "eps")
     return horizon
 
 
@@ -178,6 +178,17 @@ def periodic_mean_count(intensity: PeriodicIntensity, eps: float, t: float) -> f
 
 # ---------------------------------------------------------------------------
 # vectorized count kernels
+
+
+# numpy's Poisson sampler refuses a larger mean (int64 max less 10 sd).
+MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
+
+def _poisson(rng: np.random.Generator, mean, size: int | None = None) -> np.ndarray:
+    """``rng.poisson(mean, size)``, raising EnumerationTooLargeError above numpy's limit."""
+    if np.max(mean, initial=0.0) > MAX_POISSON_MEAN:
+        raise EnumerationTooLargeError(f"Poisson mean {np.max(mean):.3g} > {MAX_POISSON_MEAN:.3g}")
+    return rng.poisson(mean, size)
 
 
 def _invert_cdf(q: np.ndarray, offset: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -247,8 +258,8 @@ def _cox_count_cdf(model: CtmcModel, eps: float, t: float) -> np.ndarray | None:
     and at 1.0, and its last entry is set to exactly 1.0.
 
     Built once per (model, eps, t) and shared read-only by every chunk of a
-    run.  ``CtmcModel`` compares by identity; the cache holds the model, so
-    its id is not reused while the entry lives.
+    run.  ``CtmcModel`` compares by identity and its arrays are read-only;
+    the cache holds the model, so its id is not reused while the entry lives.
     """
     pmf = _cox_count_pmf(model, eps, t)
     if pmf is None:
@@ -278,14 +289,14 @@ def sample_cox_counts(
     q = _cox_count_cdf(model, eps, t)
     if q is not None:
         return _invert_cdf(q, 0, size, rng)
-    return rng.poisson(eps * sample_occupation_integrals(model, model.rates, horizon, size, rng))
+    return _poisson(rng, eps * sample_occupation_integrals(model, model.rates, horizon, size, rng))
 
 
 def sample_periodic_counts(
     intensity: PeriodicIntensity, eps: float, t: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw ``size`` iid copies of the fast-periodic count at time t."""
-    return rng.poisson(periodic_mean_count(intensity, eps, t), size)
+    return _poisson(rng, periodic_mean_count(intensity, eps, t), size)
 
 
 def _renewal_cdf(base: RenewalGammaBase, horizon: float) -> tuple[int, np.ndarray]:
@@ -333,20 +344,15 @@ def sample_thinned_counts(
     _check_eps_t(eps, t)
     horizon = t / eps
     if isinstance(base, PoissonBase):
-        base_counts = rng.poisson(base.rate * horizon, size)
+        base_counts = _poisson(rng, base.rate * horizon, size)
     elif isinstance(base, RenewalGammaBase):
         base_counts = _renewal_counts(base, horizon, size, rng)
     elif isinstance(base, CoxBase):
         occ = sample_occupation_integrals(
             base.model, base.model.rates, horizon, size, rng
         )
-        base_counts = rng.poisson(occ)
+        base_counts = _poisson(rng, occ)
     else:
         raise TypeError(f"unsupported base process {base!r}")
     return rng.binomial(base_counts, eps)
 
-
-# An alias of _segment_rounds, kept because bench/tracer.py patches queue_sim.cox_segments.
-def cox_segments(model: CtmcModel, horizon: float, size: int, rng: np.random.Generator):
-    """Stream (replication, state, start, end) sojourn segments; see queue kernels."""
-    return _segment_rounds(model, horizon, size, rng)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 from .arrivals import PeriodicIntensity, PoissonBase, RenewalGammaBase
 from .errors import ConfigError, GeneratorValidationError
-from .expansions import ErlangService, ExponentialService, ServiceModel, UniformService
+from .expansions import MAX_KMAX, ErlangService, ExponentialService, ServiceModel, UniformService
 from .markov_env import CtmcModel, validate_generator
 
 __all__ = [
@@ -161,9 +161,6 @@ class ExperimentConfig:
 
 
 _KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} - {"raw"}
-# An explicit kmax sizes every pmf column and count histogram; above this the
-# arrays alone would take gigabytes.
-MAX_KMAX = 2**20
 
 
 def parse_experiment_config(obj) -> ExperimentConfig:

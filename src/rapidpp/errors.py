@@ -54,3 +54,9 @@ class ConfigError(RapidppError):
     def __init__(self, message: str, path: str = ""):
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
+
+
+class ArgumentError(ConfigError, ValueError):
+    """An unusable argument value; ``path`` names the parameter, which is
+    also the config field that feeds it (``eps``, ``eps_grid``, ``t``, ``reps``).
+    """

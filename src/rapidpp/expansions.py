@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import binom, gammainc, gammaincc, gammaln, pdtr, pdtrc, pdtrik, xlogy
 
-from .arrivals import PeriodicIntensity, _check_eps_t, _finite_horizon
-from .errors import DegenerateMeanError, EnumerationTooLargeError
+from .arrivals import PeriodicIntensity, _check_eps_t, _finite_horizon, _poisson
+from .errors import ArgumentError, DegenerateMeanError, EnumerationTooLargeError
 from .markov_env import CtmcModel, StationaryAnalysis, analyze
 
 __all__ = [
@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 TAIL_MASS = 1e-12
+# An explicit kmax sizes every pmf column and count histogram; above this the
+# arrays alone would take gigabytes.  default_kmax keeps below it too.
+MAX_KMAX = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +76,11 @@ class PmfVector:
 
 
 def default_kmax(mean: float) -> int:
-    """Smallest K whose Poisson(mean) CDF is at least 1 - 1e-12."""
-    return _poisson_ppf(1.0 - TAIL_MASS, mean)
+    """Smallest K whose Poisson(mean) CDF is at least 1 - 1e-12, at most MAX_KMAX."""
+    kmax = _poisson_ppf(1.0 - TAIL_MASS, mean)
+    if kmax > MAX_KMAX:
+        raise EnumerationTooLargeError(f"default kmax {kmax} > {MAX_KMAX} at mean {mean:.3g}")
+    return kmax
 
 
 def _poisson_ppf(q: float, mean: float) -> int:
@@ -82,11 +88,15 @@ def _poisson_ppf(q: float, mean: float) -> int:
 
     This is scipy's own ``poisson._ppf`` (an inverse from ``pdtrik``, then
     one ``pdtr`` step back), so it gives the bits of ``stats.poisson.ppf``
-    without importing ``scipy.stats``.
+    without importing ``scipy.stats``.  ``pdtrik`` returns NaN from mean
+    1e12 up; that raises EnumerationTooLargeError.
     """
     if not (0.0 < q < 1.0 and mean >= 0.0):
         raise ValueError("the Poisson quantile needs 0 < q < 1 and a nonnegative mean")
-    above = math.ceil(pdtrik(q, mean))
+    inverse = pdtrik(q, mean)
+    if math.isnan(inverse):
+        raise EnumerationTooLargeError(f"the Poisson quantile at mean {mean:.3g} is not computable")
+    above = math.ceil(inverse)
     below = max(above - 1, 0)
     return below if pdtr(below, mean) >= q else above
 
@@ -131,7 +141,10 @@ def _first_order_pmf(
     base = poisson_pmf(mean, kmax)
     k = np.arange(base.kmax + 1, dtype=float)
     d1 = k / mean - 1.0
-    d2 = 0.5 * (1.0 - 2.0 * k / mean + k * (k - 1.0) / mean**2)
+    # mean**2 and mean * mean differ in the last bit for some means; mean**2
+    # overflows from 2**512, where the k(k-1) term is 0 anyway
+    square = mean**2 if mean < 2.0**512 else math.inf
+    d2 = 0.5 * (1.0 - 2.0 * k / mean + k * (k - 1.0) / square)
     probs = base.probs * (1.0 + term(d1, d2))
     return PmfVector(probs, base.kmax, base.truncation_mass)
 
@@ -469,10 +482,10 @@ def tv_limit_mc(
     states and forms |product of rate ratios - 1|.
     """
     if reps < 100:
-        raise ValueError("reps must be at least 100")
+        raise ArgumentError("the Monte Carlo estimate needs at least 100 reps", "reps")
     analysis, zero, log_r = _log_ratios(model)
     mu = analysis.lambda_star * t
-    counts = rng.poisson(mu, reps)
+    counts = _poisson(rng, mu, reps)
     total = int(counts.sum())
     states = rng.choice(model.n, size=total, p=analysis.pi)
     cum_log = np.concatenate(([0.0], np.cumsum(log_r[states])))

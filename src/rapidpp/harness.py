@@ -21,10 +21,12 @@ from .arrivals import (
     PeriodicIntensity,
     PoissonBase,
     _check_eps_t,
+    _poisson,
     sample_cox_counts,
     sample_periodic_counts,
     sample_thinned_counts,
 )
+from .errors import ArgumentError
 from .expansions import (
     PmfVector,
     ServiceModel,
@@ -68,7 +70,8 @@ class ExperimentSpec:
     - ``CtmcModel``: count of the Markov-modulated stream;
     - ``PeriodicIntensity``: count of the fast periodic stream;
     - ``PoissonBase``: constant-rate count; a constant rate has no speed
-      parameter, so ``eps`` is ignored (and set to 1);
+      parameter, so ``eps`` is ignored (and set to 1), while every other
+      model needs one: an ``eps`` of None raises ArgumentError;
     - ``RenewalGammaBase`` or ``CoxBase``: count of the base stream sped up
       by 1/eps and thinned with keep probability eps;
     - with a ``service``: infinite-server occupancy fed by the stream.  The
@@ -83,7 +86,7 @@ class ExperimentSpec:
 
     model: Model
     t: float
-    eps: float = 1.0
+    eps: float | None = 1.0
     service: ServiceModel | None = None
 
     def __post_init__(self):
@@ -95,6 +98,8 @@ class ExperimentSpec:
             if self.service is not None:
                 chain = CtmcModel(validate_generator([[0.0]]), np.array([model.rate]), 0)
                 object.__setattr__(self, "model", chain)
+        elif self.eps is None:
+            raise ArgumentError("missing required field", "eps")
         _check_eps_t(self.eps, self.t, eps_zero=True)
         if self.service is not None and not isinstance(self.model, CtmcModel):
             raise ValueError("occupancy experiments need a CtmcModel or a PoissonBase")
@@ -153,7 +158,7 @@ class ExperimentSpec:
         if isinstance(model, PeriodicIntensity):
             return sample_periodic_counts(model, self.eps, self.t, size, rng)
         if isinstance(model, PoissonBase):
-            return rng.poisson(model.rate * self.t, size)
+            return _poisson(rng, model.rate * self.t, size)
         return sample_thinned_counts(model, self.eps, self.t, size, rng)
 
 
@@ -422,10 +427,12 @@ def convergence_study(
     """
     grid = [float(e) for e in eps_grid]
     if not grid or any(not 0.0 < e <= 1.0 for e in grid):
-        raise ValueError("eps grid entries must lie in (0, 1]")
+        raise ArgumentError("entries must lie in (0, 1]", "eps_grid")
     if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("eps grid must be strictly decreasing")
+        raise ArgumentError("entries must decrease strictly", "eps_grid")
     specs = [ExperimentSpec(model, t, eps, service) for eps in grid]
+    if not all(t / eps < math.inf for eps in grid):  # checked before the first estimate
+        raise ArgumentError("t/eps must be finite for every entry", "eps_grid")
     if kmax is None:
         kmax = default_kmax(specs[0].baseline_mean())
     entries = []

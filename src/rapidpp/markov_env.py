@@ -50,12 +50,12 @@ MAX_SEGMENT_ROUNDS = 2**24
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """Validated transition-rate matrix of an irreducible finite CTMC."""
+    """Validated transition-rate matrix of an irreducible finite CTMC, as a read-only copy."""
 
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
+        q = np.array(self.q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise NonSquareError(f"rate matrix must be square, got shape {q.shape}")
         if not np.all(np.isfinite(q)):
@@ -81,6 +81,7 @@ class GeneratorMatrix:
                     "positive-rate graph is not strongly connected "
                     f"({n_comp} strongly connected components)"
                 )
+        q.flags.writeable = False
         object.__setattr__(self, "q", q)
 
     @property
@@ -99,19 +100,22 @@ def validate_generator(q) -> GeneratorMatrix:
     Raises :class:`NonSquareError`, :class:`NegativeOffDiagonalError`,
     :class:`RowSumError` or :class:`ReducibleError` on violation.
     """
-    return GeneratorMatrix(np.array(q, dtype=float))
+    return GeneratorMatrix(q)
 
 
 @dataclass(frozen=True, eq=False)
 class CtmcModel:
-    """Markov environment plus the per-state arrival rate vector f."""
+    """Markov environment plus the per-state arrival rate vector f.
+
+    ``rates`` is a read-only copy: tables cached by model identity stay valid.
+    """
 
     generator: GeneratorMatrix
     rates: np.ndarray
     initial_state: int = 0
 
     def __post_init__(self):
-        rates = np.asarray(self.rates, dtype=float)
+        rates = np.array(self.rates, dtype=float)
         n = self.generator.n
         if rates.shape != (n,):
             raise ValueError(f"rates must have shape ({n},), got {rates.shape}")
@@ -121,6 +125,7 @@ class CtmcModel:
             raise ValueError("at least one state must have a positive rate")
         if not (0 <= self.initial_state < n):
             raise ValueError(f"initial_state {self.initial_state} out of range [0, {n})")
+        rates.flags.writeable = False
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "initial_state", int(self.initial_state))
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arrivals import _finite_horizon, cox_segments
+from .arrivals import _finite_horizon, _poisson
 from .expansions import ServiceModel
-from .markov_env import CtmcModel
+from .markov_env import CtmcModel, _segment_rounds as cox_segments  # bench/tracer.py patches it
 
 __all__ = ["sample_queue_counts"]
 
@@ -48,4 +48,4 @@ def sample_queue_counts(
         right = service.survival_integral(t - eps * end)
         means[idx] += rates[state] * (left[idx] - right)
         left[idx] = right
-    return rng.poisson(np.maximum(means, 0.0))
+    return _poisson(rng, np.maximum(means, 0.0))

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from rapidpp import chi_square_gof, poisson_pmf
+from rapidpp import ExperimentSpec, chi_square_gof, poisson_pmf
 from rapidpp.cli import main
 
 MMPP = {"type": "mmpp", "generator": [[-1, 1], [1, -1]], "rates": [0, 2], "initial_state": 0}
@@ -274,6 +274,20 @@ class TestValidate:
         cfg = write_config(tmp_path, {"model": MMPP, "eps": 0.2})
         assert main(["validate", "--config", cfg]) == 2
 
+    def test_overflowing_last_entry_exits_2_before_any_chunk(self, tmp_path, capsys, monkeypatch):
+        chunks = []
+        sample = ExperimentSpec.sample_counts
+
+        def counting(spec, size, rng):
+            chunks.append(spec.eps)
+            return sample(spec, size, rng)
+
+        monkeypatch.setattr(ExperimentSpec, "sample_counts", counting)
+        doc = {"model": MMPP, "t": 1.0, "eps_grid": [0.5, 1e-320], "reps": 100}
+        assert main(["validate", "--config", write_config(tmp_path, doc)]) == 2
+        assert "eps_grid: " in capsys.readouterr().err
+        assert chunks == []
+
 
 class TestTvLimit:
     def test_exact_value(self, tmp_path, capsys):
@@ -507,6 +521,47 @@ class TestHugeKmax:
         assert "kmax: " in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+
+class TestHugeMeans:
+    CONSTANT = {"type": "constant", "rate": 1.0}
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            # pdtrik gives no Poisson quantile from mean 1e12 up
+            ("expand", {"model": MMPP, "t": 1e13, "eps": 0.5}),
+            ("simulate", {"model": MMPP, "t": 1e13, "eps": 0.5}),
+            ("validate", {"model": MMPP, "t": 1e13, "eps_grid": [0.5, 0.2]}),
+            ("tv-limit", {"model": MMPP, "t": 1e13}),
+            ("analyze", {"model": MMPP, "t": 1e13, "tv_limit": True}),
+            # a 3,012,193-row column of zeros
+            ("expand", {"model": MMPP, "t": 3e6, "eps": 0.5}),
+            # numpy's Poisson sampler stops at about 9.2e18
+            ("simulate", {"model": CONSTANT, "t": 1e19, "kmax": 10}),
+            ("simulate", {"model": PERIODIC, "t": 1e19, "eps": 1.0, "kmax": 10}),
+        ],
+        ids=["expand", "simulate", "validate", "tv-limit", "analyze", "default-kmax",
+             "constant-sampler", "periodic-sampler"],
+    )
+    def test_exits_4(self, tmp_path, command, doc):
+        cfg = write_config(tmp_path, {"reps": 100, **doc})
+        out = tmp_path / "out"
+        proc = run_child(command, cfg, out)
+        assert proc.returncode == 4, proc.stderr
+        assert "guard violation: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_overflowing_square_of_the_mean_gives_the_zero_pmf(self, tmp_path):
+        cfg = write_config(tmp_path, {"model": MMPP, "t": 1e200, "eps": 0.5, "kmax": 10})
+        out = tmp_path / "out.csv"
+        proc = run_child("expand", cfg, out)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "# truncation_mass: 1.0\n" in out.read_text()
+        _, rows = read_csv(out)
+        assert rows.shape == (11, 3) and not rows[:, 1:].any()
 
 
 def test_import_loads_no_scipy_stats():

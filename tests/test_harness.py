@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from rapidpp import (
+    ArgumentError,
     CoxBase,
     CtmcModel,
     ExperimentSpec,
@@ -264,6 +265,12 @@ class TestSpecValidation:
     def test_unsupported_model_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(object(), 1.0)
+
+    def test_only_a_constant_rate_may_omit_eps(self, two_state_model):
+        with pytest.raises(ArgumentError) as info:
+            ExperimentSpec(two_state_model, 1.0, None)
+        assert info.value.path == "eps"
+        assert ExperimentSpec(PoissonBase(1.0), 1.0, None).eps == 1.0
 
     def test_eps_range_enforced(self, two_state_model):
         with pytest.raises(ValueError):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from rapidpp import (
+    ArgumentError,
+    ConfigError,
     CoxBase,
     CtmcModel,
     ErlangService,
@@ -16,6 +18,7 @@ from rapidpp import (
     RenewalGammaBase,
     UniformService,
     construction_equivalence_test,
+    convergence_study,
     corrected_count_pmf,
     corrected_count_pmf_periodic,
     corrected_queue_pmf,
@@ -27,6 +30,7 @@ from rapidpp import (
     sample_periodic_counts,
     sample_queue_counts,
     sample_thinned_counts,
+    tv_limit_mc,
     validate_generator,
 )
 from rapidpp.arrivals import periodic_mean_count
@@ -108,6 +112,28 @@ class TestEpsAndTChecks:
     def test_occupation_horizon_infinite_rejected(self):
         with pytest.raises(ValueError):
             sample_occupation_integrals(MODEL, MODEL.rates, math.inf, 10, _rng())
+
+
+# Each entry is (parameter, call): the call passes one unusable value of it.
+ARGUMENT_ERRORS = {
+    "eps": ("eps", lambda: sample_cox_counts(MODEL, 1.5, 1.0, 10, _rng())),
+    "t/eps": ("eps", lambda: sample_queue_counts(MODEL, SERVICE, 1e-320, 1.0, 10, _rng())),
+    "t": ("t", lambda: sample_cox_counts(MODEL, 0.5, 0.0, 10, _rng())),
+    "reps": ("reps", lambda: tv_limit_mc(MODEL, 1.0, 99, _rng())),
+    "eps_grid": ("eps_grid", lambda: convergence_study(MODEL, None, [0.1, 0.4], 1.0, 100, 0)),
+    "eps_grid t/eps": (
+        "eps_grid", lambda: convergence_study(MODEL, None, [0.5, 1e-320], 1.0, 100, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ARGUMENT_ERRORS))
+def test_argument_error_is_a_value_and_config_error_naming_the_parameter(name):
+    path, call = ARGUMENT_ERRORS[name]
+    with pytest.raises(ArgumentError) as info:
+        call()
+    assert isinstance(info.value, ValueError) and isinstance(info.value, ConfigError)
+    assert info.value.path == path
 
 
 # Each entry calls one function with a NaN in one argument.

@@ -149,6 +149,17 @@ class TestAnalyze:
         with pytest.raises(ValueError):
             make_two_state(rates=(0.0, 0.0))
 
+    def test_model_arrays_are_read_only_copies(self):
+        # the modulated count table is cached by model identity
+        q, rates = np.array([[-1.0, 1.0], [1.0, -1.0]]), np.array([0.0, 2.0])
+        model = CtmcModel(validate_generator(q), rates)
+        with pytest.raises(ValueError):
+            model.rates[0] = 1.0
+        with pytest.raises(ValueError):
+            model.generator.q[0, 0] = -2.0
+        rates[0], q[0, 0] = 1.0, -2.0  # the caller's arrays stay writable
+        assert model.rates[0] == 0.0 and model.generator.q[0, 0] == -1.0
+
 
 class TestSamplePath:
     def test_one_state_model_never_jumps(self, rng):
