@@ -71,17 +71,22 @@ def _integer(value, path: str) -> int:
 def _matrix(value, path: str) -> list[list[float]]:
     if not isinstance(value, list) or not value:
         raise ConfigError("expected a non-empty list of rows", path)
-    rows = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list):
-            raise ConfigError("expected a list of numbers", f"{path}[{i}]")
-        rows.append([_number(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
-    return rows
+    return [_vector(row, f"{path}[{i}]") for i, row in enumerate(value)]
 
 
 def _vector(value, path: str) -> list[float]:
     if not isinstance(value, list):
         raise ConfigError("expected a list of numbers", path)
+    # A row of plain ints and finite floats converts in bulk; any other row
+    # goes entry by entry, so that the error names the first bad entry.
+    if set(map(type, value)) <= {int, float}:
+        try:
+            row = list(map(float, value))
+        except OverflowError:
+            pass
+        else:
+            if all(map(math.isfinite, row)):
+                return row
     return [_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 

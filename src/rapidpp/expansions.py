@@ -18,7 +18,7 @@ from scipy.special import binom, gammainc, gammaincc, gammaln, pdtr, pdtrc, pdtr
 
 from .arrivals import PeriodicIntensity, _check_eps_t, _finite_horizon, _poisson
 from .errors import ArgumentError, DegenerateMeanError, EnumerationTooLargeError
-from .markov_env import CtmcModel, StationaryAnalysis, analyze
+from .markov_env import CtmcModel, analyze
 
 __all__ = [
     "PmfVector",
@@ -113,6 +113,8 @@ def poisson_pmf(mean: float, kmax: int | None = None) -> PmfVector:
         raise ValueError("mean must be nonnegative")
     if kmax is None:
         kmax = default_kmax(mean)
+    if mean == math.inf:  # no mass on a finite count; the recurrence would form 0 * inf
+        return PmfVector(np.zeros(kmax + 1), kmax, 1.0)
     probs = np.empty(kmax + 1)
     probs[0] = math.exp(-mean)
     for k in range(1, kmax + 1):
@@ -405,22 +407,28 @@ def corrected_queue_pmf(
 MAX_TV_TERMS = 30_000_000
 
 
-def _log_ratios(model: CtmcModel) -> tuple[StationaryAnalysis, np.ndarray, np.ndarray]:
-    """The model's analysis, its zero-rate mask and its log rate ratios.
+def _ratio_axes(model: CtmcModel, t: float) -> tuple[float, list[tuple[float, float]]]:
+    """Poisson colouring of the factors of the product of rate ratios.
 
-    The ratio of state i is rates[i] / lambda_star; its log is set to 0 where
-    the rate is zero, and every ratio is exactly one for a constant rate.
+    The ratio of state i is rates[i] / lambda_star.  Returns log_stay, the log
+    chance that no factor has ratio zero, and a (log r_v, mass_v) pair for
+    each distinct ratio r_v other than 0 and 1, in ``np.unique`` order:
+    factors of ratio r_v come as independent Poisson(mass_v) counts,
+    mass_v = lambda_star t pi_v.  A constant rate, or t = 0, gives (0.0, []).
     """
+    if not t >= 0:
+        raise ArgumentError(f"must be nonnegative, got {t}", "t")
     analysis = analyze(model)
     f = model.rates
-    if np.all(f == f[0]):
-        # mathematically the ratio is exactly one; avoid rounding noise
-        ratios = np.ones(model.n)
-    else:
-        ratios = f / analysis.lambda_star
+    if t == 0.0 or np.all(f == f[0]):  # every ratio is exactly one
+        return 0.0, []
+    ratios = f / analysis.lambda_star
     zero = ratios == 0.0
-    log_r = np.where(zero, 0.0, np.log(np.where(zero, 1.0, ratios)))
-    return analysis, zero, log_r
+    mu = analysis.lambda_star * t
+    log_stay = -mu * float(analysis.pi[zero].sum())
+    values, groups = np.unique(np.log(ratios[~zero]), return_inverse=True)
+    masses = mu * np.bincount(groups, weights=analysis.pi[~zero])
+    return log_stay, [(v, m) for v, m in zip(values, masses) if v != 0.0]
 
 
 def tv_limit_exact(model: CtmcModel, t: float, truncation_mass: float = 1e-10) -> float:
@@ -444,16 +452,10 @@ def tv_limit_exact(model: CtmcModel, t: float, truncation_mass: float = 1e-10) -
     A grid that would exceed MAX_TV_TERMS points raises
     EnumerationTooLargeError.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    analysis, zero, log_r = _log_ratios(model)
-    if t == 0.0 or not (np.any(zero) or np.any(log_r)):  # every ratio is one
+    log_stay, axes = _ratio_axes(model, t)
+    if log_stay == 0.0 and not axes:
         return 0.0
-    mu = analysis.lambda_star * t
-    log_stay = -mu * float(analysis.pi[zero].sum())
-    values, groups = np.unique(log_r[~zero], return_inverse=True)
-    masses = mu * np.bincount(groups, weights=analysis.pi[~zero])
-    means = [(m, m * math.exp(v)) for v, m in zip(values, masses) if v != 0.0]
+    means = [(m, m * math.exp(v)) for v, m in axes]
     tail = max(truncation_mass / (2 * max(len(means), 1)), 2.0**-52)
     lengths = [_poisson_ppf(1.0 - tail, max(m)) + 1 for m in means]
     log_p, log_q = np.array([log_stay]), np.array([0.0])
@@ -473,29 +475,31 @@ def tv_limit_exact(model: CtmcModel, t: float, truncation_mass: float = 1e-10) -
     return min(1.0, 0.5 * total)  # pmf rounding at large means can pass 1
 
 
+def _abs_deviations(model: CtmcModel, t: float, reps: int, rng: np.random.Generator) -> np.ndarray:
+    """``reps`` iid draws of |product of rate ratios - 1|, from the axes' counts.
+
+    Each axis draws a Poisson(mass_v) count per replication, in turn; then a
+    uniform per replication zeroes the product with probability 1 - e^log_stay.
+    """
+    log_stay, axes = _ratio_axes(model, t)
+    log_prod = np.zeros(reps)
+    for v, m in axes:
+        log_prod += v * _poisson(rng, m, reps)
+    prod = np.where(rng.random(reps) < -math.expm1(log_stay), 0.0, np.exp(log_prod))
+    return np.abs(prod - 1.0)
+
+
 def tv_limit_mc(
     model: CtmcModel, t: float, reps: int, rng: np.random.Generator
 ) -> tuple[float, float]:
     """Monte Carlo estimate of :func:`tv_limit_exact` with its standard error.
 
-    Each replication draws a Poisson(lambda_star t) number of iid stationary
-    states and forms |product of rate ratios - 1|.
+    Each replication draws the coloured factor counts of :func:`_ratio_axes`,
+    one Poisson count per distinct ratio, and forms |product of rate ratios - 1|.
     """
     if reps < 100:
         raise ArgumentError("the Monte Carlo estimate needs at least 100 reps", "reps")
-    analysis, zero, log_r = _log_ratios(model)
-    mu = analysis.lambda_star * t
-    counts = _poisson(rng, mu, reps)
-    total = int(counts.sum())
-    states = rng.choice(model.n, size=total, p=analysis.pi)
-    cum_log = np.concatenate(([0.0], np.cumsum(log_r[states])))
-    cum_zero = np.concatenate(([0], np.cumsum(zero[states].astype(np.int64))))
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    seg_zero = cum_zero[ends] - cum_zero[starts]
-    seg_log = cum_log[ends] - cum_log[starts]
-    prod = np.where(seg_zero > 0, 0.0, np.exp(seg_log))
-    vals = np.abs(prod - 1.0)
+    vals = _abs_deviations(model, t, reps, rng)
     est = 0.5 * float(vals.mean())
-    se = 0.5 * float(vals.std(ddof=1)) / math.sqrt(reps) if reps > 1 else 0.0
+    se = 0.5 * float(vals.std(ddof=1)) / math.sqrt(reps)
     return est, se

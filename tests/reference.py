@@ -11,8 +11,10 @@ with one service time drawn per arrival.
 Tests check the kernels' laws and the constructions' equivalences against
 it.  It also keeps the limiting total-variation distance computed by
 enumerating state-count compositions, which the package's product-Poisson
-form is checked against, and the Poisson weight with its derivatives, which
-the first-order expansions are built from.
+form is checked against; the per-factor Monte Carlo draw of the product of
+rate ratios, which the package's coloured draw stands in for; and the
+Poisson weight with its derivatives, which the first-order expansions are
+built from.
 
 Piecewise-constant intensities are simulated exactly by per-segment Poisson
 counts with uniform placement; no rejection step is involved.
@@ -42,10 +44,9 @@ from rapidpp.expansions import (
     ExponentialService,
     ServiceModel,
     UniformService,
-    _log_ratios,
     poisson_pmf,
 )
-from rapidpp.markov_env import CtmcModel, _jump_cdf
+from rapidpp.markov_env import CtmcModel, StationaryAnalysis, _jump_cdf, analyze
 
 
 class LengthMismatchError(RapidppError):
@@ -370,6 +371,24 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
 
 
+def _log_ratios(model: CtmcModel) -> tuple[StationaryAnalysis, np.ndarray, np.ndarray]:
+    """The model's analysis, its zero-rate mask and its log rate ratios.
+
+    The ratio of state i is rates[i] / lambda_star; its log is set to 0 where
+    the rate is zero, and every ratio is exactly one for a constant rate.
+    """
+    analysis = analyze(model)
+    f = model.rates
+    if np.all(f == f[0]):
+        # mathematically the ratio is exactly one; avoid rounding noise
+        ratios = np.ones(model.n)
+    else:
+        ratios = f / analysis.lambda_star
+    zero = ratios == 0.0
+    log_r = np.where(zero, 0.0, np.log(np.where(zero, 1.0, ratios)))
+    return analysis, zero, log_r
+
+
 def tv_limit_enumeration(model: CtmcModel, t: float, truncation_mass: float = 1e-10) -> float:
     """Limiting path total-variation distance to the constant-rate approximation.
 
@@ -407,6 +426,28 @@ def tv_limit_enumeration(model: CtmcModel, t: float, truncation_mass: float = 1e
         absdev = np.where(hits_zero, 1.0, np.abs(np.expm1(log_prod)))
         total += pois[n] * float(np.exp(logw) @ absdev)
     return 0.5 * total
+
+
+def per_factor_abs_deviations(
+    model: CtmcModel, t: float, reps: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``reps`` iid draws of |product of rate ratios - 1|, one factor at a time.
+
+    Each replication draws a Poisson(lambda_star t) number of iid stationary
+    states; the product of their rate ratios is zero if any rate is.  The
+    states of all replications are drawn at once, so memory grows with
+    reps * lambda_star t.
+    """
+    analysis, zero, log_r = _log_ratios(model)
+    counts = rng.poisson(analysis.lambda_star * t, reps)
+    states = rng.choice(model.n, size=int(counts.sum()), p=analysis.pi)
+    cum_log = np.concatenate(([0.0], np.cumsum(log_r[states])))
+    cum_zero = np.concatenate(([0], np.cumsum(zero[states].astype(np.int64))))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    seg_zero = cum_zero[ends] - cum_zero[starts]
+    seg_log = cum_log[ends] - cum_log[starts]
+    return np.abs(np.where(seg_zero > 0, 0.0, np.exp(seg_log)) - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -563,6 +563,23 @@ class TestHugeMeans:
         _, rows = read_csv(out)
         assert rows.shape == (11, 3) and not rows[:, 1:].any()
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"model": {"type": "constant", "rate": 10}, "t": 1e308, "kmax": 10},
+            {"model": dict(PERIODIC, values=[4, 0]), "t": 1e308, "eps": 1.0, "kmax": 10},
+        ],
+        ids=["constant", "periodic"],
+    )
+    def test_infinite_mean_gives_the_zero_pmf(self, tmp_path, doc):
+        # the mean rate * t overflows to inf
+        out = tmp_path / "out.csv"
+        proc = run_child("expand", write_config(tmp_path, doc), out)
+        assert proc.returncode == 0, proc.stderr
+        assert "# truncation_mass: 1.0\n" in out.read_text()
+        _, rows = read_csv(out)
+        assert rows.shape == (11, 3) and not rows[:, 1:].any()
+
 
 def test_import_loads_no_scipy_stats():
     # scipy.stats takes about half a second to import; rapidpp needs only scipy.special

@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rapidpp import ConfigError, CtmcModel, PeriodicIntensity, PoissonBase, RenewalGammaBase
+from rapidpp.cli import main
 from rapidpp.config import (
     MAX_KMAX,
+    _number,
+    _vector,
     config_sha256,
     load_config_file,
     parse_experiment_config,
@@ -48,6 +53,56 @@ class TestParseModel:
         with pytest.raises(ConfigError) as err:
             parse_model(doc)
         assert "strongly connected" in str(err.value)
+
+
+# Each bad entry as JSON text, and the message that names it.
+BAD_ENTRIES = {
+    "true": "expected a number, got True",
+    '"1"': "expected a number, got '1'",
+    "null": "expected a number, got None",
+    "NaN": "expected a finite number",
+    "Infinity": "expected a finite number",
+    "1e400": "expected a finite number",
+    "1" + "0" * 400: "expected a finite number",
+    "[1]": "expected a number, got [1]",
+}
+
+
+class TestBadEntries:
+    @pytest.mark.parametrize("entry", list(BAD_ENTRIES), ids=lambda e: e[:8])
+    @pytest.mark.parametrize(
+        "field, path", [("generator", "model.generator[1][2]"), ("rates", "model.rates[2]")]
+    )
+    def test_message_path_and_exit_code(self, tmp_path, capsys, entry, field, path):
+        generator = "[[-2, 1, 1], [1, -2, 1], [1, 1, -2]]"
+        rates = "[0, 1, 2]"
+        if field == "generator":
+            generator = generator.replace("[1, -2, 1]", f"[1, -2, {entry}]")
+        else:
+            rates = f"[0, 1, {entry}]"
+        cfg = tmp_path / "cfg.json"
+        model = f'{{"type": "mmpp", "generator": {generator}, "rates": {rates}}}'
+        cfg.write_text(f'{{"model": {model}}}')
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: {BAD_ENTRIES[entry]}\n"
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(-(10**400), 10**400), st.floats(), st.booleans()), max_size=12
+        )
+    )
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_vector_matches_the_entry_by_entry_check(self, row):
+        try:
+            expected = [_number(x, f"v[{i}]") for i, x in enumerate(row)]
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as info:
+                _vector(row, "v")
+            assert (str(info.value), info.value.path) == (str(exc), exc.path)
+        else:
+            got = _vector(row, "v")
+            assert all(type(x) is float for x in got)
+            assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
 class TestParseService:

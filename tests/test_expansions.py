@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,8 @@ from scipy import stats
 from scipy.special import gammainc
 
 from rapidpp import (
+    ArgumentError,
+    CtmcModel,
     DegenerateMeanError,
     EnumerationTooLargeError,
     ErlangService,
@@ -26,13 +29,23 @@ from rapidpp import (
     poisson_pmf,
     tv_limit_exact,
     tv_limit_mc,
+    validate_generator,
 )
-from rapidpp.expansions import _poisson_logpmf, _poisson_ppf
+from rapidpp.expansions import _abs_deviations, _poisson_logpmf, _poisson_ppf
 
 from conftest import make_two_state, random_irreducible_model
-from reference import _compositions, hk_derivatives, tv_limit_enumeration
+from reference import (
+    _compositions,
+    hk_derivatives,
+    per_factor_abs_deviations,
+    tv_limit_enumeration,
+)
 
 HALF_ON = PeriodicIntensity([0.0, 0.5], [2.0, 0.0])
+# Uniform jumps and rates 0, 1, 2, 5: lambda_star 2, ratios 0, 1/2, 1 and 5/2.
+FOUR_STATE = CtmcModel(
+    validate_generator(np.ones((4, 4)) - 4.0 * np.eye(4)), np.array([0.0, 1.0, 2.0, 5.0])
+)
 
 
 def _eta_squared_exponential(sigma2, rate, t):
@@ -66,6 +79,10 @@ def _mp_survival_and_pdf(service):
 
 
 class TestPoissonPmf:
+    def test_infinite_mean_gives_the_zero_pmf(self):
+        pmf = poisson_pmf(math.inf, 10)
+        assert pmf.kmax == 10 and not pmf.probs.any() and pmf.truncation_mass == 1.0
+
     def test_zero_mean_is_point_mass(self):
         pmf = poisson_pmf(0.0)
         assert pmf.kmax == 0
@@ -594,3 +611,45 @@ class TestTvLimit:
     def test_mc_requires_minimum_reps(self, two_state_model):
         with pytest.raises(ValueError):
             tv_limit_mc(two_state_model, 1.0, 50, np.random.default_rng(0))
+
+    def test_coloured_draw_has_the_per_factor_law(self):
+        # |product - 1| is discrete: one atom per (zero hit, counts of 1/2 and 5/2)
+        reps = 20_000
+        coloured = _abs_deviations(FOUR_STATE, 1.5, reps, np.random.default_rng(71))
+        per_factor = per_factor_abs_deviations(FOUR_STATE, 1.5, reps, np.random.default_rng(72))
+        atoms, cells = np.unique(np.round(np.concatenate([coloured, per_factor]), 9),
+                                 return_inverse=True)
+        table = np.stack([np.bincount(cells[:reps], minlength=atoms.size),
+                          np.bincount(cells[reps:], minlength=atoms.size)])
+        common = table.sum(axis=0) >= 20
+        table = np.column_stack([table[:, common], table[:, ~common].sum(axis=1)])
+        assert common.sum() >= 8
+        assert stats.chi2_contingency(table).pvalue > 1e-3
+
+    def test_mc_memory_does_not_grow_with_the_horizon(self):
+        # lambda_star t = 400 factors per replication; a per-factor draw
+        # would hold 8,000,000 states
+        reps = 20_000
+        tracemalloc.start()
+        try:
+            tv_limit_mc(FOUR_STATE, 200.0, reps, np.random.default_rng(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * reps
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_t_below_zero_or_nan_is_an_argument_error(self, two_state_model, t):
+        for call in (
+            lambda: tv_limit_exact(two_state_model, t),
+            lambda: tv_limit_mc(two_state_model, t, 100, np.random.default_rng(0)),
+        ):
+            with pytest.raises(ArgumentError) as info:
+                call()
+            assert info.value.path == "t"
+
+    def test_infinite_t_is_a_guard_violation(self, two_state_model):
+        with pytest.raises(EnumerationTooLargeError):
+            tv_limit_exact(two_state_model, math.inf)
+        with pytest.raises(EnumerationTooLargeError):
+            tv_limit_mc(two_state_model, math.inf, 100, np.random.default_rng(0))
