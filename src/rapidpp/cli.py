@@ -48,11 +48,15 @@ __all__ = ["main"]
 
 
 def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        fh = open(out, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise ConfigError(f"cannot open for writing: {exc.strerror}", "out") from exc
+    with fh:
+        fh.write(text)
 
 
 def _json_doc(cfg: ExperimentConfig, body: dict) -> str:

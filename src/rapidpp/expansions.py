@@ -127,15 +127,14 @@ def poisson_pmf(mean: float, kmax: int | None = None) -> PmfVector:
 
 
 def _first_order_pmf(
-    mean: float, eps: float, t: float, kmax: int | None, term, degenerate: str
+    mean: float, eps: float, t: float, kmax: int | None, shift_excess, degenerate: str
 ) -> PmfVector:
-    """Poisson(mean) pmf times (1 + term(d1, d2)): the one first-order kernel.
+    """Poisson(mean) pmf times (1 + eps (d1 shift + d2 excess)): the one first-order kernel.
 
-    d1 = k/m - 1 and d2 = 1/2 (1 - 2k/m + k(k-1)/m^2), m = mean, are h'/h and
-    h''/(2h) for the Poisson weight h(m) = e^-m m^k / k!.  ``term``
-    weighs them by the model's shift and excess, times eps; it is called
-    once, after the baseline is built.  A mean that is not positive raises
-    :class:`DegenerateMeanError` before eps and t are checked.
+    d1 = k/m - 1 and d2 = 1/2 (1 - 2k/m + k(k-1)/m^2), m = mean, are h'/h and h''/(2h)
+    for the Poisson weight h(m) = e^-m m^k / k!.  ``shift_excess`` returns the model's
+    (shift, excess); it is called once, after the baseline is built, so its own checks
+    come last.  A mean that is not positive raises DegenerateMeanError before eps and t.
     """
     if not mean > 0:
         raise DegenerateMeanError(degenerate)
@@ -147,7 +146,8 @@ def _first_order_pmf(
     # overflows from 2**512, where the k(k-1) term is 0 anyway
     square = mean**2 if mean < 2.0**512 else math.inf
     d2 = 0.5 * (1.0 - 2.0 * k / mean + k * (k - 1.0) / square)
-    probs = base.probs * (1.0 + term(d1, d2))
+    shift, excess = shift_excess()
+    probs = base.probs * (1.0 + eps * (d1 * shift + d2 * excess))
     return PmfVector(probs, base.kmax, base.truncation_mass)
 
 
@@ -163,15 +163,15 @@ def corrected_count_pmf(
 
     probs[k] = P0(k) * (1 + eps * [(k/mu - 1) g_x0
                + 1/2 (1 - 2k/mu + k(k-1)/mu^2) sigma2 t]),  mu = lambda_star t,
-    where g_x0 is the accumulated-deviation value g at the initial
-    environment state and sigma2 the time-average variance constant.
+    where g_x0 is the accumulated-deviation value g at the initial environment
+    state and sigma2 the time-average variance constant: the occupancy's pmf at S = 1.
     """
     return _first_order_pmf(
         lambda_star * t,
         eps,
         t,
         kmax,
-        lambda d1, d2: eps * (d1 * g_x0 + d2 * sigma2 * t),
+        lambda: (g_x0, sigma2 * t),
         "lambda_star * t must be positive",
     )
 
@@ -200,13 +200,13 @@ def corrected_count_pmf_periodic(
     with c the :func:`periodic_correction_integral`.  At eps 0 the
     correction term is 0 and the pmf is the Poisson baseline.
     """
-
-    def term(d1, d2):
-        c = periodic_correction_integral(intensity, eps, t) if eps > 0 else 0.0
-        return eps * d1 * c
-
     return _first_order_pmf(
-        intensity.average_rate * t, eps, t, kmax, term, "average rate times t must be positive"
+        intensity.average_rate * t,
+        eps,
+        t,
+        kmax,
+        lambda: (periodic_correction_integral(intensity, eps, t) if eps > 0 else 0.0, 0.0),
+        "average rate times t must be positive",
     )
 
 
@@ -385,17 +385,12 @@ def corrected_queue_pmf(
     probs[k] = P0(k) * (1 + eps * [(k/m - 1) g_x0 survival(t)
                + 1/2 (1 - 2k/m + k(k-1)/m^2) eta^2]),  m = mean_q0.
     """
-
-    def term(d1, d2):
-        eta2 = eta_squared(sigma2, service, t)
-        return eps * (d1 * g_x0 * float(service.survival(t)) + d2 * eta2)
-
     return _first_order_pmf(
         mean_q0(lambda_star, service, t),
         eps,
         t,
         kmax,
-        term,
+        lambda: (g_x0 * float(service.survival(t)), eta_squared(sigma2, service, t)),
         "mean occupancy is zero (t = 0 or lambda_star = 0)",
     )
 
@@ -475,18 +470,17 @@ def tv_limit_exact(model: CtmcModel, t: float, truncation_mass: float = 1e-10) -
     return min(1.0, 0.5 * total)  # pmf rounding at large means can pass 1
 
 
-def _abs_deviations(model: CtmcModel, t: float, reps: int, rng: np.random.Generator) -> np.ndarray:
-    """``reps`` iid draws of |product of rate ratios - 1|, from the axes' counts.
+def _products(model: CtmcModel, t: float, reps: int, rng: np.random.Generator) -> np.ndarray:
+    """``reps`` iid draws of the product of rate ratios.
 
-    Each axis draws a Poisson(mass_v) count per replication, in turn; then a
-    uniform per replication zeroes the product with probability 1 - e^log_stay.
+    Each axis draws a Poisson(mass_v) count per replication, in turn; then a uniform per
+    replication zeroes the product with probability 1 - e^log_stay.
     """
     log_stay, axes = _ratio_axes(model, t)
     log_prod = np.zeros(reps)
     for v, m in axes:
         log_prod += v * _poisson(rng, m, reps)
-    prod = np.where(rng.random(reps) < -math.expm1(log_stay), 0.0, np.exp(log_prod))
-    return np.abs(prod - 1.0)
+    return np.where(rng.random(reps) < -math.expm1(log_stay), 0.0, np.exp(log_prod))
 
 
 def tv_limit_mc(
@@ -494,12 +488,11 @@ def tv_limit_mc(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of :func:`tv_limit_exact` with its standard error.
 
-    Each replication draws the coloured factor counts of :func:`_ratio_axes`,
-    one Poisson count per distinct ratio, and forms |product of rate ratios - 1|.
+    Each replication draws the coloured factor counts of :func:`_ratio_axes` and forms the
+    product P of rate ratios.  As E[P] = 1, the limit 1/2 E|P - 1| is E[(1 - P)+], a mean of
+    values in [0, 1] that, unlike a mean of |P - 1|, does not rest on rare huge products.
     """
     if reps < 100:
         raise ArgumentError("the Monte Carlo estimate needs at least 100 reps", "reps")
-    vals = _abs_deviations(model, t, reps, rng)
-    est = 0.5 * float(vals.mean())
-    se = 0.5 * float(vals.std(ddof=1)) / math.sqrt(reps)
-    return est, se
+    vals = np.maximum(1.0 - _products(model, t, reps, rng), 0.0)
+    return float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(reps)

@@ -306,7 +306,24 @@ def _segment_rounds(
         t_now = end
         u = rng.random(size=idx.size)
         state = _next_state(table, width, state, u)
-    return
+
+
+def _segment_sums(segments, weights: np.ndarray, level, size: int) -> np.ndarray:
+    """Per replication, the sum of weights[state] (level(start) - level(end)) over its segments.
+
+    A walk starts at 0 and a segment where its replication's last one ended, so
+    ``level`` runs once a round, at the ends.  A full round adds without scattering.
+    """
+    out, left = np.zeros(size), level(np.zeros(size))
+    for idx, state, _, end in segments:
+        right = level(end)
+        if idx.size == size:
+            out += weights[state] * (left - right)
+            left = right
+        else:
+            out[idx] += weights[state] * (left[idx] - right)
+            left[idx] = right
+    return out
 
 
 def sample_occupation_integrals(
@@ -318,18 +335,10 @@ def sample_occupation_integrals(
 ) -> np.ndarray:
     """Draw ``size`` iid copies of the occupation integral of ``weights``.
 
-    Streams segments instead of materializing paths, so memory stays O(size)
-    regardless of the horizon.  While no replication has reached the horizon
-    a round covers all of them, and its values are added without scattering.
+    Streams segments instead of materializing paths, so memory stays O(size) regardless of
+    the horizon.  A segment adds weights[state] (end - start), the :func:`_segment_sums` of -s.
     """
     if not 0 < horizon < np.inf:  # an infinite horizon would never end the rounds
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     weights = np.asarray(weights, dtype=float)
-    out = np.zeros(size)
-    for idx, state, start, end in _segment_rounds(model, horizon, size, rng):
-        values = weights[state] * (end - start)
-        if idx.size == size:
-            out += values
-        else:
-            out[idx] += values
-    return out
+    return _segment_sums(_segment_rounds(model, horizon, size, rng), weights, np.negative, size)

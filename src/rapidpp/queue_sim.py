@@ -19,7 +19,8 @@ import numpy as np
 
 from .arrivals import _finite_horizon, _poisson
 from .expansions import ServiceModel
-from .markov_env import CtmcModel, _segment_rounds as cox_segments  # bench/tracer.py patches it
+from .markov_env import CtmcModel, _segment_sums
+from .markov_env import _segment_rounds as cox_segments  # bench/tracer.py patches it
 
 __all__ = ["sample_queue_counts"]
 
@@ -32,20 +33,12 @@ def sample_queue_counts(
     size: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw ``size`` iid copies of the occupancy at time t.
+    """Draw ``size`` iid copies of the occupancy at time t, one Poisson draw per replication.
 
-    Streams environment segments for all replications at once.  ``left``
-    holds SI(t - eps start) of each replication's current segment, so each
-    round costs one SI evaluation per replication; after the walk, one
-    Poisson draw per replication.  SI is monotone only to rounding, so a
-    mean that sums to a hair below zero is drawn as zero.
+    The means are the :func:`markov_env._segment_sums` of the level SI(t - eps s).  SI is
+    monotone only to rounding, so a mean that sums to a hair below zero is drawn as zero.
     """
-    horizon = _finite_horizon(eps, t)
-    rates = model.rates
-    means = np.zeros(size)
-    left = np.full(size, service.survival_integral(t))
-    for idx, state, _, end in cox_segments(model, horizon, size, rng):
-        right = service.survival_integral(t - eps * end)
-        means[idx] += rates[state] * (left[idx] - right)
-        left[idx] = right
+    si = service.survival_integral
+    segments = cox_segments(model, _finite_horizon(eps, t), size, rng)
+    means = _segment_sums(segments, model.rates, lambda s: si(t - eps * s), size)
     return _poisson(rng, np.maximum(means, 0.0))

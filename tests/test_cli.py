@@ -363,6 +363,18 @@ class TestOutputDestination:
         assert capsys.readouterr().out == ""
         assert from_flag.exists() and not from_config.exists()
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["missing-dir", "a-dir"])
+    def test_unwritable_out_exits_2_naming_out(self, tmp_path, capsys, where, target):
+        out = str(tmp_path / target)
+        if where == "flag":
+            argv = ["expand", "--config", write_config(tmp_path, self.DOC), "--out", out]
+        else:
+            argv = ["expand", "--config", write_config(tmp_path, dict(self.DOC, out=out))]
+        assert main(argv) == 2
+        assert "out: cannot open for writing" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
 
 class TestNonFiniteNumbers:
     """json.loads reads NaN, Infinity and integers too long for a float;

@@ -31,7 +31,7 @@ from rapidpp import (
     tv_limit_mc,
     validate_generator,
 )
-from rapidpp.expansions import _abs_deviations, _poisson_logpmf, _poisson_ppf
+from rapidpp.expansions import _poisson_logpmf, _poisson_ppf, _products
 
 from conftest import make_two_state, random_irreducible_model
 from reference import (
@@ -435,9 +435,37 @@ class TestCorrectedQueuePmf:
         assert pmf.probs[0] == pytest.approx(expected, abs=1e-12)
         assert pmf.probs[0] == pytest.approx(0.5527277777897868, abs=1e-12)
 
-    def test_degenerate_mean_raises(self):
+    @pytest.mark.parametrize(
+        "pmf",
+        [
+            lambda t: corrected_count_pmf(1.0, 0.0, 1.0, 0.1, t),
+            lambda t: corrected_count_pmf_periodic(HALF_ON, 0.1, t),
+            lambda t: corrected_queue_pmf(1.0, 0.0, 1.0, ExponentialService(1.0), 0.1, t),
+        ],
+        ids=["count", "periodic", "queue"],
+    )
+    def test_degenerate_mean_raises(self, pmf):
+        # the mean check comes first: at t = 0 the periodic integral and
+        # eta_squared would raise ArgumentError and ValueError instead
         with pytest.raises(DegenerateMeanError):
-            corrected_queue_pmf(1.0, 0.0, 1.0, ExponentialService(1.0), 0.1, 0.0)
+            pmf(0.0)
+
+    def test_negative_sigma2_raises(self):
+        with pytest.raises(ValueError, match="sigma2"):
+            corrected_queue_pmf(1.0, 0.0, -0.1, ExponentialService(1.0), 0.1, 1.0)
+
+    def test_a_service_that_outlasts_t_gives_the_count_pmf(self):
+        # S = 1 on [0, t]: mean lambda_star t, shift g_x0 and excess sigma2 t, bit for bit
+        rng = np.random.default_rng(23)
+        cases = [(1.3, -0.4, 0.3, 0.1, 1.7)] + [
+            (rng.uniform(0.1, 20), rng.uniform(-2, 2), rng.uniform(0, 2), rng.uniform(0, 1),
+             rng.uniform(0.1, 5))
+            for _ in range(25)
+        ]
+        for lam, g_x0, sigma2, eps, t in cases:
+            queue = corrected_queue_pmf(lam, g_x0, sigma2, UniformService(2 * t, 3 * t), eps, t)
+            count = corrected_count_pmf(lam, g_x0, sigma2, eps, t)
+            np.testing.assert_array_equal(queue.probs, count.probs)
 
     def test_normalization_and_mean_shift(self):
         rng = np.random.default_rng(5)
@@ -615,7 +643,7 @@ class TestTvLimit:
     def test_coloured_draw_has_the_per_factor_law(self):
         # |product - 1| is discrete: one atom per (zero hit, counts of 1/2 and 5/2)
         reps = 20_000
-        coloured = _abs_deviations(FOUR_STATE, 1.5, reps, np.random.default_rng(71))
+        coloured = np.abs(_products(FOUR_STATE, 1.5, reps, np.random.default_rng(71)) - 1.0)
         per_factor = per_factor_abs_deviations(FOUR_STATE, 1.5, reps, np.random.default_rng(72))
         atoms, cells = np.unique(np.round(np.concatenate([coloured, per_factor]), 9),
                                  return_inverse=True)
@@ -625,6 +653,13 @@ class TestTvLimit:
         table = np.column_stack([table[:, common], table[:, ~common].sum(axis=1)])
         assert common.sum() >= 8
         assert stats.chi2_contingency(table).pvalue > 1e-3
+
+    def test_mc_holds_at_a_large_mean_factor_count(self):
+        # lambda_star t = 40: the rare huge products that make E[product] = 1
+        # dominate the mean of |product - 1|, but not the mean of (1 - product)+
+        est, se = tv_limit_mc(FOUR_STATE, 20.0, 200_000, np.random.default_rng(1))
+        assert abs(est - tv_limit_exact(FOUR_STATE, 20.0)) < 0.01
+        assert se < 0.01
 
     def test_mc_memory_does_not_grow_with_the_horizon(self):
         # lambda_star t = 400 factors per replication; a per-factor draw

@@ -7,6 +7,7 @@ from rapidpp import (
     CtmcModel,
     ErlangService,
     ExponentialService,
+    PmfVector,
     UniformService,
     chi_square_gof,
     chi_square_two_sample,
@@ -15,8 +16,9 @@ from rapidpp import (
     sample_queue_counts,
     validate_generator,
 )
+from rapidpp.arrivals import _cox_count_pmf
 
-from conftest import make_two_state
+from conftest import make_two_state, random_irreducible_model
 from reference import (
     ArrivalStream,
     LengthMismatchError,
@@ -156,3 +158,19 @@ class TestSimulateQueue:
         stream, _ = simulate_cox(two_state_model, 0.2, 5.0, rng)
         counts = [stream.count_before(t) for t in np.linspace(0, 5, 21)]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
+
+
+class TestServiceThatOutlastsT:
+    """No arrival leaves before t, so the occupancy is the count on [0, t]."""
+
+    @pytest.mark.parametrize("eps", [0.25, 0.02])
+    def test_occupancy_has_the_exact_count_law(self, eps):
+        t = 1.0
+        service = UniformService(2 * t, 3 * t)
+        chain = random_irreducible_model(np.random.default_rng(2024), max_states=8, max_rate=3.0)
+        for i, model in enumerate((make_two_state(), chain)):
+            rng = np.random.default_rng([int(1 / eps), i])
+            counts = sample_queue_counts(model, service, eps, t, 50_000, rng)
+            probs = _cox_count_pmf(model, eps, t)
+            ref = PmfVector(probs, probs.size - 1, max(0.0, 1.0 - float(probs.sum())))
+            assert chi_square_gof(np.bincount(counts), ref).p_value > 1e-3
