@@ -5,10 +5,10 @@ Flags: --config PATH, --out PATH, --seed U64, --reps N (each overrides its
 config field), and simulate-only --kind counts|queue.
 
 Exit codes: 0 success, 2 config error (from the parser, or a library
-ArgumentError naming its field), 3 numerical failure (including a modulated
-count table whose generator needs entries below double precision), 4 guard
-violation (the TV limit's product grid, the renewal CDF table, an environment
-segment walk, a default kmax or a Poisson mean is too large).
+ArgumentError naming its field), 3 numerical failure (a modulated count table
+needing generator entries below double precision, or a first-order pmf out of
+double range), 4 guard violation (the TV limit's product grid, the renewal CDF
+table, an environment segment walk, a default kmax or a Poisson mean is too large).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .errors import (
     ZeroMeanRateError,
 )
 from .expansions import (  # noqa: F401
+    PmfVector,
     corrected_count_pmf,  # patched by bench/tracer.py; not called here
     corrected_count_pmf_periodic,  # patched by bench/tracer.py; not called here
     corrected_queue_pmf,  # patched by bench/tracer.py; not called here
@@ -66,15 +67,19 @@ def _json_doc(cfg: ExperimentConfig, body: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_doc(cfg: ExperimentConfig, header: str, rows: list[str], truncation: float) -> str:
+def _csv_doc(cfg: ExperimentConfig, base: PmfVector, corrected: PmfVector, **estimate) -> str:
+    """Config header comments, then a row per count k: k, each ``estimate`` column, both pmfs."""
     canonical = json.dumps(resolved_config_dict(cfg), sort_keys=True, separators=(",", ":"))
+    columns = {**estimate, "p_poisson": base.probs, "p_corrected": corrected.probs}
     lines = [
         f"# config_sha256: {config_sha256(cfg)}",
         f"# config: {canonical}",
-        f"# truncation_mass: {truncation!r}",
-        header,
+        f"# truncation_mass: {base.truncation_mass!r}",
+        ",".join(["k", *columns]),
     ]
-    return "\n".join(lines + rows) + "\n"
+    for k, row in enumerate(zip(*columns.values())):
+        lines.append(f"{k}," + ",".join(f"{float(x)!r}" for x in row))
+    return "\n".join(lines) + "\n"
 
 
 def _require_mmpp(cfg: ExperimentConfig) -> CtmcModel:
@@ -107,11 +112,7 @@ def _cmd_analyze(cfg: ExperimentConfig, out: str | None) -> int:
 
 def _cmd_expand(cfg: ExperimentConfig, out: str | None) -> int:
     base, corrected = _experiment(cfg).expansion(cfg.kmax)
-    rows = [
-        f"{k},{float(p)!r},{float(c)!r}"
-        for k, (p, c) in enumerate(zip(base.probs, corrected.probs))
-    ]
-    _emit(_csv_doc(cfg, "k,p_poisson,p_corrected", rows, base.truncation_mass), out)
+    _emit(_csv_doc(cfg, base, corrected), out)
     return 0
 
 
@@ -121,17 +122,8 @@ def _cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
     est = estimate_pmf(
         spec, cfg.reps, cfg.master_seed, kmax=base.kmax, workers=cfg.workers
     )
-    rows = [
-        f"{k},{float(est.probs[k])!r},{float(est.ci_low[k])!r},{float(est.ci_high[k])!r},"
-        f"{float(base.probs[k])!r},{float(corrected.probs[k])!r}"
-        for k in range(base.kmax + 1)
-    ]
-    _emit(
-        _csv_doc(
-            cfg, "k,p_hat,ci_low,ci_high,p_poisson,p_corrected", rows, base.truncation_mass
-        ),
-        out,
-    )
+    doc = _csv_doc(cfg, base, corrected, p_hat=est.probs, ci_low=est.ci_low, ci_high=est.ci_high)
+    _emit(doc, out)
     return 0
 
 

@@ -26,8 +26,8 @@ class ReducibleError(GeneratorValidationError):
 
 
 class SingularSystemError(RapidppError):
-    """A linear system or a matrix exponential that should be computable
-    turned out numerically degenerate."""
+    """A linear system, a matrix exponential or a first-order pmf that should
+    be computable turned out numerically degenerate or left double range."""
 
 
 class ZeroMeanRateError(RapidppError):

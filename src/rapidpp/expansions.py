@@ -14,10 +14,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import binom, gammainc, gammaincc, gammaln, pdtr, pdtrc, pdtrik, xlogy
+from scipy.special import bdtr, bdtrc, gammainc, gammaincc, gammaln, pdtr, pdtrc, pdtrik, xlogy
 
 from .arrivals import PeriodicIntensity, _check_eps_t, _finite_horizon, _poisson
-from .errors import ArgumentError, DegenerateMeanError, EnumerationTooLargeError
+from .errors import (
+    ArgumentError,
+    DegenerateMeanError,
+    EnumerationTooLargeError,
+    SingularSystemError,
+)
 from .markov_env import CtmcModel, analyze
 
 __all__ = [
@@ -126,28 +131,34 @@ def poisson_pmf(mean: float, kmax: int | None = None) -> PmfVector:
 # first-order corrected pmfs
 
 
-def _first_order_pmf(
-    mean: float, eps: float, t: float, kmax: int | None, shift_excess, degenerate: str
-) -> PmfVector:
-    """Poisson(mean) pmf times (1 + eps (d1 shift + d2 excess)): the one first-order kernel.
-
-    d1 = k/m - 1 and d2 = 1/2 (1 - 2k/m + k(k-1)/m^2), m = mean, are h'/h and h''/(2h)
-    for the Poisson weight h(m) = e^-m m^k / k!.  ``shift_excess`` returns the model's
-    (shift, excess); it is called once, after the baseline is built, so its own checks
-    come last.  A mean that is not positive raises DegenerateMeanError before eps and t.
-    """
+def _baseline(mean: float, eps: float, t: float, kmax: int | None, degenerate: str) -> PmfVector:
+    """Poisson(mean) pmf; a mean that is not positive raises DegenerateMeanError before eps/t."""
     if not mean > 0:
         raise DegenerateMeanError(degenerate)
     _check_eps_t(eps, t, eps_zero=True)
-    base = poisson_pmf(mean, kmax)
+    return poisson_pmf(mean, kmax)
+
+
+def _first_order_pmf(
+    base: PmfVector, mean: float, eps: float, shift: float, excess: float
+) -> PmfVector:
+    """``base`` times (1 + eps (d1 shift + d2 excess)): the one first-order kernel.
+
+    d1 = k/m - 1 and d2 = 1/2 (1 - 2k/m + k(k-1)/m^2), m = mean, are h'/h and h''/(2h)
+    for the Poisson weight h(m) = e^-m m^k / k!.  Callers build ``base`` with _baseline
+    before their pair, so the pair's checks come last.  An entry that leaves double range
+    (k/m, m^2 or the excess does, as at mean 1e-300) raises SingularSystemError.
+    """
     k = np.arange(base.kmax + 1, dtype=float)
-    d1 = k / mean - 1.0
-    # mean**2 and mean * mean differ in the last bit for some means; mean**2
-    # overflows from 2**512, where the k(k-1) term is 0 anyway
-    square = mean**2 if mean < 2.0**512 else math.inf
-    d2 = 0.5 * (1.0 - 2.0 * k / mean + k * (k - 1.0) / square)
-    shift, excess = shift_excess()
-    probs = base.probs * (1.0 + eps * (d1 * shift + d2 * excess))
+    with np.errstate(all="ignore"):
+        d1 = k / mean - 1.0
+        # mean**2 and mean * mean differ in the last bit for some means; mean**2
+        # overflows from 2**512, where the k(k-1) term is 0 anyway
+        square = mean**2 if mean < 2.0**512 else math.inf
+        d2 = 0.5 * (1.0 - 2.0 * k / mean + k * (k - 1.0) / square)
+        probs = base.probs * (1.0 + eps * (d1 * shift + d2 * excess))
+    if not np.all(np.isfinite(probs)):
+        raise SingularSystemError(f"the first-order pmf leaves double range at mean {mean:.3g}")
     return PmfVector(probs, base.kmax, base.truncation_mass)
 
 
@@ -166,14 +177,9 @@ def corrected_count_pmf(
     where g_x0 is the accumulated-deviation value g at the initial environment
     state and sigma2 the time-average variance constant: the occupancy's pmf at S = 1.
     """
-    return _first_order_pmf(
-        lambda_star * t,
-        eps,
-        t,
-        kmax,
-        lambda: (g_x0, sigma2 * t),
-        "lambda_star * t must be positive",
-    )
+    mean = lambda_star * t
+    base = _baseline(mean, eps, t, kmax, "lambda_star * t must be positive")
+    return _first_order_pmf(base, mean, eps, g_x0, sigma2 * t)
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +206,10 @@ def corrected_count_pmf_periodic(
     with c the :func:`periodic_correction_integral`.  At eps 0 the
     correction term is 0 and the pmf is the Poisson baseline.
     """
-    return _first_order_pmf(
-        intensity.average_rate * t,
-        eps,
-        t,
-        kmax,
-        lambda: (periodic_correction_integral(intensity, eps, t) if eps > 0 else 0.0, 0.0),
-        "average rate times t must be positive",
-    )
+    mean = intensity.average_rate * t
+    base = _baseline(mean, eps, t, kmax, "average rate times t must be positive")
+    shift = periodic_correction_integral(intensity, eps, t) if eps > 0 else 0.0
+    return _first_order_pmf(base, mean, eps, shift, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +290,20 @@ class ErlangService:
         return mean / self.rate
 
     def survival_square_integral(self, t: float) -> float:
-        """Integral of survival^2 over [0, t].
+        """Integral of survival^2 over [0, t], in O(shape).
 
-        survival(s)^2 = e^{-2 rate s} sum_{i,j<shape} (rate s)^{i+j} / (i! j!),
-        and each term integrates to a regularized lower incomplete gamma.
+        survival(s)^2 = e^{-2 rate s} sum_{i,j<shape} (rate s)^{i+j} / (i! j!).  Grouped
+        by n = i + j, the terms are c_n (2 rate s)^n / n! with c_n = P(Binomial(n, 1/2)
+        in [n-shape+1, shape-1]), and each integrates to P(n+1, 2 rate t) / (2 rate),
+        P the regularized lower incomplete gamma.  By symmetry c_n = P(B <= m) - P(B > m),
+        m = min(shape-1, n), which keeps both bdtr arguments in [0, n].
         """
         if t <= 0:
             return 0.0
-        i, j = np.indices((self.shape, self.shape))
-        n = i + j
-        terms = binom(n, i) * 0.5 ** (n + 1) * gammainc(n + 1, 2.0 * self.rate * t)
-        return float(np.sum(terms) / self.rate)
+        n = np.arange(2 * self.shape - 1)
+        m = np.minimum(self.shape - 1, n)
+        c = bdtr(m, n, 0.5) - bdtrc(m, n, 0.5)
+        return float(np.sum(c * gammainc(n + 1, 2.0 * self.rate * t)) / (2.0 * self.rate))
 
 
 @dataclass(frozen=True)
@@ -385,14 +390,10 @@ def corrected_queue_pmf(
     probs[k] = P0(k) * (1 + eps * [(k/m - 1) g_x0 survival(t)
                + 1/2 (1 - 2k/m + k(k-1)/m^2) eta^2]),  m = mean_q0.
     """
-    return _first_order_pmf(
-        mean_q0(lambda_star, service, t),
-        eps,
-        t,
-        kmax,
-        lambda: (g_x0 * float(service.survival(t)), eta_squared(sigma2, service, t)),
-        "mean occupancy is zero (t = 0 or lambda_star = 0)",
-    )
+    mean = mean_q0(lambda_star, service, t)
+    base = _baseline(mean, eps, t, kmax, "mean occupancy is zero (t = 0 or lambda_star = 0)")
+    shift = g_x0 * float(service.survival(t))
+    return _first_order_pmf(base, mean, eps, shift, eta_squared(sigma2, service, t))
 
 
 # ---------------------------------------------------------------------------

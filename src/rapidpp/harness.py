@@ -104,48 +104,35 @@ class ExperimentSpec:
         if self.service is not None and not isinstance(self.model, CtmcModel):
             raise ValueError("occupancy experiments need a CtmcModel or a PoissonBase")
 
-    def baseline_mean(self) -> float:
-        """Mean of the constant-rate approximation of this experiment."""
-        model = self.model
-        if self.service is not None:
-            return mean_q0(analyze(model).lambda_star, self.service, self.t)
-        if isinstance(model, CoxBase):
-            model = model.model
-        if isinstance(model, CtmcModel):
-            rate = analyze(model).lambda_star
-        elif isinstance(model, PeriodicIntensity):
-            rate = model.average_rate
-        elif isinstance(model, PoissonBase):
-            rate = model.rate
-        else:
-            rate = model.long_run_rate
-        return rate * self.t
-
-    def expansion(self, kmax: int | None = None) -> tuple[PmfVector, PmfVector]:
-        """The baseline Poisson pmf and the first-order corrected pmf at eps.
-
-        Both cover 0..kmax (by default the baseline's :func:`default_kmax`).
-        A thinned ``CoxBase`` has the law of the modulated stream and takes
-        its correction.  A constant rate needs none; no renewal correction
-        is implemented, so a renewal stream's corrected pmf is the
-        zeroth-order baseline.
-        """
-        model = self.model
-        if isinstance(model, CoxBase):
-            model = model.model
+    def _first_order(self):
+        """(baseline mean, corrected pmf or None, its leading arguments): the one model-type
+        dispatch.  A thinned ``CoxBase`` has the modulated stream's law and takes its
+        correction; a constant rate needs none, and no renewal correction is implemented."""
+        model = self.model.model if isinstance(self.model, CoxBase) else self.model
         if isinstance(model, CtmcModel):
             res = analyze(model)
-            lam = res.lambda_star
-            env = (lam, float(res.g[model.initial_state]), res.sigma2)
+            env = (res.lambda_star, float(res.g[model.initial_state]), res.sigma2)
             if self.service is None:
-                base = poisson_pmf(lam * self.t, kmax)
-                return base, corrected_count_pmf(*env, self.eps, self.t, base.kmax)
-            base = poisson_pmf(mean_q0(lam, self.service, self.t), kmax)
-            return base, corrected_queue_pmf(*env, self.service, self.eps, self.t, base.kmax)
-        base = poisson_pmf(self.baseline_mean(), kmax)
+                return res.lambda_star * self.t, corrected_count_pmf, env
+            mean = mean_q0(res.lambda_star, self.service, self.t)
+            return mean, corrected_queue_pmf, (*env, self.service)
         if isinstance(model, PeriodicIntensity):
-            return base, corrected_count_pmf_periodic(model, self.eps, self.t, base.kmax)
-        return base, base
+            return model.average_rate * self.t, corrected_count_pmf_periodic, (model,)
+        if isinstance(model, PoissonBase):
+            return model.rate * self.t, None, ()
+        return model.long_run_rate * self.t, None, ()
+
+    def baseline_mean(self) -> float:
+        """Mean of the constant-rate approximation of this experiment."""
+        return self._first_order()[0]
+
+    def expansion(self, kmax: int | None = None) -> tuple[PmfVector, PmfVector]:
+        """The baseline Poisson pmf and the first-order corrected pmf at eps, over 0..kmax
+        (by default the baseline's :func:`default_kmax`); without a correction, both are the
+        baseline."""
+        mean, corrected, args = self._first_order()
+        base = poisson_pmf(mean, kmax)
+        return base, corrected(*args, self.eps, self.t, base.kmax) if corrected else base
 
     # Defined on this class and looked up by name: bench/tracer.py patches
     # ExperimentSpec.sample_counts and the sampler names bound in this module.

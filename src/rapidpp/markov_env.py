@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-12
-RESIDUAL_TOL = 1e-10
 # Largest horizon * max exit rate a segment walk accepts; the product bounds
 # the walk's mean number of jumps, one less than its rounds, from above.
 MAX_SEGMENT_ROUNDS = 2**24
@@ -60,7 +59,6 @@ class GeneratorMatrix:
             raise NonSquareError(f"rate matrix must be square, got shape {q.shape}")
         if not np.all(np.isfinite(q)):
             raise NonSquareError("rate matrix entries must be finite")
-        n = q.shape[0]
         off = q.copy()
         np.fill_diagonal(off, 0.0)
         if np.any(off < 0):
@@ -73,14 +71,13 @@ class GeneratorMatrix:
         if np.any(bad):
             i = int(np.argmax(np.abs(row_sums)))
             raise RowSumError(f"row {i} sums to {row_sums[i]:.3e}, expected 0")
-        if n > 1:
-            adjacency = csr_matrix(off > 0)
-            n_comp, _ = connected_components(adjacency, directed=True, connection="strong")
-            if n_comp != 1:
-                raise ReducibleError(
-                    "positive-rate graph is not strongly connected "
-                    f"({n_comp} strongly connected components)"
-                )
+        adjacency = csr_matrix(off > 0)
+        n_comp, _ = connected_components(adjacency, directed=True, connection="strong")
+        if n_comp != 1:
+            raise ReducibleError(
+                "positive-rate graph is not strongly connected "
+                f"({n_comp} strongly connected components)"
+            )
         q.flags.writeable = False
         object.__setattr__(self, "q", q)
 

@@ -593,6 +593,54 @@ class TestHugeMeans:
         assert rows.shape == (11, 3) and not rows[:, 1:].any()
 
 
+class TestFirstOrderOverflow:
+    QUEUE = {"model": MMPP, "t": 1.0, "eps": 0.5, "kind": "queue"}
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            # k/m or m^2 leaves double range at a tiny mean
+            ("expand", {"model": MMPP, "t": 1e-300, "eps": 0.5}),
+            ("expand", {"model": MMPP, "t": 1e-160, "eps": 0.5, "kmax": 3}),
+            ("simulate", {"model": MMPP, "t": 1e-300, "eps": 0.5}),
+            ("validate", {"model": MMPP, "t": 1e-300, "eps_grid": [0.5, 0.2]}),
+            ("expand", dict(QUEUE, service={"type": "exponential", "rate": 1e300})),
+            ("expand", dict(QUEUE, service={"type": "uniform", "a": 0, "b": 1e-300})),
+            ("expand", {"model": PERIODIC, "t": 1e-310, "eps": 0.5, "kmax": 3}),
+            # an infinite mean times an infinite excess
+            ("expand", {"model": dict(MMPP, rates=[0, 10]), "t": 1e308, "eps": 0.5, "kmax": 5}),
+        ],
+        ids=["expand", "expand-kmax-3", "simulate", "validate", "queue-exponential",
+             "queue-uniform", "periodic", "infinite-mean"],
+    )
+    def test_exits_3(self, tmp_path, command, doc):
+        cfg = write_config(tmp_path, {"reps": 100, **doc})
+        out = tmp_path / "out"
+        proc = run_child(command, cfg, out)
+        assert proc.returncode == 3, proc.stderr
+        assert "numerical failure: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not out.exists()
+
+
+class TestLargeErlangShape:
+    def test_analyze_gives_a_finite_eta2(self, tmp_path, capsys):
+        # survival is 1 on [0, t], so eta2 = sigma2 t = 1
+        service = {"type": "erlang", "shape": 3000, "rate": 1.0}
+        cfg = write_config(tmp_path, {"model": MMPP, "t": 1.0, "service": service})
+        assert main(["analyze", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["eta2"] == pytest.approx(1.0, rel=1e-12)
+
+    def test_queue_expand_succeeds(self, tmp_path):
+        service = {"type": "erlang", "shape": 1000, "rate": 1000.0}
+        doc = {"model": MMPP, "t": 1.0, "eps": 0.5, "kind": "queue", "service": service}
+        out = str(tmp_path / "expand.csv")
+        assert main(["expand", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+        _, rows = read_csv(out)
+        assert np.all(np.isfinite(rows))
+
+
 def test_import_loads_no_scipy_stats():
     # scipy.stats takes about half a second to import; rapidpp needs only scipy.special
     code = (

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import gammainc
+from scipy.special import binom, gammainc
 
 from rapidpp import (
     ArgumentError,
@@ -18,6 +19,7 @@ from rapidpp import (
     ErlangService,
     ExponentialService,
     PeriodicIntensity,
+    SingularSystemError,
     UniformService,
     corrected_count_pmf,
     corrected_count_pmf_periodic,
@@ -418,6 +420,44 @@ class TestEtaSquared:
         assert 0.0 <= eta2 <= service.survival_integral(t) * (1.0 + slack)
         assert eta_squared(1.0, service, t + dt) >= eta2 * (1.0 - slack)
 
+    @pytest.mark.parametrize("shape", [1, 2, 7, 40, 200, 500])
+    def test_erlang_sum_matches_the_double_sum(self, shape):
+        # the shape x shape grid that the O(shape) sum replaced; its binom and
+        # 0.5**(n + 1) leave double range from shape about 516
+        i, j = np.indices((shape, shape))
+        n = i + j
+        for rate, t in [(1.0, 0.3), (1.0, float(shape)), (float(shape), 1.0), (2.5, 3.0 * shape)]:
+            ref = np.sum(binom(n, i) * 0.5 ** (n + 1) * gammainc(n + 1, 2.0 * rate * t)) / rate
+            got = ErlangService(shape, rate).survival_square_integral(t)
+            assert got == pytest.approx(ref, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize(
+        "shape, rate, t",
+        [(1000, 1.0, 1.0), (1000, 1000.0, 1.0), (1000, 1.0, 1000.0),
+         (3000, 1.0, 1.0), (3000, 1.0, 2990.0), (3000, 1.0, 5000.0)],
+    )
+    def test_erlang_at_large_shape_against_quadrature(self, shape, rate, t):
+        mp.mp.dps = 30
+        centre, width = mp.mpf(shape) / rate, 12 * mp.sqrt(shape) / rate
+        kinks = [p for p in (centre - width, centre, centre + width) if 0 < p < t]
+        pieces = [mp.mpf(0), *kinks, mp.mpf(t)]
+        ref = float(mp.quad(lambda s: mp.gammainc(shape, rate * s, mp.inf, regularized=True) ** 2,
+                            pieces))
+        got = ErlangService(shape, rate).survival_square_integral(t)
+        assert math.isfinite(got) and got == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_erlang_memory_is_linear_in_the_shape(self):
+        # a shape x shape grid of doubles would take 80 GB here; survival is 1 to
+        # double precision on [0, shape / 2], so the integral is t
+        tracemalloc.start()
+        try:
+            got = ErlangService(100_000, 1.0).survival_square_integral(50_000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == pytest.approx(50_000.0, rel=1e-12, abs=0)
+        assert peak < 64 * (2 * 100_000 - 1)  # 64 bytes per term of the sum
+
 
 class TestCorrectedQueuePmf:
     def test_zero_eps_reduces_to_poisson(self):
@@ -490,6 +530,28 @@ class TestCorrectedQueuePmf:
             mean = float(k @ pmf.probs)
             expected = target_m + eps * g_x0 * float(service.survival(t))
             assert mean == pytest.approx(expected, abs=1e-8)
+
+
+class TestFirstOrderOverflow:
+    @pytest.mark.parametrize(
+        "pmf",
+        [
+            lambda: corrected_count_pmf(1.0, -0.5, 1.0, 0.5, 1e-300),
+            lambda: corrected_count_pmf(1.0, -0.5, 1.0, 0.5, 1e-160, kmax=3),
+            lambda: corrected_count_pmf(5.0, -2.5, 25.0, 0.5, 1e308, kmax=5),
+            lambda: corrected_count_pmf_periodic(HALF_ON, 0.5, 1e-310, kmax=3),
+            lambda: corrected_queue_pmf(1.0, -0.5, 1.0, ExponentialService(1e300), 0.5, 1.0),
+            lambda: corrected_queue_pmf(1.0, -0.5, 1.0, UniformService(0.0, 1e-300), 0.5, 1.0),
+        ],
+        ids=["tiny-mean", "tiny-mean-kmax-3", "infinite-mean", "periodic", "exponential",
+             "uniform"],
+    )
+    def test_raises_singular_system_error_without_warnings(self, pmf):
+        # k/m, m^2 or the excess leaves double range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError, match="double range"):
+                pmf()
 
 
 class TestKernelAgainstHkDerivatives:

@@ -10,6 +10,7 @@ from rapidpp import (
     ArgumentError,
     CoxBase,
     CtmcModel,
+    ErlangService,
     ExperimentSpec,
     ExponentialService,
     PmfEstimate,
@@ -17,17 +18,23 @@ from rapidpp import (
     PmfVector,
     PoissonBase,
     RenewalGammaBase,
+    UniformService,
+    analyze,
     chi_square_gof,
     chi_square_two_sample,
     construction_equivalence_test,
     convergence_study,
+    corrected_count_pmf,
+    corrected_count_pmf_periodic,
+    corrected_queue_pmf,
     estimate_pmf,
     marginal_tv_distance,
+    mean_q0,
     poisson_pmf,
     tv_limit_exact,
 )
 
-from rapidpp import arrivals
+from rapidpp import arrivals, harness
 from rapidpp.harness import CHUNK_SIZE, Z99, _chi2_result
 
 from conftest import make_two_state
@@ -255,6 +262,73 @@ class TestExpansion:
             base, corrected = ExperimentSpec(model, 1.0, 0.0).expansion()
             assert base.probs[0] == pytest.approx(math.exp(-1.0), abs=1e-15)
             np.testing.assert_array_equal(base.probs, corrected.probs)
+
+
+# (model, service, the baseline mean, the public corrected pmf at (eps, t, kmax) or None
+# for the baseline); each CTMC case reads its environment from the spec's own chain
+DISPATCH_T = 1.3
+DISPATCH_CHAIN = make_two_state(rates=(0.5, 3.0))
+DISPATCH_PERIODIC = PeriodicIntensity([0.0, 0.5], [2.0, 0.0])
+DISPATCH_RENEWAL = RenewalGammaBase(2.0, 3.0)
+
+
+def _env(chain):
+    res = analyze(chain)
+    return res.lambda_star, float(res.g[chain.initial_state]), res.sigma2
+
+
+def _queue_case(model, service):
+    return (
+        model,
+        service,
+        lambda chain: mean_q0(analyze(chain).lambda_star, service, DISPATCH_T),
+        lambda chain, *rest: corrected_queue_pmf(*_env(chain), service, *rest),
+    )
+
+
+DISPATCH = {
+    "ctmc": (
+        DISPATCH_CHAIN,
+        None,
+        lambda chain: analyze(chain).lambda_star * DISPATCH_T,
+        lambda chain, *rest: corrected_count_pmf(*_env(chain), *rest),
+    ),
+    "ctmc-exponential": _queue_case(DISPATCH_CHAIN, ExponentialService(1.5)),
+    "ctmc-erlang": _queue_case(DISPATCH_CHAIN, ErlangService(3, 2.0)),
+    "ctmc-uniform": _queue_case(DISPATCH_CHAIN, UniformService(0.2, 1.1)),
+    "periodic": (
+        DISPATCH_PERIODIC,
+        None,
+        lambda _: DISPATCH_PERIODIC.average_rate * DISPATCH_T,
+        lambda _, *rest: corrected_count_pmf_periodic(DISPATCH_PERIODIC, *rest),
+    ),
+    "constant": (PoissonBase(2.0), None, lambda _: 2.0 * DISPATCH_T, None),
+    "constant-queue": _queue_case(PoissonBase(2.0), ExponentialService(1.5)),
+    "renewal": (
+        DISPATCH_RENEWAL, None, lambda _: DISPATCH_RENEWAL.long_run_rate * DISPATCH_T, None
+    ),
+    "cox": (
+        CoxBase(DISPATCH_CHAIN),
+        None,
+        lambda _: analyze(DISPATCH_CHAIN).lambda_star * DISPATCH_T,
+        lambda _, *rest: corrected_count_pmf(*_env(DISPATCH_CHAIN), *rest),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DISPATCH))
+def test_one_dispatch_feeds_the_mean_and_both_pmfs(case, monkeypatch):
+    model, service, mean, direct = DISPATCH[case]
+    kmax = 14
+    spec = ExperimentSpec(model, DISPATCH_T, 0.2, service)
+    calls = []
+    monkeypatch.setattr(harness, "poisson_pmf", lambda *a: calls.append(a) or poisson_pmf(*a))
+    base, corrected = spec.expansion(kmax)
+    assert calls == [(spec.baseline_mean(), kmax)]
+    assert spec.baseline_mean() == mean(spec.model)
+    np.testing.assert_array_equal(base.probs, poisson_pmf(spec.baseline_mean(), kmax).probs)
+    expected = base if direct is None else direct(spec.model, spec.eps, DISPATCH_T, kmax)
+    np.testing.assert_array_equal(corrected.probs, expected.probs)
 
 
 class TestSpecValidation:
