@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -48,15 +49,28 @@ from .markov_env import CtmcModel, analyze
 __all__ = ["main"]
 
 
+def _open_out(out: str, mode: str):
+    try:
+        return open(out, mode, encoding="utf-8", newline="\n")
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise ConfigError(f"cannot open for writing: {exc.strerror}", "out") from exc
+
+
+def _check_out(out: str | None):
+    """Fail before the work on an output path that cannot be opened; an existing file is
+    opened for appending, so it is not truncated, and a file this check creates is removed."""
+    if out:
+        existed = os.path.lexists(out)
+        _open_out(out, "a").close()
+        if not existed:
+            os.remove(out)
+
+
 def _emit(text: str, out: str | None):
     if not out:
         sys.stdout.write(text)
         return
-    try:
-        fh = open(out, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:  # a missing directory, a directory, no permission
-        raise ConfigError(f"cannot open for writing: {exc.strerror}", "out") from exc
-    with fh:
+    with _open_out(out, "w") as fh:
         fh.write(text)
 
 
@@ -189,6 +203,7 @@ def main(argv=None) -> int:
             raw["kind"] = args.kind
         cfg = parse_experiment_config(raw)
         out = args.out or cfg.out
+        _check_out(out)
         if args.command == "analyze":
             return _cmd_analyze(cfg, out)
         if args.command == "expand":

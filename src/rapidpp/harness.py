@@ -2,18 +2,20 @@
 
 Replications are processed in fixed-size chunks; chunk c draws its random
 stream from ``SeedSequence(master_seed, spawn_key=(..., c))``, and chunk
-results are merged by exact integer addition in chunk order.  Outputs are
-therefore byte-identical for any worker count and any execution order.
+results are merged in chunk order (drawn counts by exact integer addition).
+Outputs are therefore byte-identical for any worker count and any execution
+order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc, ndtri
+from scipy.special import chdtrc, gammaln, ndtri
 
 from .arrivals import (
     BaseProcessSpec,
@@ -63,6 +65,15 @@ Z99 = float(ndtri(0.995))
 Model = CtmcModel | PeriodicIntensity | BaseProcessSpec
 
 
+@functools.lru_cache(maxsize=8)
+def _analysis(model: CtmcModel):
+    """``analyze(model)``, once per model, so a study over an eps grid analyzes its model
+    once.  As for ``arrivals._cox_count_cdf``, ``CtmcModel`` compares by identity and its
+    arrays are read-only.  ``analyze`` is looked up at call time, so a patch of
+    ``harness.analyze`` sees every model's first analysis."""
+    return analyze(model)
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentSpec:
     """One experiment at time t; the type of ``model`` decides which.
@@ -80,8 +91,9 @@ class ExperimentSpec:
 
     :meth:`baseline_mean` and :meth:`expansion` give the constant-rate
     Poisson approximation and its first-order eps-correction, and
-    :meth:`sample_counts` draws the exact law.  At eps 0 the corrected pmf
-    equals the baseline; sampling needs eps > 0.
+    :meth:`sample_counts` draws the exact law (or, for an occupancy, its
+    conditional Poisson means).  At eps 0 the corrected pmf equals the
+    baseline; sampling needs eps > 0.
     """
 
     model: Model
@@ -110,7 +122,7 @@ class ExperimentSpec:
         correction; a constant rate needs none, and no renewal correction is implemented."""
         model = self.model.model if isinstance(self.model, CoxBase) else self.model
         if isinstance(model, CtmcModel):
-            res = analyze(model)
+            res = _analysis(model)
             env = (res.lambda_star, float(res.g[model.initial_state]), res.sigma2)
             if self.service is None:
                 return res.lambda_star * self.t, corrected_count_pmf, env
@@ -136,10 +148,18 @@ class ExperimentSpec:
 
     # Defined on this class and looked up by name: bench/tracer.py patches
     # ExperimentSpec.sample_counts and the sampler names bound in this module.
-    def sample_counts(self, size: int, rng: np.random.Generator) -> np.ndarray:
+    def sample_counts(
+        self, size: int, rng: np.random.Generator, *, conditional: bool = False
+    ) -> np.ndarray:
+        """``size`` draws of the experiment's count; with ``conditional``, an occupancy's
+        conditional Poisson means instead (any other experiment raises ValueError)."""
         model = self.model
         if self.service is not None:
-            return sample_queue_counts(model, self.service, self.eps, self.t, size, rng)
+            return sample_queue_counts(
+                model, self.service, self.eps, self.t, size, rng, conditional=conditional
+            )
+        if conditional:
+            raise ValueError("only an occupancy experiment has conditional Poisson means")
         if isinstance(model, CtmcModel):
             return sample_cox_counts(model, self.eps, self.t, size, rng)
         if isinstance(model, PeriodicIntensity):
@@ -151,34 +171,66 @@ class ExperimentSpec:
 
 @dataclass(frozen=True, eq=False)
 class PmfEstimate:
-    """Empirical pmf over 0..kmax with 99% Wald intervals.
+    """Estimated pmf over 0..kmax, its per-bin standard error ``se`` and the
+    99% Wald intervals p̂ ± Z99·se, clipped to [0, 1].
 
     ``counts`` covers every observed count (so it always sums to ``reps``);
-    the probability and interval arrays are truncated at ``kmax``.
+    a conditional-Poisson estimate draws no count and has None.  The
+    probability, se and interval arrays are truncated at ``kmax``.
     """
 
-    counts: np.ndarray
+    counts: np.ndarray | None
     reps: int
     kmax: int
     probs: np.ndarray
+    se: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
 
     @classmethod
+    def _wald(cls, counts, reps: int, kmax: int, probs, se) -> "PmfEstimate":
+        ci_low = np.clip(probs - Z99 * se, 0.0, 1.0)
+        ci_high = np.clip(probs + Z99 * se, 0.0, 1.0)
+        return cls(counts, reps, kmax, probs, se, ci_low, ci_high)
+
+    @classmethod
     def from_counts(cls, counts, reps: int, kmax: int) -> "PmfEstimate":
+        """The empirical pmf of drawn counts, with the binomial se."""
         counts = np.asarray(counts, dtype=np.int64)
         if counts.sum() != reps:
             raise ValueError("counts must sum to reps")
         if counts.size < kmax + 1:
             counts = np.concatenate([counts, np.zeros(kmax + 1 - counts.size, np.int64)])
         probs = counts[: kmax + 1] / reps
-        se = np.sqrt(probs * (1.0 - probs) / reps)
-        ci_low = np.clip(probs - Z99 * se, 0.0, 1.0)
-        ci_high = np.clip(probs + Z99 * se, 0.0, 1.0)
-        return cls(counts, reps, kmax, probs, ci_low, ci_high)
+        return cls._wald(counts, reps, kmax, probs, np.sqrt(probs * (1.0 - probs) / reps))
 
-    def standard_errors(self) -> np.ndarray:
-        return np.sqrt(self.probs * (1.0 - self.probs) / self.reps)
+
+def _poisson_terms(means: np.ndarray, kmax: int) -> np.ndarray:
+    """Per k = 0..kmax, the sum over ``means`` of the Poisson(k; M) pmf, and the sum of
+    the squared deviations of those terms from their mean: a (2, kmax + 1) array.
+
+    Each term is exp(k·log M − M − lgamma(k + 1)), so it stays right where exp(−M)
+    underflows (M above about 745).  The terms are built one k at a time, so memory is
+    one row of the chunk; centring each row on its own mean keeps cancellation from
+    setting a floor under the standard error.
+    """
+    out = np.empty((2, kmax + 1))
+    with np.errstate(divide="ignore"):
+        log_m = np.log(means)
+    row = np.empty_like(means)
+    for k in range(kmax + 1):
+        if k:
+            np.multiply(log_m, k, out=row)
+            row -= means
+            row -= gammaln(k + 1)
+        else:
+            np.negative(means, out=row)
+        np.exp(row, out=row)
+        total = row.sum()
+        row -= total / means.size
+        row *= row
+        out[:, k] = total, row.sum()
+    return out
 
 
 def estimate_pmf(
@@ -189,12 +241,20 @@ def estimate_pmf(
     *,
     workers: int = 1,
     stream_key: tuple[int, ...] = (),
+    conditional: bool = False,
 ) -> PmfEstimate:
     """Estimate the count pmf from ``reps`` independent replications.
 
+    By default each replication draws one count, and the estimate is the
+    empirical pmf.  With ``conditional`` (an occupancy only), each
+    replication contributes the whole Poisson pmf at its conditional mean
+    M_i, and p̂(k) = mean_i Poisson(k; M_i), with the sample standard error
+    of that mean (Asmussen & Glynn, *Stochastic Simulation*, 2007): the
+    same law, with a far smaller variance per bin.
+
     Chunk streams are a pure function of (master_seed, stream_key, chunk
-    index), and chunk results are merged as exact integers in index order,
-    so the estimate does not depend on ``workers``.
+    index), and chunk results are merged in index order, so the estimate
+    does not depend on ``workers``.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -205,14 +265,24 @@ def estimate_pmf(
     def run_chunk(c: int) -> np.ndarray:
         size = min(CHUNK_SIZE, reps - c * CHUNK_SIZE)
         seq = np.random.SeedSequence(master_seed, spawn_key=(*stream_key, c))
-        counts = spec.sample_counts(size, np.random.default_rng(seq))
-        return np.bincount(counts, minlength=kmax + 1)
+        rng = np.random.default_rng(seq)
+        if conditional:
+            return _poisson_terms(spec.sample_counts(size, rng, conditional=True), kmax)
+        return np.bincount(spec.sample_counts(size, rng), minlength=kmax + 1)
 
     if workers <= 1:
         parts = [run_chunk(c) for c in range(n_chunks)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_chunk, range(n_chunks)))
+    if conditional:
+        # each chunk's squares are centred on its own mean; add back the
+        # between-chunk part to centre them all on the overall mean
+        sums, squares = np.array(parts).transpose(1, 0, 2)
+        probs = sums.sum(axis=0) / reps
+        sizes = np.diff(np.minimum(np.arange(n_chunks + 1) * CHUNK_SIZE, reps))[:, None]
+        m2 = (squares + sizes * (sums / sizes - probs) ** 2).sum(axis=0)
+        return PmfEstimate._wald(None, reps, kmax, probs, np.sqrt(m2) / reps)
     width = max(p.size for p in parts)
     merged = np.zeros(width, dtype=np.int64)
     for p in parts:
@@ -389,7 +459,7 @@ class ResidualReport:
 
 def _max_residual(est: PmfEstimate, ref: PmfVector, mask: np.ndarray) -> tuple[float, float]:
     diff = np.abs(est.probs - ref.probs)[mask]
-    ses = est.standard_errors()[mask]
+    ses = est.se[mask]
     i = int(np.argmax(diff))
     return float(diff[i]), float(ses[i])
 
@@ -410,7 +480,9 @@ def convergence_study(
     corrected pmf, in max-over-k absolute error.
 
     The max is restricted to bins whose baseline probability is at least
-    1e-4 so tail bins dominated by Monte Carlo noise are ignored.
+    1e-4 so tail bins dominated by Monte Carlo noise are ignored.  A count
+    pmf is estimated from drawn counts, an occupancy pmf by conditional
+    Poisson (see :func:`estimate_pmf`).  The model is analyzed once.
     """
     grid = [float(e) for e in eps_grid]
     if not grid or any(not 0.0 < e <= 1.0 for e in grid):
@@ -427,7 +499,8 @@ def convergence_study(
         baseline, corrected = spec.expansion(kmax)
         mask = baseline.probs >= MIN_BASELINE_PROB
         est = estimate_pmf(
-            spec, reps, master_seed, kmax, workers=workers, stream_key=(i,)
+            spec, reps, master_seed, kmax, workers=workers, stream_key=(i,),
+            conditional=service is not None,
         )
         r0, se0 = _max_residual(est, baseline, mask)
         r1, se1 = _max_residual(est, corrected, mask)

@@ -9,8 +9,10 @@ marking theorem the occupancy is then exactly Poisson with mean
 integral_0^t f(X(u/eps)) S(t - u) du.  On a sojourn in state x over
 environment time [a, b] that mean gains f[x] (SI(t - eps a) - SI(t - eps b)),
 SI the service's ``survival_integral``, so the kernel draws no arrival and
-no service time.  The arrival-by-arrival simulation of one path is kept as
-the test suite's reference, in ``tests/reference.py``.
+no service time.  With ``conditional=True`` the kernel returns those means
+instead of drawing, for the conditional-Poisson pmf estimate of
+``harness.estimate_pmf``.  The arrival-by-arrival simulation of one path is
+kept as the test suite's reference, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -32,13 +34,16 @@ def sample_queue_counts(
     t: float,
     size: int,
     rng: np.random.Generator,
+    *,
+    conditional: bool = False,
 ) -> np.ndarray:
     """Draw ``size`` iid copies of the occupancy at time t, one Poisson draw per replication.
 
     The means are the :func:`markov_env._segment_sums` of the level SI(t - eps s).  SI is
-    monotone only to rounding, so a mean that sums to a hair below zero is drawn as zero.
+    monotone only to rounding, so a mean that sums to a hair below zero is taken as zero.
+    With ``conditional`` the means themselves are returned, and nothing is drawn.
     """
     si = service.survival_integral
     segments = cox_segments(model, _finite_horizon(eps, t), size, rng)
-    means = _segment_sums(segments, model.rates, lambda s: si(t - eps * s), size)
-    return _poisson(rng, np.maximum(means, 0.0))
+    means = np.maximum(_segment_sums(segments, model.rates, lambda s: si(t - eps * s), size), 0.0)
+    return means if conditional else _poisson(rng, means)

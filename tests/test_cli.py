@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from rapidpp import ExperimentSpec, chi_square_gof, poisson_pmf
+from rapidpp import ExperimentSpec, chi_square_gof, cli, poisson_pmf
 from rapidpp.cli import main
 
 MMPP = {"type": "mmpp", "generator": [[-1, 1], [1, -1]], "rates": [0, 2], "initial_state": 0}
@@ -374,6 +374,26 @@ class TestOutputDestination:
         assert main(argv) == 2
         assert "out: cannot open for writing" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()
+
+    def test_unwritable_out_fails_before_the_monte_carlo(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimate_pmf was called")
+
+        monkeypatch.setattr(cli, "estimate_pmf", refuse)
+        cfg = write_config(tmp_path, dict(self.DOC, reps=1000))
+        out = str(tmp_path / "missing" / "out.csv")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 2
+        assert "out: cannot open for writing" in capsys.readouterr().err
+
+    def test_failed_command_leaves_out_as_it_was(self, tmp_path):
+        cfg = write_config(tmp_path, {"model": MMPP, "eps": 0.2})  # validate needs eps_grid
+        existing = tmp_path / "existing.json"
+        existing.write_text("earlier output")
+        fresh = tmp_path / "fresh.json"
+        for target in (existing, fresh):
+            assert main(["validate", "--config", cfg, "--out", str(target)]) == 2
+        assert existing.read_text() == "earlier output"
+        assert not fresh.exists()
 
 
 class TestNonFiniteNumbers:

@@ -7,10 +7,17 @@ new cases (only on a commit whose outputs are known good)::
     PYTHONPATH=src python tests/test_golden.py
 
 This adds a hash for every case that has none and leaves recorded hashes
-as they are.  If a recorded hash no longer matches, it exits nonzero and
-names the cases.  To re-record a case, delete its entry from the file first.
+as they are.  If a recorded hash no longer matches, it exits nonzero, names
+the cases and writes nothing.  To re-record cases whose output changed on
+purpose, name them::
+
+    PYTHONPATH=src python tests/test_golden.py --rerecord validate-queue
+
+Only the named cases are rewritten; an unknown name is refused, and any
+other recorded hash that moved still fails the run.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -188,15 +195,27 @@ def test_output_matches_golden_hash(name, tmp_path):
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Record the golden output hashes.")
+    parser.add_argument("--rerecord", nargs="+", default=[], metavar="NAME",
+                        help="cases whose recorded hash is replaced")
+    rerecord = set(parser.parse_args().rerecord)
+    unknown = sorted(rerecord - set(CASES))
+    if unknown:
+        sys.exit(f"unknown cases: {', '.join(unknown)}")
     hashes = _recorded()
     with tempfile.TemporaryDirectory() as tmp:
         fresh = {name: run_case(name, tmp) for name in sorted(CASES)}
-    changed = sorted(name for name in hashes if name in fresh and fresh[name] != hashes[name])
+    changed = sorted(
+        name for name in hashes
+        if name in fresh and name not in rerecord and fresh[name] != hashes[name]
+    )
     if changed:
         sys.exit(f"recorded hashes no longer match: {', '.join(changed)}")
     added = sorted(set(fresh) - set(hashes))
-    hashes.update({name: fresh[name] for name in added})
+    hashes.update({name: fresh[name] for name in [*added, *rerecord]})
     with open(HASH_FILE, "w", encoding="utf-8") as fh:
         json.dump(hashes, fh, indent=2, sort_keys=True)
         fh.write("\n")
     sys.stdout.write(f"added {len(added)} hashes to {HASH_FILE}: {', '.join(added) or 'none'}\n")
+    if rerecord:
+        sys.stdout.write(f"re-recorded: {', '.join(sorted(rerecord))}\n")

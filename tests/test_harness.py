@@ -32,10 +32,11 @@ from rapidpp import (
     mean_q0,
     poisson_pmf,
     tv_limit_exact,
+    validate_generator,
 )
 
 from rapidpp import arrivals, harness
-from rapidpp.harness import CHUNK_SIZE, Z99, _chi2_result
+from rapidpp.harness import CHUNK_SIZE, MIN_BASELINE_PROB, Z99, _chi2_result
 
 from conftest import make_two_state
 
@@ -110,6 +111,74 @@ class TestEstimatePmf:
         est = estimate_pmf(spec, 4 * CHUNK_SIZE, 3)
         assert est.counts.sum() == 4 * CHUNK_SIZE
         assert len(built) == 1
+
+
+# queue-validate's experiment: the worked model, Erlang(2, 2) service, t = 1
+QUEUE_SERVICE = ErlangService(2, 2.0)
+
+
+def queue_spec(eps, model=None):
+    return ExperimentSpec(model or make_two_state(), 1.0, eps, QUEUE_SERVICE)
+
+
+class TestConditionalEstimate:
+    def test_independent_of_workers_and_rerun(self):
+        spec = queue_spec(0.1)
+        runs = [
+            estimate_pmf(spec, 2 * CHUNK_SIZE + 1000, 8, conditional=True, workers=w)
+            for w in (1, 4, 1)
+        ]
+        for est in runs[1:]:
+            np.testing.assert_array_equal(est.probs, runs[0].probs)
+            np.testing.assert_array_equal(est.se, runs[0].se)
+        assert runs[0].counts is None
+
+    def test_reported_se_matches_the_spread_over_seeds(self):
+        spec = queue_spec(0.2)
+        kmax = spec.expansion()[0].kmax
+        ests = [estimate_pmf(spec, 4096, seed, kmax, conditional=True) for seed in range(40)]
+        probs = np.array([e.probs for e in ests])
+        mean_se = np.mean([e.se for e in ests], axis=0)
+        bins = probs.mean(axis=0) >= MIN_BASELINE_PROB
+        ratio = probs.std(axis=0, ddof=1)[bins] / mean_se[bins]
+        assert np.all((0.75 <= ratio) & (ratio <= 1.25)), ratio
+
+    @pytest.mark.parametrize("eps", [0.4, 0.05])
+    def test_agrees_with_drawn_counts(self, eps):
+        spec = queue_spec(eps)
+        kmax = spec.expansion()[0].kmax
+        cond = estimate_pmf(spec, 50_000, 3, kmax, conditional=True, stream_key=(0,))
+        drawn = estimate_pmf(spec, 50_000, 3, kmax, stream_key=(1,))
+        bins = drawn.counts[: kmax + 1] > 0
+        gap = np.abs(cond.probs - drawn.probs)[bins]
+        assert np.all(gap <= 4.5 * np.hypot(cond.se, drawn.se)[bins])
+
+    def test_stays_normalized_where_exp_of_minus_the_mean_underflows(self):
+        # a one-state chain at rate 1300 with service that outlasts t: the occupancy
+        # is Poisson(1300) on every path, where poisson_pmf's exp(-M) start is 0
+        spec = ExperimentSpec(PoissonBase(1300.0), 1.0, 1.0, UniformService(2.0, 3.0))
+        kmax = 1400
+        assert not poisson_pmf(1300.0, kmax).probs.any()
+        est = estimate_pmf(spec, 100, 1, kmax, conditional=True)
+        assert est.probs.sum() == pytest.approx(1.0 - stats.poisson.sf(kmax, 1300.0), abs=1e-12)
+        np.testing.assert_allclose(est.probs, stats.poisson.pmf(np.arange(kmax + 1), 1300.0),
+                                   rtol=1e-9, atol=1e-300)
+
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05, 0.02])
+    def test_halves_the_binomial_se_at_queue_validate(self, eps):
+        spec = queue_spec(eps)
+        base = spec.expansion()[0]
+        est = estimate_pmf(spec, CHUNK_SIZE, 21, base.kmax, conditional=True)
+        binomial = np.sqrt(est.probs * (1.0 - est.probs) / est.reps)
+        bins = base.probs >= MIN_BASELINE_PROB
+        assert np.all(est.se[bins] <= 0.5 * binomial[bins])
+
+    def test_count_experiments_have_no_conditional_means(self, two_state_model):
+        spec = ExperimentSpec(two_state_model, 1.0, 0.2)
+        with pytest.raises(ValueError):
+            spec.sample_counts(10, np.random.default_rng(0), conditional=True)
+        with pytest.raises(ValueError):
+            estimate_pmf(spec, 10, 0, conditional=True)
 
 
 class TestMarginalTv:
@@ -201,6 +270,21 @@ class TestConvergenceStudy:
         for entry in report.entries:
             assert entry.zeroth < 3.5 * entry.zeroth_se + 1e-12
             assert entry.first < 3.5 * entry.first_se + 1e-12
+        # one state: every conditional mean is the same, so the estimate is exact
+        one_state = CtmcModel(validate_generator([[0.0]]), [1.0])
+        report = convergence_study(one_state, QUEUE_SERVICE, [0.5, 0.1], 1.0, 50_000, 13)
+        for entry in report.entries:
+            for value in (entry.zeroth, entry.zeroth_se, entry.first, entry.first_se):
+                assert value < 1e-12
+        est = estimate_pmf(queue_spec(0.1, one_state), 50_000, 13, conditional=True)
+        assert np.all(est.se < 1e-12)
+
+    def test_study_analyzes_its_model_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "analyze", lambda m: calls.append(m) or analyze(m))
+        model = make_two_state()
+        convergence_study(model, QUEUE_SERVICE, [0.4, 0.2, 0.1, 0.05], 1.0, 100, 5)
+        assert calls == [model]
 
     def test_first_order_beats_zeroth_on_worked_example(self, two_state_model):
         report = convergence_study(two_state_model, None, [0.4, 0.1], 1.0, 200_000, 29)

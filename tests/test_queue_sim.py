@@ -152,6 +152,14 @@ class TestSimulateQueue:
         res = chi_square_gof(np.bincount(occupancy), poisson_pmf(target))
         assert res.p_value > 0.01
 
+    def test_conditional_returns_the_means_of_the_draw(self, two_state_model):
+        args = (two_state_model, ErlangService(2, 2.0), 0.25, 1.0, 1000)
+        rng = np.random.default_rng(3)
+        means = sample_queue_counts(*args, rng, conditional=True)
+        drawn = sample_queue_counts(*args, np.random.default_rng(3))
+        assert means.dtype == float and means.min() >= 0.0
+        np.testing.assert_array_equal(rng.poisson(means), drawn)
+
     def test_count_before_is_monotone_in_t(self, two_state_model, rng):
         from reference import simulate_cox
 
