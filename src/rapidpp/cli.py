@@ -6,9 +6,11 @@ config field), and simulate-only --kind counts|queue.
 
 Exit codes: 0 success, 2 config error (from the parser, or a library
 ArgumentError naming its field), 3 numerical failure (a modulated count table
-needing generator entries below double precision, or a first-order pmf out of
-double range), 4 guard violation (the TV limit's product grid, the renewal CDF
-table, an environment segment walk, a default kmax or a Poisson mean is too large).
+needing generator entries below double precision, a first-order pmf out of
+double range, a baseline mean that underflows to zero, or a JSON field such as
+sigma2 that is not finite), 4 guard violation (the TV limit's product grid, the
+renewal CDF table, an environment segment walk, a default kmax or a Poisson mean
+is too large).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .config import (
 )
 from .errors import (
     ConfigError,
+    DegenerateMeanError,
     EnumerationTooLargeError,
     SingularSystemError,
     ZeroMeanRateError,
@@ -75,6 +78,13 @@ def _emit(text: str, out: str | None):
 
 
 def _json_doc(cfg: ExperimentConfig, body: dict) -> str:
+    """``body`` with the resolved config and its hash; a field holding inf or NaN, which
+    JSON has no number for, raises SingularSystemError naming the field."""
+    for key, value in body.items():
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError:
+            raise SingularSystemError(f"{key} is not finite") from None
     doc = dict(body)
     doc["config"] = resolved_config_dict(cfg)
     doc["config_sha256"] = config_sha256(cfg)
@@ -217,7 +227,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SingularSystemError, ZeroMeanRateError) as exc:
+    except (SingularSystemError, ZeroMeanRateError, DegenerateMeanError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except EnumerationTooLargeError as exc:

@@ -26,8 +26,10 @@ class ReducibleError(GeneratorValidationError):
 
 
 class SingularSystemError(RapidppError):
-    """A linear system, a matrix exponential or a first-order pmf that should
-    be computable turned out numerically degenerate or left double range."""
+    """A linear system or a matrix exponential that should be computable turned
+    out numerically degenerate, a first-order pmf left double range (an infinite
+    excess times a zero difference of the baseline, say), or a result holds a
+    number JSON cannot write."""
 
 
 class ZeroMeanRateError(RapidppError):
@@ -35,7 +37,8 @@ class ZeroMeanRateError(RapidppError):
 
 
 class DegenerateMeanError(RapidppError, ValueError):
-    """A baseline mean that must be positive is not (t = 0, say).
+    """A baseline mean that must be positive is not (t = 0, or a rate times t that
+    underflows to zero).
 
     It is a ValueError, like every other unusable argument value.
     """

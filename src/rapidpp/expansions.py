@@ -139,26 +139,24 @@ def _baseline(mean: float, eps: float, t: float, kmax: int | None, degenerate: s
     return poisson_pmf(mean, kmax)
 
 
-def _first_order_pmf(
-    base: PmfVector, mean: float, eps: float, shift: float, excess: float
-) -> PmfVector:
-    """``base`` times (1 + eps (d1 shift + d2 excess)): the one first-order kernel.
+def _first_order_pmf(base: PmfVector, eps: float, shift: float, excess: float) -> PmfVector:
+    """p + eps (shift (p1 - p) + 1/2 excess (p2 - 2 p1 + p)): the one first-order kernel.
 
-    d1 = k/m - 1 and d2 = 1/2 (1 - 2k/m + k(k-1)/m^2), m = mean, are h'/h and h''/(2h)
-    for the Poisson weight h(m) = e^-m m^k / k!.  Callers build ``base`` with _baseline
-    before their pair, so the pair's checks come last.  An entry that leaves double range
-    (k/m, m^2 or the excess does, as at mean 1e-300) raises SingularSystemError.
+    p is ``base.probs``, and p1, p2 are p shifted right by one and two counts with zeros
+    in front.  For the Poisson weight h(m) = e^-m m^k / k!, h' = h(k-1) - h(k), so the two
+    backward differences are h' and h'' at the baseline mean, and no k/m or m^2 is formed.
+    Callers build ``base`` with _baseline before their pair, so the pair's checks come
+    last.  An entry that leaves double range raises SingularSystemError: an infinite
+    shift or excess meeting a zero difference (inf * 0, as at an infinite mean), or a
+    finite shift and excess whose terms sum past the largest double.
     """
-    k = np.arange(base.kmax + 1, dtype=float)
-    with np.errstate(all="ignore"):
-        d1 = k / mean - 1.0
-        # mean**2 and mean * mean differ in the last bit for some means; mean**2
-        # overflows from 2**512, where the k(k-1) term is 0 anyway
-        square = mean**2 if mean < 2.0**512 else math.inf
-        d2 = 0.5 * (1.0 - 2.0 * k / mean + k * (k - 1.0) / square)
-        probs = base.probs * (1.0 + eps * (d1 * shift + d2 * excess))
+    p = base.probs
+    p1 = np.concatenate(([0.0], p[:-1]))
+    p2 = np.concatenate(([0.0], p1[:-1]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        probs = p + eps * (shift * (p1 - p) + 0.5 * excess * (p2 - 2.0 * p1 + p))
     if not np.all(np.isfinite(probs)):
-        raise SingularSystemError(f"the first-order pmf leaves double range at mean {mean:.3g}")
+        raise SingularSystemError("the first-order pmf leaves double range")
     return PmfVector(probs, base.kmax, base.truncation_mass)
 
 
@@ -172,14 +170,15 @@ def corrected_count_pmf(
 ) -> PmfVector:
     """First-order corrected pmf of the Markov-modulated arrival count at time t.
 
-    probs[k] = P0(k) * (1 + eps * [(k/mu - 1) g_x0
-               + 1/2 (1 - 2k/mu + k(k-1)/mu^2) sigma2 t]),  mu = lambda_star t,
-    where g_x0 is the accumulated-deviation value g at the initial environment
+    probs[k] = P0(k) + eps * [g_x0 D1(k) + 1/2 sigma2 t D2(k)],
+    P0 the Poisson(lambda_star t) pmf, D1(k) = P0(k-1) - P0(k) and
+    D2(k) = P0(k-2) - 2 P0(k-1) + P0(k) its backward differences (P0 = 0 below
+    count 0), g_x0 the accumulated-deviation value g at the initial environment
     state and sigma2 the time-average variance constant: the occupancy's pmf at S = 1.
     """
     mean = lambda_star * t
     base = _baseline(mean, eps, t, kmax, "lambda_star * t must be positive")
-    return _first_order_pmf(base, mean, eps, g_x0, sigma2 * t)
+    return _first_order_pmf(base, eps, g_x0, sigma2 * t)
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +201,14 @@ def corrected_count_pmf_periodic(
 ) -> PmfVector:
     """First-order corrected count pmf for a fast periodic intensity.
 
-    probs[k] = P0(k) * (1 + eps * (k/mu - 1) c),  mu = average rate * t,
-    with c the :func:`periodic_correction_integral`.  At eps 0 the
-    correction term is 0 and the pmf is the Poisson baseline.
+    probs[k] = P0(k) + eps * c (P0(k-1) - P0(k)),  P0 the Poisson(average rate * t)
+    pmf (0 below count 0), with c the :func:`periodic_correction_integral`.  At
+    eps 0 the correction term is 0 and the pmf is the Poisson baseline.
     """
     mean = intensity.average_rate * t
     base = _baseline(mean, eps, t, kmax, "average rate times t must be positive")
     shift = periodic_correction_integral(intensity, eps, t) if eps > 0 else 0.0
-    return _first_order_pmf(base, mean, eps, shift, 0.0)
+    return _first_order_pmf(base, eps, shift, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +386,14 @@ def corrected_queue_pmf(
 ) -> PmfVector:
     """First-order corrected pmf of the infinite-server occupancy at time t.
 
-    probs[k] = P0(k) * (1 + eps * [(k/m - 1) g_x0 survival(t)
-               + 1/2 (1 - 2k/m + k(k-1)/m^2) eta^2]),  m = mean_q0.
+    probs[k] = P0(k) + eps * [g_x0 survival(t) D1(k) + 1/2 eta^2 D2(k)],
+    P0 the Poisson(mean_q0) pmf and D1, D2 its backward differences as in
+    :func:`corrected_count_pmf`.
     """
     mean = mean_q0(lambda_star, service, t)
     base = _baseline(mean, eps, t, kmax, "mean occupancy is zero (t = 0 or lambda_star = 0)")
     shift = g_x0 * float(service.survival(t))
-    return _first_order_pmf(base, mean, eps, shift, eta_squared(sigma2, service, t))
+    return _first_order_pmf(base, eps, shift, eta_squared(sigma2, service, t))
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,8 @@ def analyze(model: CtmcModel) -> StationaryAnalysis:
     b = -f_centered.copy()
     b[-1] = 0.0
     g = _solve_refined(a, b)
-    sigma2 = 2.0 * float(np.sum(pi * f_centered * g))
+    with np.errstate(over="ignore"):  # rates and g near the largest double give inf
+        sigma2 = 2.0 * float(np.sum(pi * f_centered * g))
     if sigma2 < 0.0:
         if sigma2 < -1e-12:
             raise SingularSystemError(f"sigma2 = {sigma2:.3e} is negative beyond tolerance")

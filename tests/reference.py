@@ -14,7 +14,7 @@ enumerating state-count compositions, which the package's product-Poisson
 form is checked against; the per-factor Monte Carlo draw of the product of
 rate ratios, which the package's coloured draw stands in for; and the
 Poisson weight with its derivatives, which the first-order expansions are
-built from.
+built from, with a high-precision first-order pmf that holds at any mean.
 
 Piecewise-constant intensities are simulated exactly by per-segment Poisson
 counts with uniform placement; no rejection step is involved.
@@ -26,6 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 from scipy import stats
 from scipy.special import gammaln
@@ -473,3 +474,23 @@ def hk_derivatives(k: int, y: float) -> tuple[float, float, float, float]:
         k * (k - 1.0) * (k - 2.0) / y**3 - 3.0 * k * (k - 1.0) / y**2 + 3.0 * k / y - 1.0
     )
     return h, h1, h2, h3
+
+
+def first_order_mp(mean: float, kmax: int, eps: float, shift: float, excess: float) -> np.ndarray:
+    """h + eps (h' shift + h''/2 excess) at counts 0..kmax, by mpmath at 40 digits.
+
+    h is the Poisson weight at ``mean`` and h', h'' are the closed forms of
+    :func:`hk_derivatives`.  mpmath's exponent range holds k/m and m^2 at any positive
+    double mean, so this serves the tiny means where :func:`hk_derivatives` forms 0/0.
+    """
+    with mp.workdps(40):
+        m = mp.mpf(mean)
+        h = mp.exp(-m)
+        out = []
+        for k in range(kmax + 1):
+            if k:
+                h = h * m / k
+            h1 = h * (k / m - 1)
+            h2 = h * (1 - 2 * k / m + k * (k - 1) / m**2)
+            out.append(float(h + eps * (h1 * shift + h2 * excess / 2)))
+    return np.array(out)

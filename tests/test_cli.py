@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -617,21 +618,37 @@ class TestFirstOrderOverflow:
     QUEUE = {"model": MMPP, "t": 1.0, "eps": 0.5, "kind": "queue"}
 
     @pytest.mark.parametrize(
+        "doc, corrected",
+        [
+            # k/m and m^2 leave double range at a tiny mean; the differences of P0 do not
+            ({"model": MMPP, "t": 1e-300, "eps": 0.5}, [1.25]),
+            ({"model": MMPP, "t": 1e-160, "eps": 0.5, "kmax": 3}, [1.25, -0.25, 0.0, 0.0]),
+            (dict(QUEUE, service={"type": "exponential", "rate": 1e300}), [1.0]),
+            (dict(QUEUE, service={"type": "uniform", "a": 0, "b": 1e-300}), [1.0]),
+            ({"model": PERIODIC, "t": 1e-310, "eps": 0.5, "kmax": 3}, [1.0, 0.0, 0.0, 0.0]),
+        ],
+        ids=["expand", "expand-kmax-3", "queue-exponential", "queue-uniform", "periodic"],
+    )
+    def test_tiny_mean_is_answered(self, tmp_path, doc, corrected):
+        # entries below 1e-300 (5e-321 at k = 2 of expand-kmax-3, say) compare as 0
+        out = tmp_path / "out.csv"
+        proc = run_child("expand", write_config(tmp_path, doc), out)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        header, rows = read_csv(out)
+        assert header == ["k", "p_poisson", "p_corrected"]
+        assert rows[:, 2].tolist() == pytest.approx(corrected, rel=1e-15, abs=1e-300)
+
+    @pytest.mark.parametrize(
         "command, doc",
         [
-            # k/m or m^2 leaves double range at a tiny mean
-            ("expand", {"model": MMPP, "t": 1e-300, "eps": 0.5}),
-            ("expand", {"model": MMPP, "t": 1e-160, "eps": 0.5, "kmax": 3}),
+            # the count table at t/eps = 2e-300 needs generator entries below double precision
             ("simulate", {"model": MMPP, "t": 1e-300, "eps": 0.5}),
             ("validate", {"model": MMPP, "t": 1e-300, "eps_grid": [0.5, 0.2]}),
-            ("expand", dict(QUEUE, service={"type": "exponential", "rate": 1e300})),
-            ("expand", dict(QUEUE, service={"type": "uniform", "a": 0, "b": 1e-300})),
-            ("expand", {"model": PERIODIC, "t": 1e-310, "eps": 0.5, "kmax": 3}),
             # an infinite mean times an infinite excess
             ("expand", {"model": dict(MMPP, rates=[0, 10]), "t": 1e308, "eps": 0.5, "kmax": 5}),
         ],
-        ids=["expand", "expand-kmax-3", "simulate", "validate", "queue-exponential",
-             "queue-uniform", "periodic", "infinite-mean"],
+        ids=["simulate", "validate", "infinite-mean"],
     )
     def test_exits_3(self, tmp_path, command, doc):
         cfg = write_config(tmp_path, {"reps": 100, **doc})
@@ -641,6 +658,60 @@ class TestFirstOrderOverflow:
         assert "numerical failure: " in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+        assert not out.exists()
+
+
+class TestUnderflowedMean:
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("expand", {"model": dict(MMPP, rates=[0, 1]), "t": 5e-324, "eps": 0.5},
+             "lambda_star * t must be positive"),
+            ("simulate", {"model": dict(MMPP, rates=[0, 1]), "t": 5e-324, "eps": 0.5},
+             "lambda_star * t must be positive"),
+            ("validate", {"model": dict(MMPP, rates=[0, 1]), "t": 5e-324, "eps_grid": [0.5]},
+             "lambda_star * t must be positive"),
+            ("expand", {"model": dict(PERIODIC, values=[1, 0]), "t": 5e-324, "eps": 0.5},
+             "average rate times t must be positive"),
+        ],
+        ids=["expand", "simulate", "validate", "periodic"],
+    )
+    def test_exits_3(self, tmp_path, command, doc, message):
+        # lambda_star = 1/2 times the smallest subnormal rounds to 0
+        cfg = write_config(tmp_path, {"reps": 100, **doc})
+        out = tmp_path / "out"
+        proc = run_child(command, cfg, out)
+        assert proc.returncode == 3, proc.stderr
+        assert f"numerical failure: {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
+class TestNonFiniteJson:
+    DOC = {"model": dict(MMPP, rates=[0, 1e308]), "t": 1.0}
+
+    def test_analyze_exits_3_naming_sigma2(self, tmp_path):
+        # lambda_star 5e307 and g are finite, but sigma2 = 2 sum pi f_c g overflows
+        out = tmp_path / "out.json"
+        proc = run_child("analyze", write_config(tmp_path, self.DOC), out)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == "numerical failure: sigma2 is not finite\n"
+        assert not out.exists()
+
+    def test_analyze_in_process_raises_no_warning(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.DOC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sigma2" in captured.err
+
+    def test_tv_limit_needs_no_sigma2(self, tmp_path):
+        out = tmp_path / "out.json"
+        proc = run_child("tv-limit", write_config(tmp_path, self.DOC), out)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("guard violation: ")
         assert not out.exists()
 
 

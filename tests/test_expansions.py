@@ -33,11 +33,12 @@ from rapidpp import (
     tv_limit_mc,
     validate_generator,
 )
-from rapidpp.expansions import _poisson_logpmf, _poisson_ppf, _products
+from rapidpp.expansions import _first_order_pmf, _poisson_logpmf, _poisson_ppf, _products
 
 from conftest import make_two_state, random_irreducible_model
 from reference import (
     _compositions,
+    first_order_mp,
     hk_derivatives,
     per_factor_abs_deviations,
     tv_limit_enumeration,
@@ -533,25 +534,89 @@ class TestCorrectedQueuePmf:
 
 
 class TestFirstOrderOverflow:
+    # (pmf, mean, shift, excess, leading entries): k/m and m^2 leave double range at these
+    # means, but the backward differences of the baseline do not
+    TINY_MEANS = {
+        "tiny-mean": (
+            lambda: corrected_count_pmf(1.0, -0.5, 1.0, 0.5, 1e-300), 1e-300, -0.5, 1e-300,
+            [1.25],
+        ),
+        "tiny-mean-kmax-3": (
+            lambda: corrected_count_pmf(1.0, -0.5, 1.0, 0.5, 1e-160, kmax=3), 1e-160, -0.5,
+            1e-160, [1.25, -0.25],
+        ),
+        "periodic": (
+            lambda: corrected_count_pmf_periodic(HALF_ON, 0.5, 1e-310, kmax=3), 1e-310, 2e-310,
+            0.0, [1.0],
+        ),
+        # survival(1) = e^-1e300 = 0, so the shift is 0
+        "exponential": (
+            lambda: corrected_queue_pmf(1.0, -0.5, 1.0, ExponentialService(1e300), 0.5, 1.0),
+            1e-300, 0.0, 5e-301, [1.0],
+        ),
+        "uniform": (
+            lambda: corrected_queue_pmf(1.0, -0.5, 1.0, UniformService(0.0, 1e-300), 0.5, 1.0),
+            5e-301, 0.0, 1e-300 / 3, [1.0],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(TINY_MEANS))
+    def test_tiny_mean_is_answered(self, case):
+        pmf, mean, shift, excess, leading = self.TINY_MEANS[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = pmf().probs
+        assert probs[: len(leading)].tolist() == pytest.approx(leading, rel=1e-15)
+        ref = first_order_mp(mean, probs.size - 1, 0.5, shift, excess)
+        assert np.max(np.abs(probs - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize(
         "pmf",
         [
-            lambda: corrected_count_pmf(1.0, -0.5, 1.0, 0.5, 1e-300),
-            lambda: corrected_count_pmf(1.0, -0.5, 1.0, 0.5, 1e-160, kmax=3),
+            # an infinite mean times an infinite excess: inf * 0
             lambda: corrected_count_pmf(5.0, -2.5, 25.0, 0.5, 1e308, kmax=5),
-            lambda: corrected_count_pmf_periodic(HALF_ON, 0.5, 1e-310, kmax=3),
-            lambda: corrected_queue_pmf(1.0, -0.5, 1.0, ExponentialService(1e300), 0.5, 1.0),
-            lambda: corrected_queue_pmf(1.0, -0.5, 1.0, UniformService(0.0, 1e-300), 0.5, 1.0),
+            # at k = 1 both terms are finite, but they sum to about -2.7e308
+            lambda: corrected_count_pmf(1e-300, -1.7e308, 1e308, 1.0, 1.0, kmax=1),
         ],
-        ids=["tiny-mean", "tiny-mean-kmax-3", "infinite-mean", "periodic", "exponential",
-             "uniform"],
+        ids=["infinite-mean", "overflowing-sum"],
     )
     def test_raises_singular_system_error_without_warnings(self, pmf):
-        # k/m, m^2 or the excess leaves double range
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularSystemError, match="double range"):
                 pmf()
+
+
+class TestKernelAgainstMpmath:
+    """The kernel against a 40-digit h + eps (h' shift + h''/2 excess), from means where
+    k/m and m^2 leave double range up to the largest mean the baseline sums to one at."""
+
+    TRIPLES = ((0.1, -1.5, 0.3), (0.7, 0.8, 1.25), (0.5, -0.5, 1.0))
+
+    @pytest.mark.parametrize("mean", [1e-300, 1e-160, 1e-20, 1e-6, 0.3, 1.7, 6.0, 25.0, 600.0])
+    def test_matches_to_rounding(self, mean):
+        base = poisson_pmf(mean, default_kmax(mean) + 3)
+        for eps, shift, excess in self.TRIPLES:
+            probs = _first_order_pmf(base, eps, shift, excess).probs
+            ref = first_order_mp(mean, base.kmax, eps, shift, excess)
+            assert np.max(np.abs(probs - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        log_mean=st.floats(-300.0, 2.5),
+        kmax=st.integers(0, 60),
+        eps=st.floats(0.0, 1.0),
+        shift=st.floats(-10.0, 10.0),
+        excess=st.floats(0.0, 10.0),
+    )
+    def test_sum_telescopes(self, log_mean, kmax, eps, shift, excess):
+        # the differences sum to -p(K) and p(K) - p(K-1) over 0..K
+        base = poisson_pmf(10.0**log_mean, kmax)
+        p = base.probs
+        below = p[kmax - 1] if kmax else 0.0
+        total = math.fsum(_first_order_pmf(base, eps, shift, excess).probs)
+        expected = math.fsum(p) - eps * shift * p[kmax] + 0.5 * eps * excess * (p[kmax] - below)
+        assert total == pytest.approx(expected, rel=0, abs=(kmax + 2) * 1e-15 * (1 + excess))
 
 
 class TestKernelAgainstHkDerivatives:
