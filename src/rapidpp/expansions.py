@@ -216,7 +216,9 @@ def corrected_count_pmf_periodic(
 
 
 # Every service's survival_integral(t) takes a scalar or an array of t and
-# works elementwise; it is 0 for t <= 0.
+# works elementwise; it is 0 for t <= 0.  Its survival_pieces() gives the
+# survival function as pieces (lo, hi, alpha, T, c): S(s) = alpha exp(T (s - lo)) c
+# on [lo, hi), in increasing order, and S = 0 past the last hi.
 
 
 @dataclass(frozen=True)
@@ -240,6 +242,9 @@ class ExponentialService:
         if t <= 0:
             return 0.0
         return float(-np.expm1(-2.0 * self.rate * t) / (2.0 * self.rate))
+
+    def survival_pieces(self):
+        return [(0.0, math.inf, np.ones(1), np.array([[-self.rate]]), np.ones(1))]
 
 
 # Up to this shape the Erlang survival integral is a sum over the shape's
@@ -304,6 +309,12 @@ class ErlangService:
         c = bdtr(m, n, 0.5) - bdtrc(m, n, 0.5)
         return float(np.sum(c * gammainc(n + 1, 2.0 * self.rate * t)) / (2.0 * self.rate))
 
+    def survival_pieces(self):
+        """One piece: the chance that ``shape`` phases of the given rate are not all done."""
+        k = self.shape
+        phases = self.rate * (np.eye(k, k, 1) - np.eye(k))
+        return [(0.0, math.inf, np.eye(1, k)[0], phases, np.ones(k))]
+
 
 @dataclass(frozen=True)
 class UniformService:
@@ -340,6 +351,15 @@ class UniformService:
         tt = min(t, self.b)
         u = (tt - self.a) / (self.b - self.a)
         return float(self.a + (tt - self.a) * (1.0 - u + u * u / 3.0))
+
+    def survival_pieces(self):
+        """1 on [0, a]; then 1 - (s - a)/(b - a) on [a, b], as (1, 0) exp(T w) (1, -1/(b - a))
+        with T nilpotent: exp(T w) = [[1, w], [0, 1]]."""
+        slope = np.array([1.0, -1.0 / (self.b - self.a)])
+        return [
+            (0.0, self.a, np.ones(1), np.zeros((1, 1)), np.ones(1)),
+            (self.a, self.b, np.eye(1, 2)[0], np.eye(2, 2, 1), slope),
+        ]
 
 
 ServiceModel = ExponentialService | ErlangService | UniformService

@@ -11,13 +11,16 @@ environment time [a, b] that mean gains f[x] (SI(t - eps a) - SI(t - eps b)),
 SI the service's ``survival_integral``, so the kernel draws no arrival and
 no service time.  With ``conditional=True`` the kernel returns those means
 instead of drawing, for the conditional-Poisson pmf estimate of
-``harness.estimate_pmf``.  The arrival-by-arrival simulation of one path is
-kept as the test suite's reference, in ``tests/reference.py``.
+``harness.estimate_pmf``, which uses their exact expectation from
+:func:`_occupancy_mean` as a control variate.  The arrival-by-arrival
+simulation of one path is kept as the test suite's reference, in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import expm
 
 from .arrivals import _finite_horizon, _poisson
 from .expansions import ServiceModel
@@ -25,6 +28,10 @@ from .markov_env import CtmcModel, _segment_sums
 from .markov_env import _segment_rounds as cox_segments  # bench/tracer.py patches it
 
 __all__ = ["sample_queue_counts"]
+
+# Largest block (states plus service phases) whose exponential _occupancy_mean forms;
+# one expm of a 512-square block takes about 0.15 s.
+MAX_OCCUPANCY_BLOCK = 512
 
 
 def sample_queue_counts(
@@ -47,3 +54,35 @@ def sample_queue_counts(
     segments = cox_segments(model, _finite_horizon(eps, t), size, rng)
     means = np.maximum(_segment_sums(segments, model.rates, lambda s: si(t - eps * s), size), 0.0)
     return means if conditional else _poisson(rng, means)
+
+
+def _occupancy_mean(model: CtmcModel, service: ServiceModel, eps: float, t: float):
+    """E[M] = integral_0^t e_x0 exp(Q u/eps) f S(t - u) du, the mean of the conditional
+    Poisson means, or None when a block would exceed ``MAX_OCCUPANCY_BLOCK`` or the result
+    is not finite.
+
+    On a service piece S(s) = alpha exp(T (s - lo)) c, the part of the integral over
+    s = t - u in [lo, min(hi, t)], of width h, is r X c: r = e_x0 exp(Q u0/eps) with
+    u0 = t - min(hi, t), and X the top right block of exp(h [[Q/eps, f alpha], [0, T]])
+    (Van Loan, IEEE TAC 23, 1978).  Its top left block exp(Q h/eps) carries r to the
+    next piece, so the pieces are taken in decreasing s, one expm each.
+    """
+    n = model.n
+    pieces = [p for p in service.survival_pieces() if p[0] < min(p[1], t)]
+    if n + max(p[2].size for p in pieces) > MAX_OCCUPANCY_BLOCK:
+        return None
+    q = model.generator.q / eps
+    row = np.eye(1, n, model.initial_state)[0]
+    end = min(pieces[-1][1], t)
+    if end < t:  # S = 0 on s > end: the environment only moves over u < t - end
+        row = row @ expm(q * (t - end))
+    total = 0.0
+    for lo, hi, alpha, phases, c in reversed(pieces):
+        block = np.zeros((n + alpha.size,) * 2)
+        block[:n, :n] = q
+        block[:n, n:] = np.outer(model.rates, alpha)
+        block[n:, n:] = phases
+        e = expm((min(hi, t) - lo) * block)
+        total += row @ e[:n, n:] @ c
+        row = row @ e[:n, :n]
+    return float(total) if np.isfinite(total) else None

@@ -290,6 +290,17 @@ class TestValidate:
         assert chunks == []
 
 
+    @pytest.mark.parametrize("reps", [1, 2])
+    def test_queue_with_too_few_reps_exits_2(self, tmp_path, capsys, reps):
+        # a residual se needs reps − 2 > 0; one rep used to report an se of 0
+        doc = {"model": MMPP, "kind": "queue", "service": {"type": "erlang", "shape": 2, "rate": 2},
+               "t": 1.0, "eps_grid": [0.2], "reps": reps}
+        out = tmp_path / "report.json"
+        assert main(["validate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert "config error: reps: " in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTvLimit:
     def test_exact_value(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": MMPP, "t": 1.0})
@@ -733,11 +744,14 @@ class TestLargeErlangShape:
 
 
 def test_import_loads_no_scipy_stats():
-    # scipy.stats takes about half a second to import; rapidpp needs only scipy.special
+    # scipy.stats takes about half a second to import; rapidpp needs only scipy.special,
+    # scipy.linalg and scipy.sparse, so no other public subpackage may load either
     code = (
         "import sys\n"
         "def loaded():\n"
-        "    return [m for m in sys.modules if m == 'scipy.stats' or m.startswith('scipy.stats.')]\n"
+        "    return sorted(m for m, mod in list(sys.modules.items()) if m.count('.') == 1\n"
+        "                  and m.startswith('scipy.') and not m.startswith('scipy._')\n"
+        "                  and hasattr(mod, '__path__'))\n"
         "import rapidpp\n"
         "print(loaded())\n"
         "import rapidpp.cli\n"
@@ -745,4 +759,5 @@ def test_import_loads_no_scipy_stats():
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["[]", "[]", ""]
+    subpackages = str(["scipy.linalg", "scipy.sparse", "scipy.special"])
+    assert proc.stdout.split("\n") == [subpackages, subpackages, ""]

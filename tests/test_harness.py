@@ -173,6 +173,56 @@ class TestConditionalEstimate:
         bins = base.probs >= MIN_BASELINE_PROB
         assert np.all(est.se[bins] <= 0.5 * binomial[bins])
 
+    @pytest.mark.parametrize("reps", [2 * CHUNK_SIZE + 1000, 500])
+    def test_is_the_regression_on_the_exact_mean(self, reps):
+        # the chunk merge gives the one-sample regression estimate and its residual se
+        spec = queue_spec(0.1)
+        kmax = spec.expansion()[0].kmax
+        est = estimate_pmf(spec, reps, 4, kmax, conditional=True)
+        means = np.concatenate([
+            spec.sample_counts(min(CHUNK_SIZE, reps - start), np.random.default_rng(
+                np.random.SeedSequence(4, spawn_key=(c,))), conditional=True)
+            for c, start in enumerate(range(0, reps, CHUNK_SIZE))
+        ])
+        terms = stats.poisson.pmf(np.arange(kmax + 1)[:, None], means)
+        dev_m = means - means.mean()
+        dev_p = terms - terms.mean(axis=1, keepdims=True)
+        beta = dev_p @ dev_m / (dev_m @ dev_m)
+        probs = terms.mean(axis=1) - beta * (means.mean() - spec.occupancy_mean())
+        rss = ((dev_p - beta[:, None] * dev_m) ** 2).sum(axis=1)
+        np.testing.assert_allclose(est.probs, probs, rtol=1e-9, atol=1e-15)
+        np.testing.assert_allclose(est.se, np.sqrt(rss / (reps - 2) / reps), rtol=1e-7)
+
+    def test_without_an_exact_mean_it_is_the_plain_average(self, monkeypatch):
+        spec = queue_spec(0.1)
+        kmax = spec.expansion()[0].kmax
+        controlled = estimate_pmf(spec, 5000, 6, kmax, conditional=True)
+        monkeypatch.setattr(ExperimentSpec, "occupancy_mean", lambda self: None)
+        plain = estimate_pmf(spec, 5000, 6, kmax, conditional=True)
+        means = spec.sample_counts(5000, np.random.default_rng(
+            np.random.SeedSequence(6, spawn_key=(0,))), conditional=True)
+        terms = stats.poisson.pmf(np.arange(kmax + 1)[:, None], means)
+        np.testing.assert_allclose(plain.probs, terms.mean(axis=1), rtol=1e-12, atol=1e-17)
+        np.testing.assert_allclose(
+            plain.se, terms.std(axis=1, ddof=2) / math.sqrt(5000), rtol=1e-9, atol=1e-17
+        )
+        bins = plain.probs >= MIN_BASELINE_PROB
+        assert np.all(controlled.se[bins] < plain.se[bins])
+
+    def test_occupancy_mean_only_for_an_occupancy(self, two_state_model):
+        assert ExperimentSpec(two_state_model, 1.0, 0.2).occupancy_mean() is None
+        assert queue_spec(0.0).occupancy_mean() is None
+        constant = ExperimentSpec(PoissonBase(2.0), 1.0, None, QUEUE_SERVICE)
+        si = float(QUEUE_SERVICE.survival_integral(1.0))
+        assert constant.occupancy_mean() == pytest.approx(2.0 * si, rel=1e-14)
+
+    @pytest.mark.parametrize("reps", [1, 2])
+    def test_too_few_reps_for_a_residual_se(self, reps):
+        with pytest.raises(ArgumentError) as info:
+            estimate_pmf(queue_spec(0.2), reps, 0, conditional=True)
+        assert info.value.path == "reps"
+        assert estimate_pmf(queue_spec(0.2), 3, 0, conditional=True).se.any()
+
     def test_count_experiments_have_no_conditional_means(self, two_state_model):
         spec = ExperimentSpec(two_state_model, 1.0, 0.2)
         with pytest.raises(ValueError):
@@ -300,6 +350,18 @@ class TestConvergenceStudy:
         doc = report.to_json_dict()
         assert doc["eps_grid"] == [0.4, 0.2]
         assert {"eps", "ratio", "ratio_se"} <= set(doc["entries"][0])
+
+    def test_queue_validate_resolves_the_second_order_residual(self, two_state_model):
+        # queue-validate's config: with the control variate residual/eps² stays in one
+        # band, 0.055 to 0.08 on most seeds.  At eps 0.02 the max over bins can land on
+        # bin 0 or 1, whose se the linear control leaves largest (1.4e-5 against 1.9e-6
+        # at bin 2), and read up to 0.14 at 2.5 se; above it the residual is resolved.
+        report = convergence_study(
+            two_state_model, QUEUE_SERVICE, [0.2, 0.1, 0.05, 0.02], 1.0, 8 * CHUNK_SIZE, 17
+        )
+        for entry in report.entries:
+            assert 0.045 <= entry.first / entry.eps**2 <= 0.15, entry
+            assert entry.eps < 0.05 or entry.first >= 20 * entry.first_se, entry
 
     def test_grid_must_decrease(self, two_state_model):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from rapidpp import (
     CtmcModel,
@@ -9,6 +10,7 @@ from rapidpp import (
     ExponentialService,
     PmfVector,
     UniformService,
+    analyze,
     chi_square_gof,
     chi_square_two_sample,
     mean_q0,
@@ -17,6 +19,7 @@ from rapidpp import (
     validate_generator,
 )
 from rapidpp.arrivals import _cox_count_pmf
+from rapidpp.queue_sim import MAX_OCCUPANCY_BLOCK, _occupancy_mean
 
 from conftest import make_two_state, random_irreducible_model
 from reference import (
@@ -182,3 +185,79 @@ class TestServiceThatOutlastsT:
             probs = _cox_count_pmf(model, eps, t)
             ref = PmfVector(probs, probs.size - 1, max(0.0, 1.0 - float(probs.sum())))
             assert chi_square_gof(np.bincount(counts), ref).p_value > 1e-3
+
+
+# exponential, Erlang, uniform with a > 0, and uniform with a = 0 ending before t = 1.2
+MEAN_SERVICES = [
+    ExponentialService(1.0),
+    ErlangService(2, 2.0),
+    UniformService(0.25, 1.5),
+    UniformService(0.0, 0.8),
+]
+
+
+def mean_models():
+    return [make_two_state()] + [
+        random_irreducible_model(np.random.default_rng(seed), 5) for seed in (3, 7)
+    ]
+
+
+def occupancy_mean_by_quadrature(model, service, eps, t):
+    """lambda*·SI(t) plus the transient integral of (e_x0 − pi)·exp(Q u/eps)·f·S(t − u)
+    over [0, t], by quad over an eigendecomposition of Q: no block exponential."""
+    res = analyze(model)
+    lam, vec = np.linalg.eig(model.generator.q)
+    start = np.eye(1, model.n, model.initial_state)[0] - res.pi
+    coef = (start @ vec) * np.linalg.solve(vec, model.rates)
+
+    def transient(u):
+        return float(np.real(coef @ np.exp(lam * u / eps))) * float(service.survival(t - u))
+
+    kinks = [t - getattr(service, end, 0.0) for end in ("a", "b")]
+    points = [p for p in [eps, 10 * eps, 100 * eps, *kinks] if 0 < p < t]
+    value, _ = quad(transient, 0, t, points=points, epsabs=1e-17, epsrel=1e-13, limit=500)
+    return res.lambda_star * float(service.survival_integral(t)) + value
+
+
+class TestOccupancyMean:
+    @pytest.mark.parametrize("service", MEAN_SERVICES, ids=repr)
+    def test_agrees_with_quadrature(self, service):
+        t = 1.2
+        for model in mean_models():
+            for eps in (0.5, 0.1, 0.01, 1e-3):
+                exact = occupancy_mean_by_quadrature(model, service, eps, t)
+                assert _occupancy_mean(model, service, eps, t) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("service", MEAN_SERVICES[:3], ids=repr)
+    def test_first_order_mean_is_right_to_order_eps_squared(self, service):
+        # E[M] = lambda*·SI(t) + eps·g[x0]·S(t) + eps²·L + O(eps³), with
+        # L = pdf(t)·(D² f)[x0] and D = (1pi − Q)^-1 − 1pi the deviation matrix
+        t = 1.2
+        pdf = -(service.survival(t + 1e-6) - service.survival(t - 1e-6)) / 2e-6
+        for model in mean_models()[:2]:
+            res = analyze(model)
+            one_pi = np.outer(np.ones(model.n), res.pi)
+            dev = np.linalg.inv(one_pi - model.generator.q) - one_pi
+            limit = pdf * (dev @ dev @ model.rates)[model.initial_state]
+            for eps in (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001):
+                first = res.lambda_star * service.survival_integral(t) + eps * float(
+                    res.g[model.initial_state] * service.survival(t)
+                )
+                ratio = (_occupancy_mean(model, service, eps, t) - first) / eps**2
+                assert abs(ratio - limit) <= 0.1 * eps, (eps, ratio, limit)
+
+    @pytest.mark.parametrize("service", [*MEAN_SERVICES, UniformService(2.0, 3.0)], ids=repr)
+    def test_mean_of_the_conditional_means(self, service):
+        model, eps, t = make_two_state(), 0.1, 1.0
+        rng = np.random.default_rng(11)
+        means = sample_queue_counts(model, service, eps, t, 50_000, rng, conditional=True)
+        se = means.std(ddof=1) / math.sqrt(means.size)
+        assert abs(means.mean() - _occupancy_mean(model, service, eps, t)) <= 4.5 * se
+
+    def test_block_size_cap(self):
+        model = make_two_state()
+        at_cap = ErlangService(MAX_OCCUPANCY_BLOCK - model.n, 400.0)
+        above = ErlangService(MAX_OCCUPANCY_BLOCK - model.n + 1, 400.0)
+        assert _occupancy_mean(model, above, 0.1, 1.0) is None
+        mean = _occupancy_mean(model, at_cap, 0.1, 1.0)
+        assert mean == pytest.approx(occupancy_mean_by_quadrature(model, at_cap, 0.1, 1.0))
