@@ -218,7 +218,8 @@ def corrected_count_pmf_periodic(
 # Every service's survival_integral(t) takes a scalar or an array of t and
 # works elementwise; it is 0 for t <= 0.  Its survival_pieces() gives the
 # survival function as pieces (lo, hi, alpha, T, c): S(s) = alpha exp(T (s - lo)) c
-# on [lo, hi), in increasing order, and S = 0 past the last hi.
+# on [lo, hi), in increasing order, and S = 0 past the last hi.  Its ``phases`` is
+# the largest T's size, known before any piece is built.
 
 
 @dataclass(frozen=True)
@@ -226,6 +227,7 @@ class ExponentialService:
     """Exponential service times with the given rate."""
 
     rate: float
+    phases = 1
 
     def __post_init__(self):
         if not 0 < self.rate < math.inf:
@@ -265,6 +267,10 @@ class ErlangService:
         if not 0 < self.rate < math.inf:
             raise ValueError("rate must be positive and finite")
         object.__setattr__(self, "shape", int(self.shape))
+
+    @property
+    def phases(self) -> int:
+        return self.shape
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
@@ -322,6 +328,7 @@ class UniformService:
 
     a: float
     b: float
+    phases = 2
 
     def __post_init__(self):
         if not 0 <= self.a < self.b < math.inf:

@@ -147,11 +147,8 @@ class ExperimentSpec:
         return base, corrected(*args, self.eps, self.t, base.kmax) if corrected else base
 
     def occupancy_mean(self) -> float | None:
-        """The exact mean of an occupancy's conditional Poisson means (see
-        :func:`queue_sim._occupancy_mean`), or None: for a count, at eps 0, or above the
-        kernel's block-size cap."""
-        if self.service is None or self.eps == 0:
-            return None
+        """The exact mean of an occupancy's conditional Poisson means at eps > 0 (see
+        :func:`queue_sim._occupancy_mean`), or None above the kernel's block-size cap."""
         return _occupancy_mean(self.model, self.service, self.eps, self.t)
 
     # Defined on this class and looked up by name: bench/tracer.py patches

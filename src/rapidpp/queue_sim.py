@@ -58,8 +58,8 @@ def sample_queue_counts(
 
 def _occupancy_mean(model: CtmcModel, service: ServiceModel, eps: float, t: float):
     """E[M] = integral_0^t e_x0 exp(Q u/eps) f S(t - u) du, the mean of the conditional
-    Poisson means, or None when a block would exceed ``MAX_OCCUPANCY_BLOCK`` or the result
-    is not finite.
+    Poisson means, or None when states plus ``service.phases`` exceed
+    ``MAX_OCCUPANCY_BLOCK`` or the result is not finite.
 
     On a service piece S(s) = alpha exp(T (s - lo)) c, the part of the integral over
     s = t - u in [lo, min(hi, t)], of width h, is r X c: r = e_x0 exp(Q u0/eps) with
@@ -68,9 +68,9 @@ def _occupancy_mean(model: CtmcModel, service: ServiceModel, eps: float, t: floa
     next piece, so the pieces are taken in decreasing s, one expm each.
     """
     n = model.n
-    pieces = [p for p in service.survival_pieces() if p[0] < min(p[1], t)]
-    if n + max(p[2].size for p in pieces) > MAX_OCCUPANCY_BLOCK:
+    if n + service.phases > MAX_OCCUPANCY_BLOCK:  # before any k-square phase matrix exists
         return None
+    pieces = [p for p in service.survival_pieces() if p[0] < min(p[1], t)]
     q = model.generator.q / eps
     row = np.eye(1, n, model.initial_state)[0]
     end = min(pieces[-1][1], t)

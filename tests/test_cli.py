@@ -742,6 +742,16 @@ class TestLargeErlangShape:
         _, rows = read_csv(out)
         assert np.all(np.isfinite(rows))
 
+    def test_queue_validate_succeeds(self, tmp_path):
+        # above the exact-mean block cap the estimate runs without its control variate
+        service = {"type": "erlang", "shape": 3000, "rate": 3000.0}
+        doc = {"model": MMPP, "t": 1.0, "eps_grid": [0.5, 0.2], "kind": "queue",
+               "service": service, "reps": 2_000}
+        out = str(tmp_path / "report.json")
+        assert main(["validate", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+        for entry in json.loads(open(out).read())["entries"]:
+            assert np.isfinite(entry["first_order_residual"]) and entry["first_order_se"] > 0
+
 
 def test_import_loads_no_scipy_stats():
     # scipy.stats takes about half a second to import; rapidpp needs only scipy.special,

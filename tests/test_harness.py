@@ -209,9 +209,7 @@ class TestConditionalEstimate:
         bins = plain.probs >= MIN_BASELINE_PROB
         assert np.all(controlled.se[bins] < plain.se[bins])
 
-    def test_occupancy_mean_only_for_an_occupancy(self, two_state_model):
-        assert ExperimentSpec(two_state_model, 1.0, 0.2).occupancy_mean() is None
-        assert queue_spec(0.0).occupancy_mean() is None
+    def test_occupancy_mean_of_a_constant_rate(self):
         constant = ExperimentSpec(PoissonBase(2.0), 1.0, None, QUEUE_SERVICE)
         si = float(QUEUE_SERVICE.survival_integral(1.0))
         assert constant.occupancy_mean() == pytest.approx(2.0 * si, rel=1e-14)

@@ -261,3 +261,11 @@ class TestOccupancyMean:
         assert _occupancy_mean(model, above, 0.1, 1.0) is None
         mean = _occupancy_mean(model, at_cap, 0.1, 1.0)
         assert mean == pytest.approx(occupancy_mean_by_quadrature(model, at_cap, 0.1, 1.0))
+
+    def test_no_phase_matrix_above_the_cap(self, monkeypatch):
+        # a shape-10^6 phase matrix alone would take 8 TB
+        def unbuilt(service):
+            raise AssertionError("survival_pieces built above the cap")
+
+        monkeypatch.setattr(ErlangService, "survival_pieces", unbuilt)
+        assert _occupancy_mean(make_two_state(), ErlangService(10**6, 1.0), 0.1, 1.0) is None
