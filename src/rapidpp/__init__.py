@@ -28,6 +28,7 @@ from .errors import (
     GeneratorValidationError,
     NegativeOffDiagonalError,
     NonSquareError,
+    NotANumberError,
     RapidppError,
     ReducibleError,
     RowSumError,

@@ -228,7 +228,8 @@ def _cox_count_pmf(model: CtmcModel, eps: float, t: float) -> np.ndarray | None:
     below about 1e-292), raises SingularSystemError.
     """
     n = model.n
-    fits = pdtrc(np.arange(MAX_COX_TABLE // n), model.rates.max() * t) <= 2.0**-64
+    with np.errstate(over="ignore"):  # a mean past the largest double fits no table
+        fits = pdtrc(np.arange(MAX_COX_TABLE // n), model.rates.max() * t) <= 2.0**-64
     if not fits.any():
         return None
     rows = int(np.argmax(fits)) + 1

@@ -7,10 +7,10 @@ config field), and simulate-only --kind counts|queue.
 Exit codes: 0 success, 2 config error (from the parser, or a library
 ArgumentError naming its field), 3 numerical failure (a modulated count table
 needing generator entries below double precision, a first-order pmf out of
-double range, a baseline mean that underflows to zero, or a JSON field such as
-sigma2 that is not finite), 4 guard violation (the TV limit's product grid, the
-renewal CDF table, an environment segment walk, a default kmax or a Poisson mean
-is too large).
+double range, a baseline mean or validate's baseline pmf that underflows to
+zero, a NaN sigma2, or a JSON field such as sigma2 that is not finite), 4 guard
+violation (the TV limit's product grid, the renewal CDF table, an environment
+segment walk, a default kmax or a Poisson mean is too large).
 """
 
 from __future__ import annotations

@@ -32,6 +32,12 @@ class SingularSystemError(RapidppError):
     number JSON cannot write."""
 
 
+class NotANumberError(SingularSystemError, ValueError):
+    """A computed quantity is NaN, as sigma2 is when its sum meets an inf and a -inf
+    term.  It is a ValueError to the function handed it, like every other unusable
+    argument value."""
+
+
 class ZeroMeanRateError(RapidppError):
     """The long-run average arrival rate is zero, so no analysis is possible."""
 

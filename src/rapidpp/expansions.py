@@ -21,6 +21,7 @@ from .errors import (
     ArgumentError,
     DegenerateMeanError,
     EnumerationTooLargeError,
+    NotANumberError,
     SingularSystemError,
 )
 from .markov_env import CtmcModel, analyze
@@ -222,33 +223,6 @@ def corrected_count_pmf_periodic(
 # the largest T's size, known before any piece is built.
 
 
-@dataclass(frozen=True)
-class ExponentialService:
-    """Exponential service times with the given rate."""
-
-    rate: float
-    phases = 1
-
-    def __post_init__(self):
-        if not 0 < self.rate < math.inf:
-            raise ValueError("rate must be positive and finite")
-
-    def survival(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, np.exp(-self.rate * x), 1.0)
-
-    def survival_integral(self, t):
-        return -np.expm1(-self.rate * np.maximum(t, 0.0)) / self.rate
-
-    def survival_square_integral(self, t: float) -> float:
-        if t <= 0:
-            return 0.0
-        return float(-np.expm1(-2.0 * self.rate * t) / (2.0 * self.rate))
-
-    def survival_pieces(self):
-        return [(0.0, math.inf, np.ones(1), np.array([[-self.rate]]), np.ones(1))]
-
-
 # Up to this shape the Erlang survival integral is a sum over the shape's
 # Poisson weights; above it, two incomplete gamma functions cost less.
 MAX_ERLANG_SUM_SHAPE = 32
@@ -274,7 +248,9 @@ class ErlangService:
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, gammaincc(self.shape, self.rate * x), 1.0)
+        with np.errstate(over="ignore"):  # a rate x past the largest double is inf: S = 0
+            y = self.rate * x
+        return np.where(x >= 0, gammaincc(self.shape, y), 1.0)
 
     def survival_integral(self, t):
         """Integral of survival over [0, t]: E[min(N, shape)] / rate, N ~ Poisson(rate t).
@@ -288,8 +264,11 @@ class ErlangService:
         y P(N < shape) + shape P(N > shape), two positive terms.  y is capped
         at the largest double, so an overflowing rate t gives shape / rate.
         """
-        k = self.shape
-        y = np.minimum(self.rate * np.maximum(t, 0.0), np.finfo(float).max)
+        k, t = self.shape, np.maximum(t, 0.0)
+        with np.errstate(over="ignore"):  # a rate t past the largest double is inf
+            if k == 1:  # the exponential: no weight, and expm1(-inf) needs no cap
+                return -np.expm1(-self.rate * t) / self.rate
+            y = np.minimum(self.rate * t, np.finfo(float).max)
         if k > MAX_ERLANG_SUM_SHAPE:
             return (y * pdtr(k - 1, y) + k * pdtrc(k, y)) / self.rate
         w = np.exp(-y)
@@ -322,6 +301,14 @@ class ErlangService:
         return [(0.0, math.inf, np.eye(1, k)[0], phases, np.ones(k))]
 
 
+class ExponentialService(ErlangService):
+    """Exponential service times with the given rate: ``ErlangService(1, rate)``, whose
+    survival quantities at shape one are the exponential's closed forms."""
+
+    def __init__(self, rate: float):
+        super().__init__(1, rate)
+
+
 @dataclass(frozen=True)
 class UniformService:
     """Service times uniform on [a, b] with 0 <= a < b < inf."""
@@ -336,7 +323,8 @@ class UniformService:
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
-        mid = (self.b - x) / (self.b - self.a)
+        with np.errstate(over="ignore"):  # only where x lies outside [a, b]
+            mid = (self.b - x) / (self.b - self.a)
         return np.clip(np.where(x < self.a, 1.0, np.where(x > self.b, 0.0, mid)), 0.0, 1.0)
 
     # Past a, the integrals of survival and survival^2 are a + (b - a) (1 - r^p) / p,
@@ -397,6 +385,8 @@ def eta_squared(sigma2: float, service: ServiceModel, t: float) -> float:
     """
     if not t > 0:
         raise ValueError("t must be positive")
+    if math.isnan(sigma2):  # analyze's sum of an inf and a -inf term
+        raise NotANumberError("sigma2 is not a number")
     if not sigma2 >= 0:
         raise ValueError("sigma2 must be nonnegative")
     return sigma2 * service.survival_square_integral(t)

@@ -28,7 +28,7 @@ from .arrivals import (
     sample_periodic_counts,
     sample_thinned_counts,
 )
-from .errors import ArgumentError
+from .errors import ArgumentError, SingularSystemError
 from .expansions import (
     PmfVector,
     ServiceModel,
@@ -517,7 +517,9 @@ def convergence_study(
     corrected pmf, in max-over-k absolute error.
 
     The max is restricted to bins whose baseline probability is at least
-    1e-4 so tail bins dominated by Monte Carlo noise are ignored.  A count
+    1e-4 so tail bins dominated by Monte Carlo noise are ignored; with no
+    such bin up to ``kmax`` (ArgumentError), or a baseline that underflows
+    to zero (SingularSystemError), it raises before the first estimate.  A count
     pmf is estimated from drawn counts, an occupancy pmf by conditional
     Poisson with the exact mean occupancy as a control variate (see
     :func:`estimate_pmf`), which needs ``reps`` of at least 3.  That control
@@ -535,10 +537,17 @@ def convergence_study(
         raise ArgumentError("t/eps must be finite for every entry", "eps_grid")
     if kmax is None:
         kmax = default_kmax(specs[0].baseline_mean())
+    pmfs = [spec.expansion(kmax) for spec in specs]
+    p0 = pmfs[0][0].probs  # the baseline, the same at every eps
+    if not p0.any():  # poisson_pmf's e^-mean underflows from mean 745
+        raise SingularSystemError("the Poisson baseline underflows to zero")
+    mask = p0 >= MIN_BASELINE_PROB
+    if not mask.any():
+        raise ArgumentError(
+            f"every count up to {kmax} has baseline probability below {MIN_BASELINE_PROB:g}", "kmax"
+        )
     entries = []
-    for i, (eps, spec) in enumerate(zip(grid, specs)):
-        baseline, corrected = spec.expansion(kmax)
-        mask = baseline.probs >= MIN_BASELINE_PROB
+    for i, (eps, spec, (baseline, corrected)) in enumerate(zip(grid, specs, pmfs)):
         est = estimate_pmf(
             spec, reps, master_seed, kmax, workers=workers, stream_key=(i,),
             conditional=service is not None,

@@ -87,8 +87,8 @@ class GeneratorMatrix:
 
     @property
     def exit_rates(self) -> np.ndarray:
-        """Sojourn-ending rate per state, -q[i][i]."""
-        return -np.diag(self.q)
+        """Sojourn-ending rate per state, -q[i][i]; +0.0, not -0.0, for a state with no exit."""
+        return 0.0 - np.diag(self.q)
 
 
 def validate_generator(q) -> GeneratorMatrix:
@@ -198,7 +198,9 @@ def analyze(model: CtmcModel) -> StationaryAnalysis:
     b = -f_centered.copy()
     b[-1] = 0.0
     g = _solve_refined(a, b)
-    with np.errstate(over="ignore"):  # rates and g near the largest double give inf
+    # rates and g near the largest double give inf, and an inf and a -inf term give NaN;
+    # eta_squared and the CLI's JSON writer report either
+    with np.errstate(over="ignore", invalid="ignore"):
         sigma2 = 2.0 * float(np.sum(pi * f_centered * g))
     if sigma2 < 0.0:
         if sigma2 < -1e-12:
@@ -267,9 +269,9 @@ def _segment_rounds(
     Yields (replication_index, state, start, end) arrays, one sojourn per
     replication per round, so consumers never hold full paths in memory.
     Replications whose trajectory has reached the horizon drop out; a round
-    in which every replication jumps keeps its arrays as they are.  The
-    chain is irreducible, so with n >= 2 every state has a positive exit
-    rate; a one-state chain yields [0, horizon] in one round.  The next
+    in which every replication jumps keeps its arrays as they are.  A state
+    with no exit (a one-state chain's) has exit rate +0.0, and ``np.fmin``
+    ends its sojourn, draw / 0 = inf or NaN, at the horizon.  The next
     state comes from :func:`_next_state` on a padded table built once per
     call, which gives the same integers as a scan of the whole cdf row, so
     the draws and the yielded arrays are those of that scan.  A horizon
@@ -277,24 +279,20 @@ def _segment_rounds(
     EnumerationTooLargeError before the first draw.
     """
     exit_rates = model.generator.exit_rates
-    if horizon * exit_rates.max() > MAX_SEGMENT_ROUNDS:
+    with np.errstate(over="ignore"):  # a product past the largest double is past the guard
+        rounds = horizon * exit_rates.max()
+    if rounds > MAX_SEGMENT_ROUNDS:
         raise EnumerationTooLargeError(
-            f"segment walk: horizon times the largest exit rate is "
-            f"{horizon * exit_rates.max():.3g} > {MAX_SEGMENT_ROUNDS}"
+            f"segment walk: horizon times the largest exit rate is {rounds:.3g} > {MAX_SEGMENT_ROUNDS}"
         )
     idx = np.arange(size)
     state = np.full(size, model.initial_state, dtype=np.int64)
     t_now = np.zeros(size)
-    if model.n == 1:
-        # One state never jumps.  The draw keeps the stream where a sojourn
-        # of infinite length would leave it.
-        rng.exponential(size=size)
-        yield idx, state, t_now, np.full(size, float(horizon))
-        return
     table, width = _jump_search_table(_jump_cdf(model.generator))
     while idx.size:
         draws = rng.exponential(size=idx.size)
-        end = np.minimum(t_now + draws / exit_rates[state], horizon)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a state with no exit
+            end = np.fmin(t_now + draws / exit_rates[state], horizon)
         yield idx, state, t_now, end
         jumped = end < horizon
         if not np.any(jumped):
@@ -315,12 +313,13 @@ def _segment_sums(segments, weights: np.ndarray, level, size: int) -> np.ndarray
     out, left = np.zeros(size), level(np.zeros(size))
     for idx, state, _, end in segments:
         right = level(end)
-        if idx.size == size:
-            out += weights[state] * (left - right)
-            left = right
-        else:
-            out[idx] += weights[state] * (left[idx] - right)
-            left[idx] = right
+        with np.errstate(over="ignore"):  # a sum past the largest double is inf
+            if idx.size == size:
+                out += weights[state] * (left - right)
+                left = right
+            else:
+                out[idx] += weights[state] * (left[idx] - right)
+                left[idx] = right
     return out
 
 

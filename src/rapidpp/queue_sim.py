@@ -59,7 +59,7 @@ def sample_queue_counts(
 def _occupancy_mean(model: CtmcModel, service: ServiceModel, eps: float, t: float):
     """E[M] = integral_0^t e_x0 exp(Q u/eps) f S(t - u) du, the mean of the conditional
     Poisson means, or None when states plus ``service.phases`` exceed
-    ``MAX_OCCUPANCY_BLOCK`` or the result is not finite.
+    ``MAX_OCCUPANCY_BLOCK`` or Q/eps or the result is not finite.
 
     On a service piece S(s) = alpha exp(T (s - lo)) c, the part of the integral over
     s = t - u in [lo, min(hi, t)], of width h, is r X c: r = e_x0 exp(Q u0/eps) with
@@ -71,7 +71,10 @@ def _occupancy_mean(model: CtmcModel, service: ServiceModel, eps: float, t: floa
     if n + service.phases > MAX_OCCUPANCY_BLOCK:  # before any k-square phase matrix exists
         return None
     pieces = [p for p in service.survival_pieces() if p[0] < min(p[1], t)]
-    q = model.generator.q / eps
+    with np.errstate(over="ignore"):
+        q = model.generator.q / eps
+    if not np.all(np.isfinite(q)):  # Q/eps past the largest double
+        return None
     row = np.eye(1, n, model.initial_state)[0]
     end = min(pieces[-1][1], t)
     if end < t:  # S = 0 on s > end: the environment only moves over u < t - end

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rapidpp import ExperimentSpec, chi_square_gof, cli, poisson_pmf
 from rapidpp.cli import main
@@ -771,3 +775,164 @@ def test_import_loads_no_scipy_stats():
     assert proc.returncode == 0, proc.stderr
     subpackages = str(["scipy.linalg", "scipy.sparse", "scipy.special"])
     assert proc.stdout.split("\n") == [subpackages, subpackages, ""]
+
+
+# sigma2 = 2 sum pi f_c g meets an inf and a -inf term on this model, so it is NaN
+NAN_SIGMA2 = {"type": "mmpp", "generator": [[-1000003, 3, 1e6], [1, -1000001, 1e6], [1, 1, -2]],
+              "rates": [1, 1e300, 2]}
+NAN_QUEUE = {"model": NAN_SIGMA2, "service": {"type": "exponential", "rate": 1.0},
+             "kind": "queue", "t": 1e-300, "reps": 100}
+NAN_COMMANDS = [("analyze", {}), ("expand", {"eps": 0.5}), ("simulate", {"eps": 0.5}),
+                ("validate", {"eps_grid": [0.5, 0.25]})]
+# validate with no baseline bin at or above 1e-4: by an explicit kmax, and (rate 20 at
+# t = 50) by a default-kmax baseline whose e^-1000 underflows to zero
+NO_BASELINE_BIN = {"model": dict(MMPP, rates=[0, 20]), "t": 1.0, "eps_grid": [0.5], "kmax": 0,
+                   "reps": 100}
+UNDERFLOWED_BASELINE = {"model": {"type": "mmpp", "generator": [[0]], "rates": [20]},
+                        "t": 50.0, "eps_grid": [0.5], "reps": 100}
+
+
+def run_quietly(command, cfg, out, capsys):
+    """``main`` in process with every warning an error; returns (exit code, stderr)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+class TestNanSigma2:
+    @pytest.mark.parametrize("command, extra", NAN_COMMANDS, ids=[c for c, _ in NAN_COMMANDS])
+    def test_queue_exits_3_naming_sigma2(self, tmp_path, capsys, command, extra):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {**NAN_QUEUE, **extra})
+        assert run_quietly(command, cfg, out, capsys) == (
+            3, "numerical failure: sigma2 is not a number\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, code, message",
+        [("analyze", 3, "numerical failure: sigma2 is not finite\n"),
+         ("tv-limit", 4,
+          "guard violation: the Poisson quantile at mean 1e+288 is not computable\n")],
+        ids=["analyze", "tv-limit"],
+    )
+    def test_without_a_service_keeps_its_exit(self, tmp_path, capsys, command, code, message):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"model": NAN_SIGMA2, "t": 1.0})
+        assert run_quietly(command, cfg, out, capsys) == (code, message)
+        assert not out.exists()
+
+
+class TestValidateWithNoBaselineBin:
+    def test_explicit_kmax_exits_2_before_any_chunk(self, tmp_path, capsys, monkeypatch):
+        chunks = []
+        monkeypatch.setattr(ExperimentSpec, "sample_counts", lambda *args: chunks.append(args))
+        out = tmp_path / "report.json"
+        code, err = run_quietly("validate", write_config(tmp_path, NO_BASELINE_BIN), out, capsys)
+        assert (code, err) == (
+            2, "config error: kmax: every count up to 0 has baseline probability below 0.0001\n"
+        )
+        assert chunks == [] and not out.exists()
+
+    def test_underflowed_baseline_exits_3(self, tmp_path, capsys):
+        # poisson_pmf's e^-mean underflows past mean 745 (the mean here is 1000)
+        out = tmp_path / "report.json"
+        cfg = write_config(tmp_path, UNDERFLOWED_BASELINE)
+        assert run_quietly("validate", cfg, out, capsys) == (
+            3, "numerical failure: the Poisson baseline underflows to zero\n"
+        )
+        assert not out.exists()
+
+
+# A small config grammar for the robustness property.  Values reach the extremes, with one
+# out-of-range value in most lists, but a walk stays short: generator rates are at most 3,
+# so a 3-state exit rate is at most 6, t/eps is at most 200 unless it passes the
+# segment-walk guard (t 1e308, or eps 1e-300 and below), and reps are at most 100.
+RATES = st.sampled_from([2.0, 0.5, 0.0, 7.0, 1e-300, 1e300])
+T_VALUES = st.sampled_from([1.0, 0.05, 3.0, 20.0, 5e-324, 1e-300, 1e308, -1.0])
+EPS_VALUES = st.sampled_from([0.5, 0.1, 0.25, 1.0, 0.0, 1e-300, 1e-320, 2.0])
+EPS_GRIDS = st.sampled_from([[0.5, 0.25], [1.0], [0.5, 0.1], [0.5, 1e-300], [1e-320], [0.1, 0.5]])
+KMAX_VALUES = st.sampled_from([None, 5, 0, 1, 2000, 2**20 + 1])
+SERVICES = st.sampled_from([
+    None,
+    {"type": "exponential", "rate": 1e-3},
+    {"type": "exponential", "rate": 1.0},
+    {"type": "exponential", "rate": 1e3},
+    {"type": "erlang", "shape": 1, "rate": 0.5},
+    {"type": "erlang", "shape": 2, "rate": 2.0},
+    {"type": "erlang", "shape": 40, "rate": 1e3},
+    {"type": "uniform", "a": 0.0, "b": 0.5},
+    {"type": "uniform", "a": 0.2, "b": 2.0},
+    {"type": "uniform", "a": 2.0, "b": 3.0},
+])
+
+
+@st.composite
+def mmpp_models(draw):
+    n = draw(st.integers(1, 3))
+    off = st.sampled_from([0.5, 3.0, 1e-3, 0.0])
+    q = [[draw(off) if i != j else 0.0 for j in range(n)] for i in range(n)]
+    for i, row in enumerate(q):
+        row[i] = -sum(row)
+    return {"type": "mmpp", "generator": q, "rates": [draw(RATES) for _ in range(n)],
+            "initial_state": draw(st.integers(0, n - 1))}
+
+
+MODELS = st.one_of(
+    mmpp_models(),
+    mmpp_models(),
+    mmpp_models(),
+    st.builds(lambda b, v, w: {"type": "periodic", "breakpoints": [0, b], "values": [v, w]},
+              st.sampled_from([0.25, 0.5]), RATES, RATES),
+    st.builds(lambda r: {"type": "constant", "rate": r}, RATES),
+    st.builds(lambda k, r: {"type": "renewal_gamma", "shape": k, "rate": r},
+              st.sampled_from([0.5, 2.0, 30.0]), st.sampled_from([1e-3, 2.0, 1e3])),
+)
+
+
+@st.composite
+def cli_runs(draw):
+    command = draw(st.sampled_from(["analyze", "expand", "simulate", "validate", "tv-limit"]))
+    doc = {"model": draw(MODELS), "t": draw(T_VALUES), "reps": draw(st.sampled_from([100, 40, 3]))}
+    service = draw(SERVICES)
+    if service is not None:
+        doc["service"] = service
+        doc["kind"] = draw(st.sampled_from(["queue", "counts"]))
+    if command == "validate":
+        doc["eps_grid"] = draw(EPS_GRIDS)
+    else:
+        doc["eps"] = draw(EPS_VALUES)
+    kmax = draw(KMAX_VALUES)
+    if kmax is not None:
+        doc["kmax"] = kmax
+    if command == "analyze":
+        doc["tv_limit"] = draw(st.booleans())
+    return command, doc
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("robustness")
+
+
+class TestRobustness:
+    @settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+    @given(cli_runs())
+    @example(("validate", NO_BASELINE_BIN))
+    @example(("validate", UNDERFLOWED_BASELINE))
+    @example(("analyze", {"model": NAN_SIGMA2, "t": 1.0}))
+    @example(("tv-limit", {"model": NAN_SIGMA2, "t": 1.0}))
+    @example(("analyze", NAN_QUEUE))
+    @example(("expand", {**NAN_QUEUE, "eps": 0.5}))
+    @example(("simulate", {**NAN_QUEUE, "eps": 0.5}))
+    @example(("validate", {**NAN_QUEUE, "eps_grid": [0.5, 0.25]}))
+    def test_every_config_ends_in_a_known_exit(self, run_dir, run):
+        # pytest turns any RuntimeWarning into an error, so a warning escapes as one too
+        command, doc = run
+        cfg = write_config(run_dir, doc)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", cfg, "--out", str(run_dir / "out")])
+        assert code in (0, 2, 3, 4)

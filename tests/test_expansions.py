@@ -460,6 +460,57 @@ class TestEtaSquared:
         assert peak < 64 * (2 * 100_000 - 1)  # 64 bytes per term of the sum
 
 
+class TestExponentialIsErlangOfShapeOne:
+    """ExponentialService is ErlangService(1, rate); at shape one the Erlang forms must give
+    the exponential closed forms: 1 - e^-y over the rate for the survival integral, e^-y for
+    the survival, (1 - e^-2y) / 2 rate for the integral of its square, one [[-rate]] phase."""
+
+    RATES = [1e-3, 0.37, 1.0, 2.5, 40.0, 1e3]
+    TIMES = np.concatenate([[-1.0, 0.0, 5e-324, 1e-300], np.geomspace(1e-8, 1e5, 200)])
+    TINY = np.finfo(float).tiny
+
+    def test_defines_no_survival_quantity_of_its_own(self):
+        assert issubclass(ExponentialService, ErlangService)
+        names = {"survival", "survival_integral", "survival_square_integral", "survival_pieces",
+                 "phases"}
+        assert names.isdisjoint(vars(ExponentialService))
+        assert ExponentialService(rate=2.5) == ExponentialService(2.5)
+        assert (ExponentialService(2.5).shape, ExponentialService(2.5).phases) == (1, 1)
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_survival_integral_and_pieces_match_bit_for_bit(self, rate):
+        exp, erlang = ExponentialService(rate), ErlangService(1, rate)
+        closed = -np.expm1(-rate * np.maximum(self.TIMES, 0.0)) / rate
+        for service in (exp, erlang):
+            np.testing.assert_array_equal(service.survival_integral(self.TIMES), closed)
+            [(lo, hi, alpha, phases, c)] = service.survival_pieces()
+            assert (lo, hi) == (0.0, math.inf)
+            for got, want in ((alpha, [1.0]), (phases, [[-rate]]), (c, [1.0])):
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == np.float64
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_survival_and_its_square_integral_match_to_1e_13(self, rate):
+        # gammaincc flushes to zero where e^-y is subnormal (y above about 708), hence the
+        # absolute tolerance of the smallest normal double
+        exp, erlang = ExponentialService(rate), ErlangService(1, rate)
+        with np.errstate(over="ignore"):  # e^-y at t = -1 for the largest rates
+            closed = np.where(self.TIMES >= 0, np.exp(-rate * self.TIMES), 1.0)
+        for service in (exp, erlang):
+            np.testing.assert_allclose(service.survival(self.TIMES), closed,
+                                       rtol=1e-13, atol=self.TINY)
+            for t in self.TIMES[self.TIMES > 0]:
+                want = -np.expm1(-2.0 * rate * t) / (2.0 * rate)
+                assert service.survival_square_integral(t) == pytest.approx(want, rel=1e-13)
+
+    def test_survival_integral_of_an_overflowing_rate_t_warns_of_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for service in (ExponentialService(1e3), ErlangService(3, 1e3)):
+                assert service.survival_integral(1e308) == service.shape / service.rate
+                assert service.survival(1e308) == 0.0
+
+
 class TestCorrectedQueuePmf:
     def test_zero_eps_reduces_to_poisson(self):
         service = ExponentialService(1.0)

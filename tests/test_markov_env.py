@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from rapidpp.markov_env import (
     _jump_cdf,
     _jump_search_table,
     _next_state,
+    _segment_rounds,
 )
 
 from conftest import make_two_state, random_irreducible_model
@@ -54,6 +57,11 @@ class TestValidateGenerator:
 
     def test_one_state_chain_is_valid(self):
         assert validate_generator([[0.0]]).n == 1
+
+    def test_a_state_with_no_exit_has_exit_rate_plus_zero(self):
+        # the segment walk divides its draws by it: +inf ends the sojourn, -inf would not
+        [rate] = validate_generator([[0.0]]).exit_rates
+        assert rate == 0.0 and not np.signbit(rate)
 
     def test_one_way_ring_is_irreducible(self):
         q = [[-1, 1, 0], [0, -1, 1], [1, 0, -1]]
@@ -318,6 +326,22 @@ class TestOccupationSampler:
         with pytest.raises(EnumerationTooLargeError, match="segment walk"):
             sample_queue_counts(two_state_model, ExponentialService(1.0), 1e-300, 1.0, 10, rng)
         assert rng.bit_generator.state == state
+
+    def test_one_state_walk_ends_a_zero_draw_at_the_horizon(self):
+        # draw / rate is 0 / 0 there; the walk's error state stays inside the round
+        class ZeroDraws:
+            def exponential(self, size):
+                return np.zeros(size)
+
+        model = CtmcModel(validate_generator([[0.0]]), [2.0])
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            walk = _segment_rounds(model, 7.0, 4, ZeroDraws())
+            idx, state, start, end = next(walk)
+            assert np.geterr() == before
+            assert list(walk) == []
+        np.testing.assert_array_equal(end, np.full(4, 7.0))
 
     def test_one_state_walk_has_no_round_cap(self):
         # One state never jumps, so any finite horizon is one round.
