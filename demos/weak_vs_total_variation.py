@@ -13,7 +13,6 @@ from rapidpp import (
     CtmcModel,
     ExperimentSpec,
     estimate_pmf,
-    marginal_tv_distance,
     poisson_pmf,
     tv_limit_exact,
     tv_limit_mc,
@@ -27,7 +26,7 @@ print("eps     marginal tv to Poisson(1)")
 for i, eps in enumerate((0.5, 0.2, 0.1, 0.05)):
     spec = ExperimentSpec(model, 1.0, eps)
     est = estimate_pmf(spec, 400_000, master_seed=11, kmax=ref.kmax, stream_key=(i,))
-    print(f"{eps:<7} {marginal_tv_distance(est, ref):.4f}")
+    print(f"{eps:<7} {0.5 * np.abs(est.probs - ref.probs).sum():.4f}")
 
 exact = tv_limit_exact(model, 1.0)
 est, se = tv_limit_mc(model, 1.0, 500_000, np.random.default_rng(2))

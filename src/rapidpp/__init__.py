@@ -54,16 +54,11 @@ from .expansions import (
 )
 from .harness import (
     ExperimentSpec,
-    GofResult,
     PmfEstimate,
     ResidualEntry,
     ResidualReport,
-    chi_square_gof,
-    chi_square_two_sample,
-    construction_equivalence_test,
     convergence_study,
     estimate_pmf,
-    marginal_tv_distance,
 )
 from .markov_env import (
     CtmcModel,

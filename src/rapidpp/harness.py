@@ -1,4 +1,4 @@
-"""Monte Carlo pmf estimation with deterministic seeding, plus validation studies.
+"""Monte Carlo pmf estimation with deterministic seeding, and the residual-order study.
 
 Replications are processed in fixed-size chunks; chunk c draws its random
 stream from ``SeedSequence(master_seed, spawn_key=(..., c))``, and chunk
@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc, gammaln, ndtri
+from scipy.special import gammaln
 
 from .arrivals import (
     BaseProcessSpec,
@@ -46,21 +46,15 @@ __all__ = [
     "CHUNK_SIZE",
     "ExperimentSpec",
     "PmfEstimate",
-    "GofResult",
     "ResidualEntry",
     "ResidualReport",
     "estimate_pmf",
-    "marginal_tv_distance",
-    "chi_square_gof",
-    "chi_square_two_sample",
-    "construction_equivalence_test",
     "convergence_study",
 ]
 
 CHUNK_SIZE = 16_384
 MIN_BASELINE_PROB = 1e-4
-MIN_EXPECTED = 5.0
-Z99 = float(ndtri(0.995))
+Z99 = 2.5758293035489004  # the standard normal 0.995 quantile
 
 Model = CtmcModel | PeriodicIntensity | BaseProcessSpec
 
@@ -181,10 +175,11 @@ class PmfEstimate:
 
     For drawn counts ``se`` is the binomial √(p̂(1 − p̂)/reps); for a
     conditional-Poisson estimate it is the residual standard error of the
-    control-variate regression (see :func:`estimate_pmf`).  ``counts`` covers
-    every observed count (so it always sums to ``reps``); a conditional-Poisson
-    estimate draws no count and has None.  The probability, se and interval
-    arrays are truncated at ``kmax``.
+    control-variate regression (see :func:`estimate_pmf`).  For drawn counts,
+    ``counts`` holds how many replications drew each of 0..kmax and, in one
+    last overflow bin, how many drew more (so it sums to ``reps``); a
+    conditional-Poisson estimate draws no count and has None.  The
+    probability, se and interval arrays cover 0..kmax.
     """
 
     counts: np.ndarray | None
@@ -291,7 +286,8 @@ def estimate_pmf(
         rng = np.random.default_rng(seq)
         if conditional:
             return _poisson_terms(spec.sample_counts(size, rng, conditional=True), kmax)
-        return np.bincount(spec.sample_counts(size, rng), minlength=kmax + 1)
+        draws = np.minimum(spec.sample_counts(size, rng), kmax + 1)
+        return np.bincount(draws, minlength=kmax + 2)
 
     if workers <= 1:
         parts = [run_chunk(c) for c in range(n_chunks)]
@@ -300,11 +296,7 @@ def estimate_pmf(
             parts = list(pool.map(run_chunk, range(n_chunks)))
     if conditional:
         return _control_variate(np.array(parts), reps, kmax, spec.occupancy_mean())
-    width = max(p.size for p in parts)
-    merged = np.zeros(width, dtype=np.int64)
-    for p in parts:
-        merged[: p.size] += p
-    return PmfEstimate.from_counts(merged, reps, kmax)
+    return PmfEstimate.from_counts(np.sum(parts, axis=0), reps, kmax)
 
 
 def _control_variate(parts: np.ndarray, reps: int, kmax: int, exact_mean) -> PmfEstimate:
@@ -325,119 +317,6 @@ def _control_variate(parts: np.ndarray, reps: int, kmax: int, exact_mean) -> Pmf
     probs = means[:-1] - beta * (means[-1] - exact_mean)
     rss = np.maximum(c_pp[:-1] - beta * c_pm[:-1], 0.0)
     return PmfEstimate._wald(None, reps, kmax, probs, np.sqrt(rss / (reps - 2) / reps))
-
-
-def marginal_tv_distance(est: PmfEstimate, ref: PmfVector) -> float:
-    """Half the L1 distance between the estimate and a reference pmf on 0..kmax."""
-    if est.kmax != ref.kmax:
-        raise ValueError("estimate and reference must share kmax")
-    return 0.5 * float(np.abs(est.probs - ref.probs).sum())
-
-
-# ---------------------------------------------------------------------------
-# chi-square machinery
-
-
-@dataclass(frozen=True)
-class GofResult:
-    statistic: float
-    dof: int
-    p_value: float
-
-
-def _counts_with_overflow(counts: np.ndarray, kmax: int) -> np.ndarray:
-    out = np.zeros(kmax + 2, dtype=np.int64)
-    head = min(counts.size, kmax + 1)
-    out[:head] = counts[:head]
-    if counts.size > kmax + 1:
-        out[-1] = counts[kmax + 1:].sum()
-    return out
-
-
-def _pool(table: np.ndarray, size, sparse: str) -> np.ndarray:
-    """Pool adjacent rows of ``table`` (one row per count, one column per
-    series) until ``size(*row)`` reaches ``MIN_EXPECTED``; the remainder
-    joins the last pooled row.  Needs at least two pooled rows."""
-    bins = []
-    acc = [0] * table.shape[1]
-    for row in table.tolist():
-        acc = [a + x for a, x in zip(acc, row)]
-        if size(*acc) >= MIN_EXPECTED:
-            bins.append(acc)
-            acc = [0] * table.shape[1]
-    if any(acc):
-        if not bins:
-            raise ValueError(f"{sparse} too little mass for the pooling rule")
-        bins[-1] = [b + a for b, a in zip(bins[-1], acc)]
-    if len(bins) < 2:
-        raise ValueError("need at least two pooled categories")
-    return np.asarray(bins, dtype=float).T
-
-
-def _chi2_result(statistic: float, n_bins: int) -> GofResult:
-    return GofResult(statistic, n_bins - 1, float(chdtrc(n_bins - 1, statistic)))
-
-
-def chi_square_gof(counts, ref: PmfVector) -> GofResult:
-    """One-sample chi-square of observed counts against a reference pmf.
-
-    Counts beyond the reference support go into an overflow category whose
-    probability is the reference truncation mass; adjacent categories are
-    pooled until every expected count reaches ``MIN_EXPECTED``.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    reps = int(counts.sum())
-    observed = _counts_with_overflow(counts, ref.kmax)
-    probs = np.concatenate([ref.probs, [max(0.0, 1.0 - ref.probs.sum())]])
-    if np.any(probs < 0):
-        raise ValueError("reference pmf must be nonnegative for a chi-square test")
-    table = np.column_stack([observed, reps * probs])
-    obs, exp = _pool(table, lambda o, e: e, "reference pmf has")
-    return _chi2_result(float(np.sum((obs - exp) ** 2 / exp)), obs.size)
-
-
-def chi_square_two_sample(counts_a, counts_b) -> GofResult:
-    """Two-sample chi-square test that two count samples share one law."""
-    a = np.asarray(counts_a, dtype=np.int64)
-    b = np.asarray(counts_b, dtype=np.int64)
-    width = max(a.size, b.size)
-    a = np.pad(a, (0, width - a.size))
-    b = np.pad(b, (0, width - b.size))
-    n_a, n_b = int(a.sum()), int(b.sum())
-    total = n_a + n_b
-    if total == 0:
-        raise ValueError("both samples are empty")
-    share = min(n_a, n_b) / total
-    table = np.column_stack([a, b])
-    oa, ob = _pool(table, lambda x, y: share * (x + y), "samples have")
-    pooled = (oa + ob) / total
-    ea = n_a * pooled
-    eb = n_b * pooled
-    statistic = float(np.sum((oa - ea) ** 2 / ea) + np.sum((ob - eb) ** 2 / eb))
-    return _chi2_result(statistic, oa.size)
-
-
-def construction_equivalence_test(
-    model: CtmcModel,
-    eps: float,
-    t: float,
-    reps: int,
-    master_seed: int,
-    *,
-    workers: int = 1,
-) -> GofResult:
-    """Two-sample chi-square between the thin-and-speed construction and the
-    directly modulated stream, both built over the same environment law.
-
-    The two draws share no code path: the thinned count streams environment
-    segments and thins a Poisson base count binomially, while the direct
-    count is inverted from its exact table (:func:`sample_cox_counts`).
-    """
-    thin_spec = ExperimentSpec(CoxBase(model), t, eps)
-    cox_spec = ExperimentSpec(model, t, eps)
-    est_thin = estimate_pmf(thin_spec, reps, master_seed, workers=workers, stream_key=(1,))
-    est_cox = estimate_pmf(cox_spec, reps, master_seed, workers=workers, stream_key=(2,))
-    return chi_square_two_sample(est_thin.counts, est_cox.counts)
 
 
 # ---------------------------------------------------------------------------

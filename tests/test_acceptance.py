@@ -23,14 +23,12 @@ from rapidpp import (
     RenewalGammaBase,
     UniformService,
     analyze,
-    construction_equivalence_test,
     convergence_study,
     corrected_count_pmf,
     corrected_count_pmf_periodic,
     corrected_queue_pmf,
     estimate_pmf,
     eta_squared,
-    marginal_tv_distance,
     poisson_pmf,
     tv_limit_exact,
     tv_limit_mc,
@@ -38,6 +36,7 @@ from rapidpp import (
 from rapidpp.cli import main
 
 from conftest import make_two_state, random_irreducible_model
+from gof import construction_equivalence_test, marginal_tv_distance
 from reference import hk_derivatives, simulate_base, thin_and_speed
 from test_markov_env import two_state_closed_form
 

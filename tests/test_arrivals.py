@@ -16,8 +16,6 @@ from rapidpp import (
     PmfVector,
     PoissonBase,
     RenewalGammaBase,
-    chi_square_gof,
-    chi_square_two_sample,
     poisson_pmf,
     sample_cox_counts,
     sample_occupation_integrals,
@@ -35,6 +33,7 @@ from rapidpp.arrivals import (
 from rapidpp.errors import SingularSystemError
 
 from conftest import make_two_state, random_irreducible_model
+from gof import chi_square_gof, chi_square_two_sample
 from reference import (
     gamma_block_renewal_counts,
     occupation_integral,

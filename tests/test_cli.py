@@ -12,8 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rapidpp import ExperimentSpec, chi_square_gof, cli, poisson_pmf
+from rapidpp import ExperimentSpec, cli, poisson_pmf
 from rapidpp.cli import main
+
+from gof import chi_square_gof
 
 MMPP = {"type": "mmpp", "generator": [[-1, 1], [1, -1]], "rates": [0, 2], "initial_state": 0}
 PERIODIC = {"type": "periodic", "breakpoints": [0, 0.5], "values": [2, 0]}
@@ -627,6 +629,27 @@ class TestHugeMeans:
         assert "# truncation_mass: 1.0\n" in out.read_text()
         _, rows = read_csv(out)
         assert rows.shape == (11, 3) and not rows[:, 1:].any()
+
+    def test_huge_drawn_counts_share_one_overflow_bin(self, tmp_path):
+        # Poisson(1e8) draws: one bin per drawn count would take about 800 MiB
+        doc = {"model": {"type": "constant", "rate": 1e-300}, "t": 1e308, "eps": 1, "kmax": 5,
+               "reps": 3}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out.csv"
+        # A process's ru_maxrss counts the RSS of the process it was forked from, so the
+        # CLI runs as the child of a small interpreter that reports its children's peak.
+        argv = [sys.executable, "-m", "rapidpp", "simulate", "--config", cfg, "--out", str(out)]
+        code = (
+            "import resource, subprocess, sys\n"
+            f"rc = subprocess.run({argv!r}).returncode\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+            "sys.exit(rc)\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 100 * 1024  # ru_maxrss is in KiB
+        _, rows = read_csv(out)
+        assert rows.shape[0] == 6 and not rows[:, 1].any()
 
 
 class TestFirstOrderOverflow:

@@ -20,15 +20,11 @@ from rapidpp import (
     RenewalGammaBase,
     UniformService,
     analyze,
-    chi_square_gof,
-    chi_square_two_sample,
-    construction_equivalence_test,
     convergence_study,
     corrected_count_pmf,
     corrected_count_pmf_periodic,
     corrected_queue_pmf,
     estimate_pmf,
-    marginal_tv_distance,
     mean_q0,
     poisson_pmf,
     tv_limit_exact,
@@ -36,9 +32,16 @@ from rapidpp import (
 )
 
 from rapidpp import arrivals, harness
-from rapidpp.harness import CHUNK_SIZE, MIN_BASELINE_PROB, Z99, _chi2_result
+from rapidpp.harness import CHUNK_SIZE, MIN_BASELINE_PROB, Z99
 
 from conftest import make_two_state
+from gof import (
+    _chi2_result,
+    chi_square_gof,
+    chi_square_two_sample,
+    construction_equivalence_test,
+    marginal_tv_distance,
+)
 
 
 def constant_spec(rate=1.0, t=1.0):
@@ -51,6 +54,20 @@ class TestEstimatePmf:
         est = estimate_pmf(spec, 1, 0)
         assert est.counts.sum() == 1
         assert np.isclose(est.probs.sum(), est.counts[: est.kmax + 1].sum())
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_counts_end_in_one_overflow_bin(self, workers):
+        spec = constant_spec(rate=5.0)
+        reps = CHUNK_SIZE + 1_000
+        est = estimate_pmf(spec, reps, 3, kmax=2, workers=workers)
+        seqs = np.random.SeedSequence(3).spawn(2)  # spawn keys (0,) and (1,): the chunks' streams
+        draws = np.concatenate([
+            spec.sample_counts(size, np.random.default_rng(seq))
+            for seq, size in zip(seqs, [CHUNK_SIZE, 1_000])
+        ])
+        expected = [*(np.count_nonzero(draws == k) for k in range(3)), np.count_nonzero(draws > 2)]
+        np.testing.assert_array_equal(est.counts, expected)
+        assert est.counts.sum() == reps
 
     def test_constant_rate_sanity(self):
         est = estimate_pmf(constant_spec(), 100_000, 7)
@@ -257,7 +274,7 @@ class TestChiSquare:
         assert hits >= 17
 
     def test_gof_detects_wrong_mean(self):
-        est = estimate_pmf(constant_spec(rate=2.0), 50_000, 0)
+        est = estimate_pmf(constant_spec(rate=2.0), 50_000, 0, kmax=poisson_pmf(2.2).kmax)
         res = chi_square_gof(est.counts, poisson_pmf(2.2))
         assert res.p_value < 1e-6
 

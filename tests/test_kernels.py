@@ -17,7 +17,6 @@ from rapidpp import (
     PoissonBase,
     RenewalGammaBase,
     UniformService,
-    construction_equivalence_test,
     convergence_study,
     corrected_count_pmf,
     corrected_count_pmf_periodic,
@@ -37,6 +36,7 @@ from rapidpp.arrivals import periodic_mean_count
 from rapidpp.markov_env import _segment_rounds
 
 from conftest import make_two_state
+from gof import construction_equivalence_test
 
 MODEL = make_two_state()
 HALF_ON = PeriodicIntensity([0.0, 0.5], [2.0, 0.0])

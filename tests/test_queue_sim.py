@@ -11,8 +11,6 @@ from rapidpp import (
     PmfVector,
     UniformService,
     analyze,
-    chi_square_gof,
-    chi_square_two_sample,
     mean_q0,
     poisson_pmf,
     sample_queue_counts,
@@ -22,6 +20,7 @@ from rapidpp.arrivals import _cox_count_pmf
 from rapidpp.queue_sim import MAX_OCCUPANCY_BLOCK, _occupancy_mean
 
 from conftest import make_two_state, random_irreducible_model
+from gof import chi_square_gof, chi_square_two_sample
 from reference import (
     ArrivalStream,
     LengthMismatchError,
