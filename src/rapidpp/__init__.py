@@ -26,14 +26,9 @@ from .errors import (
     DegenerateMeanError,
     EnumerationTooLargeError,
     GeneratorValidationError,
-    NegativeOffDiagonalError,
-    NonSquareError,
     NotANumberError,
     RapidppError,
-    ReducibleError,
-    RowSumError,
     SingularSystemError,
-    ZeroMeanRateError,
 )
 from .expansions import (
     ErlangService,

@@ -4,13 +4,15 @@ Subcommands: analyze | expand | simulate | validate | tv-limit.
 Flags: --config PATH, --out PATH, --seed U64, --reps N (each overrides its
 config field), and simulate-only --kind counts|queue.
 
-Exit codes: 0 success, 2 config error (from the parser, or a library
-ArgumentError naming its field), 3 numerical failure (a modulated count table
-needing generator entries below double precision, a first-order pmf out of
-double range, a baseline mean or validate's baseline pmf that underflows to
-zero, a NaN sigma2, or a JSON field such as sigma2 that is not finite), 4 guard
-violation (the TV limit's product grid, the renewal CDF table, an environment
-segment walk, a default kmax or a Poisson mean is too large).
+Exit codes: 0 success, 2 config error (ConfigError: from the parser, or a
+library ArgumentError naming its field), 3 numerical failure
+(SingularSystemError: a modulated count table needing generator entries below
+double precision, a first-order pmf out of double range, a long-run rate pi . f,
+a baseline mean or validate's baseline pmf that underflows to zero, a NaN
+sigma2, or a JSON field such as sigma2 that is not finite), 4 guard violation
+(EnumerationTooLargeError: the TV limit's product grid, tv-limit's Monte Carlo
+reps, the renewal CDF table, an environment segment walk, a default kmax or a
+Poisson mean is too large).
 """
 
 from __future__ import annotations
@@ -29,13 +31,7 @@ from .config import (
     parse_experiment_config,
     resolved_config_dict,
 )
-from .errors import (
-    ConfigError,
-    DegenerateMeanError,
-    EnumerationTooLargeError,
-    SingularSystemError,
-    ZeroMeanRateError,
-)
+from .errors import ConfigError, EnumerationTooLargeError, SingularSystemError
 from .expansions import (  # noqa: F401
     PmfVector,
     corrected_count_pmf,  # patched by bench/tracer.py; not called here
@@ -227,7 +223,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SingularSystemError, ZeroMeanRateError, DegenerateMeanError) as exc:
+    except SingularSystemError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except EnumerationTooLargeError as exc:

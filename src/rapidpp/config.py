@@ -113,8 +113,6 @@ def parse_model(obj, path: str = "model") -> ModelSpec:
                 _number(_require(obj, "shape", path), f"{path}.shape"),
                 _number(_require(obj, "rate", path), f"{path}.rate"),
             )
-    except ConfigError:
-        raise
     except (GeneratorValidationError, ValueError) as exc:
         raise ConfigError(str(exc), path) from exc
     raise ConfigError(f"unknown model type {kind!r}", f"{path}.type")
@@ -138,8 +136,6 @@ def parse_service(obj, path: str = "service") -> ServiceModel:
                 _number(_require(obj, "a", path), f"{path}.a"),
                 _number(_require(obj, "b", path), f"{path}.b"),
             )
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc), path) from exc
     raise ConfigError(f"unknown service type {kind!r}", f"{path}.type")

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The CLI maps one class to each exit code: :class:`ConfigError` to 2,
+:class:`SingularSystemError` to 3 and :class:`EnumerationTooLargeError` to 4.
+A :class:`GeneratorValidationError` reaches it as a ConfigError, which the
+config parser raises in its place.
+"""
 
 
 class RapidppError(Exception):
@@ -9,27 +15,11 @@ class GeneratorValidationError(RapidppError):
     """A proposed transition-rate matrix is not a usable generator."""
 
 
-class NonSquareError(GeneratorValidationError):
-    pass
-
-
-class NegativeOffDiagonalError(GeneratorValidationError):
-    pass
-
-
-class RowSumError(GeneratorValidationError):
-    """Some row of the rate matrix does not sum to zero."""
-
-
-class ReducibleError(GeneratorValidationError):
-    """The chain is not irreducible (its positive-rate graph is not strongly connected)."""
-
-
 class SingularSystemError(RapidppError):
     """A linear system or a matrix exponential that should be computable turned
-    out numerically degenerate, a first-order pmf left double range (an infinite
-    excess times a zero difference of the baseline, say), or a result holds a
-    number JSON cannot write."""
+    out numerically degenerate, the long-run rate pi . f is zero, a first-order pmf
+    left double range (an infinite excess times a zero difference of the baseline,
+    say), or a result holds a number JSON cannot write."""
 
 
 class NotANumberError(SingularSystemError, ValueError):
@@ -38,11 +28,7 @@ class NotANumberError(SingularSystemError, ValueError):
     argument value."""
 
 
-class ZeroMeanRateError(RapidppError):
-    """The long-run average arrival rate is zero, so no analysis is possible."""
-
-
-class DegenerateMeanError(RapidppError, ValueError):
+class DegenerateMeanError(SingularSystemError, ValueError):
     """A baseline mean that must be positive is not (t = 0, or a rate times t that
     underflows to zero).
 

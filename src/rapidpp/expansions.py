@@ -219,8 +219,8 @@ def corrected_count_pmf_periodic(
 # Every service's survival_integral(t) takes a scalar or an array of t and
 # works elementwise; it is 0 for t <= 0.  Its survival_pieces() gives the
 # survival function as pieces (lo, hi, alpha, T, c): S(s) = alpha exp(T (s - lo)) c
-# on [lo, hi), in increasing order, and S = 0 past the last hi.  Its ``phases`` is
-# the largest T's size, known before any piece is built.
+# on [lo, hi), in increasing order, covering [0, inf); a piece with no phases is
+# S = 0.  Its ``phases`` is the largest T's size, known before any piece is built.
 
 
 # Up to this shape the Erlang survival integral is a sum over the shape's
@@ -349,11 +349,12 @@ class UniformService:
 
     def survival_pieces(self):
         """1 on [0, a]; then 1 - (s - a)/(b - a) on [a, b], as (1, 0) exp(T w) (1, -1/(b - a))
-        with T nilpotent: exp(T w) = [[1, w], [0, 1]]."""
+        with T nilpotent: exp(T w) = [[1, w], [0, 1]]; then 0 past b."""
         slope = np.array([1.0, -1.0 / (self.b - self.a)])
         return [
             (0.0, self.a, np.ones(1), np.zeros((1, 1)), np.ones(1)),
             (self.a, self.b, np.eye(1, 2)[0], np.eye(2, 2, 1), slope),
+            (self.b, math.inf, np.ones(0), np.zeros((0, 0)), np.ones(0)),
         ]
 
 
@@ -488,6 +489,10 @@ def tv_limit_exact(model: CtmcModel, t: float, truncation_mass: float = 1e-10) -
     return min(1.0, 0.5 * total)  # pmf rounding at large means can pass 1
 
 
+# tv_limit_mc holds about 24 bytes per replication at once, about 400 MiB at this cap.
+MAX_TV_REPS = 2**24
+
+
 def _products(model: CtmcModel, t: float, reps: int, rng: np.random.Generator) -> np.ndarray:
     """``reps`` iid draws of the product of rate ratios.
 
@@ -509,8 +514,11 @@ def tv_limit_mc(
     Each replication draws the coloured factor counts of :func:`_ratio_axes` and forms the
     product P of rate ratios.  As E[P] = 1, the limit 1/2 E|P - 1| is E[(1 - P)+], a mean of
     values in [0, 1] that, unlike a mean of |P - 1|, does not rest on rare huge products.
+    Over MAX_TV_REPS reps raises EnumerationTooLargeError before any draw.
     """
     if reps < 100:
         raise ArgumentError("the Monte Carlo estimate needs at least 100 reps", "reps")
+    if reps > MAX_TV_REPS:
+        raise EnumerationTooLargeError(f"{reps} Monte Carlo reps > {MAX_TV_REPS}")
     vals = np.maximum(1.0 - _products(model, t, reps, rng), 0.0)
     return float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(reps)

@@ -217,11 +217,13 @@ def _poisson_terms(means: np.ndarray, kmax: int) -> np.ndarray:
     Each term is exp(k·log M − M − lgamma(k + 1)), so it stays right where exp(−M)
     underflows (M above about 745).  The terms are built one k at a time, so memory is
     one row of the chunk; centring each row on its own mean keeps cancellation from
-    setting a floor under the standard error.
+    setting a floor under the standard error.  Past the largest mean every term falls
+    with k, so once a row there is all zeros, the columns left stay zero.
     """
-    out = np.empty((3, kmax + 2))
+    out = np.zeros((3, kmax + 2))
     total_m = means.sum()
     dev_m = means - total_m / means.size
+    top = means.max()
     with np.errstate(divide="ignore"):
         log_m = np.log(means)
     row = np.empty_like(means)
@@ -234,6 +236,8 @@ def _poisson_terms(means: np.ndarray, kmax: int) -> np.ndarray:
             np.negative(means, out=row)
         np.exp(row, out=row)
         total = row.sum()
+        if total == 0.0 and k > top:
+            break
         row -= total / means.size
         co = row @ dev_m
         row *= row

@@ -21,15 +21,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import (
-    EnumerationTooLargeError,
-    NegativeOffDiagonalError,
-    NonSquareError,
-    ReducibleError,
-    RowSumError,
-    SingularSystemError,
-    ZeroMeanRateError,
-)
+from .errors import EnumerationTooLargeError, GeneratorValidationError, SingularSystemError
 
 __all__ = [
     "GeneratorMatrix",
@@ -56,25 +48,23 @@ class GeneratorMatrix:
     def __post_init__(self):
         q = np.array(self.q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise NonSquareError(f"rate matrix must be square, got shape {q.shape}")
+            raise GeneratorValidationError(f"rate matrix must be square, got shape {q.shape}")
         if not np.all(np.isfinite(q)):
-            raise NonSquareError("rate matrix entries must be finite")
+            raise GeneratorValidationError("rate matrix entries must be finite")
         off = q.copy()
         np.fill_diagonal(off, 0.0)
         if np.any(off < 0):
             i, j = np.argwhere(off < 0)[0]
-            raise NegativeOffDiagonalError(
-                f"off-diagonal rate q[{i}][{j}] = {q[i, j]} is negative"
-            )
+            raise GeneratorValidationError(f"off-diagonal rate q[{i}][{j}] = {q[i, j]} is negative")
         row_sums = q.sum(axis=1)
         bad = np.abs(row_sums) > ROW_SUM_TOL
         if np.any(bad):
             i = int(np.argmax(np.abs(row_sums)))
-            raise RowSumError(f"row {i} sums to {row_sums[i]:.3e}, expected 0")
+            raise GeneratorValidationError(f"row {i} sums to {row_sums[i]:.3e}, expected 0")
         adjacency = csr_matrix(off > 0)
         n_comp, _ = connected_components(adjacency, directed=True, connection="strong")
         if n_comp != 1:
-            raise ReducibleError(
+            raise GeneratorValidationError(
                 "positive-rate graph is not strongly connected "
                 f"({n_comp} strongly connected components)"
             )
@@ -94,8 +84,9 @@ class GeneratorMatrix:
 def validate_generator(q) -> GeneratorMatrix:
     """Check a candidate rate matrix and wrap it as a :class:`GeneratorMatrix`.
 
-    Raises :class:`NonSquareError`, :class:`NegativeOffDiagonalError`,
-    :class:`RowSumError` or :class:`ReducibleError` on violation.
+    Raises :class:`GeneratorValidationError` on a matrix that is not square, has a
+    non-finite entry or a negative off-diagonal rate, has a row that does not sum
+    to zero, or is reducible.
     """
     return GeneratorMatrix(q)
 
@@ -187,7 +178,7 @@ def analyze(model: CtmcModel) -> StationaryAnalysis:
     f = model.rates
     lambda_star = float(pi @ f)
     if lambda_star <= 0.0:
-        raise ZeroMeanRateError("pi . f must be positive")
+        raise SingularSystemError("pi . f must be positive")
     if np.all(f == f[0]):
         # constant rate: the centered system is exactly zero
         n = model.n

@@ -65,7 +65,8 @@ def _occupancy_mean(model: CtmcModel, service: ServiceModel, eps: float, t: floa
     s = t - u in [lo, min(hi, t)], of width h, is r X c: r = e_x0 exp(Q u0/eps) with
     u0 = t - min(hi, t), and X the top right block of exp(h [[Q/eps, f alpha], [0, T]])
     (Van Loan, IEEE TAC 23, 1978).  Its top left block exp(Q h/eps) carries r to the
-    next piece, so the pieces are taken in decreasing s, one expm each.
+    next piece, so the pieces are taken in decreasing s, one expm each; a piece with no
+    phases only carries r.
     """
     n = model.n
     if n + service.phases > MAX_OCCUPANCY_BLOCK:  # before any k-square phase matrix exists
@@ -76,9 +77,6 @@ def _occupancy_mean(model: CtmcModel, service: ServiceModel, eps: float, t: floa
     if not np.all(np.isfinite(q)):  # Q/eps past the largest double
         return None
     row = np.eye(1, n, model.initial_state)[0]
-    end = min(pieces[-1][1], t)
-    if end < t:  # S = 0 on s > end: the environment only moves over u < t - end
-        row = row @ expm(q * (t - end))
     total = 0.0
     for lo, hi, alpha, phases, c in reversed(pieces):
         block = np.zeros((n + alpha.size,) * 2)

@@ -327,6 +327,16 @@ class TestTvLimit:
         assert main(["tv-limit", "--config", cfg, "--reps", "99"]) == 2
         assert "reps" in capsys.readouterr().err
 
+    def test_reps_guard_exits_4_before_any_draw(self, tmp_path):
+        # 2**40 reps would take about 24 TiB
+        out = tmp_path / "out.json"
+        cfg = write_config(tmp_path, {"model": MMPP, "t": 1.0})
+        proc = run_python("-m", "rapidpp", "tv-limit", "--config", cfg, "--out", str(out),
+                          "--reps", "1099511627776")
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == "guard violation: 1099511627776 Monte Carlo reps > 16777216\n"
+        assert not out.exists()
+
     @staticmethod
     def _seven_states(t):
         q = np.full((7, 7), 1.0)
@@ -868,6 +878,59 @@ class TestValidateWithNoBaselineBin:
             3, "numerical failure: the Poisson baseline underflows to zero\n"
         )
         assert not out.exists()
+
+
+EXPAND = {"model": MMPP, "t": 1.0, "eps": 0.1}
+# Each rejected document, and the stderr line it gives.
+REJECTED = {
+    "top-level": ([1], "top-level document must be an object"),
+    "no-model": ({"t": 1}, "model: missing required field"),
+    "no-rate": ({"model": {"type": "constant"}}, "model.rate: missing required field"),
+    "reps-not-integer": ({**EXPAND, "reps": 1.5}, "reps: expected an integer, got 1.5"),
+    "no-rows": ({**EXPAND, "model": dict(MMPP, generator=[])},
+                "model.generator: expected a non-empty list of rows"),
+    "rates-not-list": ({**EXPAND, "model": dict(MMPP, rates="x")},
+                       "model.rates: expected a list of numbers"),
+    "model-not-object": ({**EXPAND, "model": 3}, "model: expected an object"),
+    "service-not-object": ({**EXPAND, "service": 3}, "service: expected an object"),
+    "service-type": ({**EXPAND, "service": {"type": "lognormal"}},
+                     "service.type: unknown service type 'lognormal'"),
+    "kind": ({**EXPAND, "kind": "paths"}, "kind: expected 'counts' or 'queue', got 'paths'"),
+    "eps-grid": ({"model": MMPP, "eps_grid": [1.5, 0.1]}, "eps_grid: entries must lie in (0, 1]"),
+    "reps": ({**EXPAND, "reps": 0}, "reps: reps must be at least 1"),
+    "master-seed": ({**EXPAND, "master_seed": -1}, "master_seed: master_seed must be nonnegative"),
+    "workers": ({**EXPAND, "workers": 0}, "workers: workers must be at least 1"),
+    "tv-limit": ({**EXPAND, "tv_limit": 1}, "tv_limit: expected true or false"),
+    "truncation-mass": ({**EXPAND, "truncation_mass": 1.0},
+                        "truncation_mass: truncation_mass must lie in (0, 1)"),
+    "out": ({**EXPAND, "out": 3}, "out: expected a string path"),
+    "non-square": ({**EXPAND, "model": dict(MMPP, generator=[[-1, 1]])},
+                   "model: rate matrix must be square, got shape (1, 2)"),
+    "negative-off-diagonal": ({**EXPAND, "model": dict(MMPP, generator=[[1, -1], [1, -1]])},
+                              "model: off-diagonal rate q[0][1] = -1.0 is negative"),
+    "row-sum": ({**EXPAND, "model": dict(MMPP, generator=[[-1, 2], [1, -1]])},
+                "model: row 0 sums to 1.000e+00, expected 0"),
+    "reducible": ({**EXPAND, "model": dict(MMPP, generator=[[-1, 1], [0, 0]])},
+                  "model: positive-rate graph is not strongly connected "
+                  "(2 strongly connected components)"),
+}
+
+
+class TestRejectedConfig:
+    @pytest.mark.parametrize("doc, message", list(REJECTED.values()), ids=list(REJECTED))
+    def test_exits_2_with_its_message(self, tmp_path, capsys, doc, message):
+        out = tmp_path / "out.csv"
+        assert run_quietly("expand", write_config(tmp_path, doc), out, capsys) == (
+            2, f"config error: {message}\n"
+        )
+        assert not out.exists()
+
+    def test_zero_long_run_rate_exits_3(self, tmp_path, capsys):
+        # pi . f = 0.5 * 5e-324 rounds to zero
+        cfg = write_config(tmp_path, {"model": dict(MMPP, rates=[5e-324, 0])})
+        assert run_quietly("analyze", cfg, tmp_path / "out.json", capsys) == (
+            3, "numerical failure: pi . f must be positive\n"
+        )
 
 
 # A small config grammar for the robustness property.  Values reach the extremes, with one

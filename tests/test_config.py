@@ -124,6 +124,10 @@ class TestExperimentConfig:
         assert cfg.reps == 100_000 and cfg.master_seed == 0 and cfg.workers == 1
         assert cfg.kind == "counts" and cfg.t == 1.0
 
+    def test_non_object_rejected(self):
+        with pytest.raises(ConfigError, match="^top-level document must be an object$"):
+            parse_experiment_config([1])
+
     def test_queue_without_service_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_experiment_config({"model": MMPP, "kind": "queue", "eps": 0.2})

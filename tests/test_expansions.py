@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import expm
 from scipy.special import binom, gammainc
 
 from rapidpp import (
@@ -329,6 +330,19 @@ class TestMeanQ0:
         pieces = sorted({0.0, t, *(p for p in kinks if 0 < p < t)})
         ref = float(mp.quad(lambda s: float(service.survival(float(s))), pieces))
         assert mean_q0(2.5, service, t) == pytest.approx(2.5 * ref, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "service", [ErlangService(3, 1.5), UniformService(0.5, 2.0), UniformService(0.0, 2.0)],
+        ids=repr,
+    )
+    def test_survival_pieces_cover_the_half_line(self, service):
+        pieces = service.survival_pieces()
+        assert [lo for lo, *_ in pieces] == [0.0, *(hi for _, hi, *_ in pieces[:-1])]
+        assert pieces[-1][1] == math.inf
+        for lo, hi, alpha, phases, c in pieces:
+            for s in np.linspace(lo, min(hi, lo + 3.0), 7)[:-1]:
+                piece = alpha @ expm(phases * (s - lo)) @ c
+                assert piece == pytest.approx(float(service.survival(s)), abs=1e-14)
 
 
 class TestEtaSquared:

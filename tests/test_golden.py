@@ -121,10 +121,18 @@ def _cases() -> dict:
         "tv-limit-four": ("tv-limit", {"model": FOUR_STATE, "t": 3.0}, []),
         # Poisson truncation near 110 counts: beyond what a composition enumeration reaches.
         "tv-limit-worked-long": ("tv-limit", {"model": MMPP, "t": 60.0}, []),
-        # One full 16,384-rep chunk over ~150 rounds on a padded jump table.
+        # One full 16,384-rep chunk, its count drawn from the 30-row exact table.
         "simulate-mmpp-five-small-eps": (
             "simulate",
             {"model": FIVE_STATE, "t": 1.0, "eps": 0.01, "reps": 16_384, "master_seed": 14},
+            [],
+        ),
+        # A queue walk on five states: the jump table is padded to width 8, so the
+        # next-state search takes three halvings.
+        "simulate-queue-five-state": (
+            "simulate",
+            {"model": FIVE_STATE, "service": SERVICES["erlang"], "kind": "queue", "t": 1.0,
+             "eps": 0.05, "reps": 16_384, "master_seed": 18},
             [],
         ),
         # Horizon 500: the renewal CDF table spans a few hundred counts.

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from rapidpp import (
 )
 
 from rapidpp import arrivals, harness
+from rapidpp.expansions import MAX_KMAX
 from rapidpp.harness import CHUNK_SIZE, MIN_BASELINE_PROB, Z99
 
 from conftest import make_two_state
@@ -225,6 +227,18 @@ class TestConditionalEstimate:
         )
         bins = plain.probs >= MIN_BASELINE_PROB
         assert np.all(controlled.se[bins] < plain.se[bins])
+
+    def test_largest_kmax_adds_only_zero_bins(self):
+        # every path's terms underflow to zero before count 200, and the columns past
+        # that are not formed, so the largest kmax takes about a second, not minutes
+        spec = queue_spec(0.05)
+        small = estimate_pmf(spec, CHUNK_SIZE + 100, 7, 200, conditional=True)
+        start = time.perf_counter()
+        large = estimate_pmf(spec, CHUNK_SIZE + 100, 7, MAX_KMAX, conditional=True)
+        assert time.perf_counter() - start < 20.0
+        assert np.array_equal(large.probs[:201], small.probs)
+        assert np.array_equal(large.se[:201], small.se)
+        assert not large.probs[201:].any() and not large.se[201:].any()
 
     def test_occupancy_mean_of_a_constant_rate(self):
         constant = ExperimentSpec(PoissonBase(2.0), 1.0, None, QUEUE_SERVICE)

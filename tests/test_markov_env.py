@@ -7,10 +7,7 @@ from rapidpp import (
     CtmcModel,
     EnumerationTooLargeError,
     ExponentialService,
-    NegativeOffDiagonalError,
-    NonSquareError,
-    ReducibleError,
-    RowSumError,
+    GeneratorValidationError,
     analyze,
     sample_occupation_integrals,
     sample_queue_counts,
@@ -35,7 +32,7 @@ class TestValidateGenerator:
         assert gen.n == 2
 
     def test_absorbing_state_is_reducible(self):
-        with pytest.raises(ReducibleError):
+        with pytest.raises(GeneratorValidationError, match="not strongly connected"):
             validate_generator([[-1, 1], [0, 0]])
 
     def test_asymmetric_two_state_is_valid(self):
@@ -44,15 +41,15 @@ class TestValidateGenerator:
         assert np.allclose(gen.q.sum(axis=1), 0.0, atol=1e-12)
 
     def test_non_square_rejected(self):
-        with pytest.raises(NonSquareError):
+        with pytest.raises(GeneratorValidationError, match="must be square"):
             validate_generator([[-1, 1, 0], [1, -1, 0]])
 
     def test_negative_off_diagonal_rejected(self):
-        with pytest.raises(NegativeOffDiagonalError):
+        with pytest.raises(GeneratorValidationError, match="is negative"):
             validate_generator([[-1, 1], [-0.5, 0.5]])
 
     def test_nonzero_row_sum_rejected(self):
-        with pytest.raises(RowSumError):
+        with pytest.raises(GeneratorValidationError, match="sums to"):
             validate_generator([[-1, 1.5], [1, -1]])
 
     def test_one_state_chain_is_valid(self):
