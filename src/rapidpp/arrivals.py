@@ -317,7 +317,7 @@ def _renewal_cdf(base: RenewalGammaBase, horizon: float) -> tuple[int, np.ndarra
         lo = max(1, math.floor(mean - half))
         q = gammaincc(np.arange(lo, math.ceil(mean + half) + 1) * base.shape, base.rate * horizon)
         if (q[0] <= 2.0**-64 or lo == 1) and q[-1] == 1.0:
-            return lo, np.maximum.accumulate(q)  # like _jump_cdf's cap: no rounding dips
+            return lo, np.maximum.accumulate(q)  # like _jump_table's cap: no rounding dips
         half *= 2.0
 
 

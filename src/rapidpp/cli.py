@@ -148,12 +148,11 @@ def _cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
 
 
 def _cmd_validate(cfg: ExperimentConfig, out: str | None) -> int:
-    model = _require_mmpp(cfg)
     if cfg.eps_grid is None:
         raise ConfigError("missing required field", "eps_grid")
     service = cfg.service if cfg.kind == "queue" else None
     report = convergence_study(
-        model,
+        cfg.model,
         service,
         cfg.eps_grid,
         cfg.t,

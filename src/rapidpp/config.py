@@ -178,8 +178,6 @@ def parse_experiment_config(obj) -> ExperimentConfig:
         raise ConfigError(f"expected 'counts' or 'queue', got {kind!r}", "kind")
     if kind == "queue" and service is None:
         raise ConfigError("queue experiments require a service spec", "service")
-    if kind == "queue" and isinstance(model, (PeriodicIntensity, RenewalGammaBase)):
-        raise ConfigError("queue experiments require an mmpp or constant model", "model")
     if isinstance(model, PeriodicIntensity) and service is not None:
         raise ConfigError("periodic models do not take a service spec", "service")
 

@@ -200,48 +200,34 @@ def analyze(model: CtmcModel) -> StationaryAnalysis:
     return StationaryAnalysis(pi, lambda_star, f_centered, g, sigma2)
 
 
-def _jump_cdf(generator: GeneratorMatrix) -> np.ndarray:
-    """Row-wise cdf of the next state: row i accumulates q[i][j] / exit rate.
+def _jump_table(generator: GeneratorMatrix) -> tuple[np.ndarray, int]:
+    """Flat next-state search table of :func:`_next_state`; returns (table, W).
 
-    Rounding can carry a partial sum past 1.0, so entries are capped at 1.0,
-    and the last entry of every row with a positive exit rate is set to
-    exactly 1.0, so an inverse-cdf lookup with u in [0, 1) never overruns.
-    Neither step moves the lookup for any such u.  The row of a state with
-    no exit is all zeros.
+    Row i holds the cdf of the state a jump from i lands in, q[i][j] / exit
+    rate summed over j < n - 1, padded to W, the next power of two at least
+    n, and the rows are laid end to end.  Rounding can carry a partial sum
+    past 1.0, so entries are capped at 1.0; that moves no lookup for u in
+    [0, 1).  The last column and the padding hold 2.0, above every such u:
+    the full row sums to 1, so its last entry never counts.  A state with
+    no exit, a one-state chain's, has a row of 2.0 alone.
     """
-    exit_rates = generator.exit_rates
-    rate_pos = exit_rates > 0
-    safe = np.where(rate_pos, exit_rates, 1.0)
-    jump_probs = generator.q.copy()
-    np.fill_diagonal(jump_probs, 0.0)
-    cum = np.cumsum(np.where(rate_pos[:, None], jump_probs / safe[:, None], 0.0), axis=1)
-    cum = np.minimum(cum, 1.0)
-    cum[rate_pos, -1] = 1.0
-    return cum
-
-
-def _jump_search_table(cum: np.ndarray) -> tuple[np.ndarray, int]:
-    """Flat, padded copy of a :func:`_jump_cdf` table for :func:`_next_state`.
-
-    Each row is padded to width W, the next power of two at least n, and
-    the rows are laid end to end.  The last column and the padding hold
-    2.0, above every u in [0, 1); the last column was 1.0 on every row that
-    can jump, so it never counts in the lookup anyway.  Returns (table, W).
-    """
-    n = cum.shape[1]
+    n = generator.n
+    off = generator.q.copy()
+    np.fill_diagonal(off, 0.0)
     width = 1 << (n - 1).bit_length()
     table = np.full((n, width), 2.0)
-    table[:, : n - 1] = cum[:, : n - 1]
+    cum = np.cumsum(off[:, : n - 1] / generator.exit_rates[:, None], axis=1)
+    table[:, : n - 1] = np.minimum(cum, 1.0)
     return table.ravel(), width
 
 
 def _next_state(table: np.ndarray, width: int, state: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Next state of each chain: the count of entries of its cdf row that are <= u.
 
-    A branchless binary search over the padded rows of
-    :func:`_jump_search_table`, one 1-d gather per halving of W.  Every
-    row is nondecreasing (:func:`_jump_cdf` caps it at 1.0), so after the
-    steps W/2, ..., 1 the offset of ``pos`` in its row is exactly the count
+    A branchless binary search over the padded rows of :func:`_jump_table`,
+    one 1-d gather per halving of W.  Every row is nondecreasing: partial
+    sums of nonnegative terms, capped at 1.0, then 2.0.  So after the steps
+    W/2, ..., 1 the offset of ``pos`` in its row is exactly the count
     ``(u[:, None] >= cum[state]).sum(axis=1)``, ties included.
     """
     pos = state * width
@@ -263,11 +249,9 @@ def _segment_rounds(
     in which every replication jumps keeps its arrays as they are.  A state
     with no exit (a one-state chain's) has exit rate +0.0, and ``np.fmin``
     ends its sojourn, draw / 0 = inf or NaN, at the horizon.  The next
-    state comes from :func:`_next_state` on a padded table built once per
-    call, which gives the same integers as a scan of the whole cdf row, so
-    the draws and the yielded arrays are those of that scan.  A horizon
-    times maximum exit rate above MAX_SEGMENT_ROUNDS raises
-    EnumerationTooLargeError before the first draw.
+    state comes from :func:`_next_state` on a :func:`_jump_table` built once
+    per call.  A horizon times maximum exit rate above MAX_SEGMENT_ROUNDS
+    raises EnumerationTooLargeError before the first draw.
     """
     exit_rates = model.generator.exit_rates
     with np.errstate(over="ignore"):  # a product past the largest double is past the guard
@@ -279,7 +263,7 @@ def _segment_rounds(
     idx = np.arange(size)
     state = np.full(size, model.initial_state, dtype=np.int64)
     t_now = np.zeros(size)
-    table, width = _jump_search_table(_jump_cdf(model.generator))
+    table, width = _jump_table(model.generator)
     while idx.size:
         draws = rng.exponential(size=idx.size)
         with np.errstate(divide="ignore", invalid="ignore"):  # a state with no exit

@@ -47,7 +47,7 @@ from rapidpp.expansions import (
     UniformService,
     poisson_pmf,
 )
-from rapidpp.markov_env import CtmcModel, StationaryAnalysis, _jump_cdf, analyze
+from rapidpp.markov_env import CtmcModel, GeneratorMatrix, StationaryAnalysis, analyze
 
 
 class LengthMismatchError(RapidppError):
@@ -84,6 +84,25 @@ class EnvironmentPath:
         return self.jump_times.size
 
 
+def jump_cdf(generator: GeneratorMatrix) -> np.ndarray:
+    """Row-wise cdf of the state a jump lands in: row i accumulates q[i][j] / -q[i][i].
+
+    Rounding can carry a partial sum past 1.0, so entries are capped at 1.0,
+    and the last entry of a row that can jump is exactly 1.0, so
+    ``searchsorted(row, u, side="right")`` with u in [0, 1) is a state.  A
+    state with no exit has a row of zeros.
+    """
+    cum = np.zeros(generator.q.shape)
+    for i, row in enumerate(generator.q):
+        rate = -row[i]
+        if rate > 0.0:
+            off = row.copy()
+            off[i] = 0.0
+            cum[i] = np.minimum(np.cumsum(off / rate), 1.0)
+            cum[i, -1] = 1.0
+    return cum
+
+
 def sample_path(model: CtmcModel, horizon: float, rng: np.random.Generator) -> EnvironmentPath:
     """Exact CTMC trajectory on [0, horizon].
 
@@ -93,7 +112,7 @@ def sample_path(model: CtmcModel, horizon: float, rng: np.random.Generator) -> E
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     exit_rates = model.generator.exit_rates
-    cum = _jump_cdf(model.generator)
+    cum = jump_cdf(model.generator)
 
     times = []
     states = [model.initial_state]

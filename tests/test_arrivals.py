@@ -251,6 +251,10 @@ class TestSimulatePeriodic:
         kern = np.bincount(sample_periodic_counts(HALF_ON, 0.4, 1.3, 200_000, rng))
         assert chi_square_two_sample(ref, kern).p_value > 0.01
 
+    def test_cumulative_rejects_x_beyond_one_period(self):
+        with pytest.raises(ValueError):
+            HALF_ON.cumulative(1.5)
+
     def test_fractional_period_mean(self, rng):
         # t/eps = 3.25 periods: mean = eps * (3 * 1 + cumulative(0.25)) = 0.4 * 3.5
         mean = periodic_mean_count(HALF_ON, 0.4, 1.3)
@@ -258,6 +262,10 @@ class TestSimulatePeriodic:
 
 
 class TestThinAndSpeed:
+    def test_unsupported_base_rejected(self, two_state_model, rng):
+        with pytest.raises(TypeError):
+            sample_thinned_counts(two_state_model, 0.2, 1.0, 10, rng)
+
     def test_eps_one_is_identity_for_every_base(self, two_state_model):
         bases = [
             PoissonBase(2.0),

@@ -19,6 +19,8 @@ from gof import chi_square_gof
 
 MMPP = {"type": "mmpp", "generator": [[-1, 1], [1, -1]], "rates": [0, 2], "initial_state": 0}
 PERIODIC = {"type": "periodic", "breakpoints": [0, 0.5], "values": [2, 0]}
+RENEWAL = {"type": "renewal_gamma", "shape": 2, "rate": 2}
+CONSTANT = {"type": "constant", "rate": 1.0}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -305,6 +307,35 @@ class TestValidate:
         assert main(["validate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
         assert "config error: reps: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"model": PERIODIC},
+            {"model": CONSTANT},
+            {"model": RENEWAL},
+            {"model": CONSTANT, "kind": "queue", "service": {"type": "exponential", "rate": 1.0}},
+        ],
+        ids=["periodic", "constant", "renewal", "constant-queue"],
+    )
+    def test_every_model_type_is_studied(self, tmp_path, doc):
+        doc = {**doc, "t": 1.0, "eps_grid": [0.5, 0.2], "reps": 2_000, "master_seed": 3}
+        out = tmp_path / "report.json"
+        assert main(["validate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [entry["eps"] for entry in report["entries"]] == [0.5, 0.2]
+
+    def test_periodic_first_order_is_no_worse(self, tmp_path):
+        # t/eps is not a whole number of periods, so the zeroth-order residual is resolved
+        doc = {"model": PERIODIC, "t": 1.0, "eps_grid": [0.3, 0.15], "reps": 100_000,
+               "master_seed": 5}
+        out = tmp_path / "report.json"
+        assert main(["validate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        entries = json.loads(out.read_text())["entries"]
+        assert entries[0]["zeroth_order_residual"] > 10 * entries[0]["zeroth_order_se"]
+        for entry in entries:
+            slack = 3 * (entry["zeroth_order_se"] + entry["first_order_se"])
+            assert entry["first_order_residual"] <= entry["zeroth_order_residual"] + slack
 
 
 class TestTvLimit:
@@ -913,6 +944,21 @@ REJECTED = {
     "reducible": ({**EXPAND, "model": dict(MMPP, generator=[[-1, 1], [0, 0]])},
                   "model: positive-rate graph is not strongly connected "
                   "(2 strongly connected components)"),
+    "rates-shape": ({**EXPAND, "model": dict(MMPP, rates=[0, 2, 1])},
+                    "model: rates must have shape (2,), got (3,)"),
+    "initial-state": ({**EXPAND, "model": dict(MMPP, initial_state=2)},
+                      "model: initial_state 2 out of range [0, 2)"),
+    "negative-rate": ({**EXPAND, "model": dict(MMPP, rates=[-1, 2])},
+                      "model: rates must be finite and nonnegative"),
+    "negative-piece-rate": ({**EXPAND, "model": dict(PERIODIC, values=[2, -1])},
+                            "model: piece rates must be finite and nonnegative"),
+    "narrow-piece": ({**EXPAND, "model": dict(PERIODIC, breakpoints=[0, 0.9995])},
+                     "model: piece widths must be at least 0.001"),
+    "piece-count": ({**EXPAND, "model": dict(PERIODIC, values=[2])},
+                    "model: breakpoints and values must be equal-length 1-d sequences"),
+    "periodic-queue": ({**EXPAND, "model": PERIODIC, "kind": "queue",
+                        "service": {"type": "exponential", "rate": 1.0}},
+                       "service: periodic models do not take a service spec"),
 }
 
 
@@ -924,6 +970,27 @@ class TestRejectedConfig:
             2, f"config error: {message}\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, extra", [("expand", {"eps": 0.1}), ("simulate", {"eps": 0.1}),
+                           ("validate", {"eps_grid": [0.5, 0.1]})],
+    )
+    def test_renewal_queue_exits_2(self, tmp_path, capsys, command, extra):
+        doc = {"model": RENEWAL, "kind": "queue", "service": {"type": "exponential", "rate": 1.0},
+               **extra}
+        out = tmp_path / "out"
+        assert run_quietly(command, write_config(tmp_path, doc), out, capsys) == (
+            2, "config error: model: queue experiments require an mmpp or constant model\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "tv-limit"])
+    def test_renewal_queue_needs_a_chain_first(self, tmp_path, capsys, command):
+        doc = {"model": RENEWAL, "kind": "queue", "service": {"type": "exponential", "rate": 1.0}}
+        out = tmp_path / "out"
+        assert run_quietly(command, write_config(tmp_path, doc), out, capsys) == (
+            2, "config error: model.type: this command requires an mmpp model\n"
+        )
 
     def test_zero_long_run_rate_exits_3(self, tmp_path, capsys):
         # pi . f = 0.5 * 5e-324 rounds to zero

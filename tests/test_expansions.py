@@ -20,6 +20,7 @@ from rapidpp import (
     ErlangService,
     ExponentialService,
     PeriodicIntensity,
+    PmfVector,
     SingularSystemError,
     UniformService,
     corrected_count_pmf,
@@ -86,6 +87,16 @@ class TestPoissonPmf:
     def test_infinite_mean_gives_the_zero_pmf(self):
         pmf = poisson_pmf(math.inf, 10)
         assert pmf.kmax == 10 and not pmf.probs.any() and pmf.truncation_mass == 1.0
+
+    def test_negative_mean_rejected(self):
+        with pytest.raises(ValueError):
+            poisson_pmf(-1.0)
+
+    @pytest.mark.parametrize("probs", [np.ones(2), np.array([0.5, np.nan, 0.5])],
+                             ids=["short", "nan"])
+    def test_pmf_vector_rejects_bad_probs(self, probs):
+        with pytest.raises(ValueError):
+            PmfVector(probs, 2, 0.0)
 
     def test_zero_mean_is_point_mass(self):
         pmf = poisson_pmf(0.0)
@@ -460,6 +471,11 @@ class TestEtaSquared:
                             pieces))
         got = ErlangService(shape, rate).survival_square_integral(t)
         assert math.isfinite(got) and got == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("service", [ErlangService(2, 2.0), UniformService(0.25, 1.5)])
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_survival_square_integral_is_zero_up_to_time_zero(self, service, t):
+        assert service.survival_square_integral(t) == 0.0
 
     def test_erlang_memory_is_linear_in_the_shape(self):
         # a shape x shape grid of doubles would take 80 GB here; survival is 1 to

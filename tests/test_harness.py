@@ -96,6 +96,14 @@ class TestEstimatePmf:
         est2 = estimate_pmf(constant_spec(), 30_000, 5, stream_key=(1,))
         assert not np.array_equal(est1.counts, est2.counts)
 
+    def test_no_replications_rejected(self):
+        with pytest.raises(ValueError):
+            estimate_pmf(constant_spec(), 0, 1)
+
+    def test_counts_must_sum_to_reps(self):
+        with pytest.raises(ValueError):
+            PmfEstimate.from_counts([1, 2], 4, 1)
+
     def test_counts_always_sum_to_reps(self, two_state_model):
         spec = ExperimentSpec(two_state_model, 1.0, 0.5)
         est = estimate_pmf(spec, 12_345, 3, kmax=2)
@@ -244,6 +252,9 @@ class TestConditionalEstimate:
         constant = ExperimentSpec(PoissonBase(2.0), 1.0, None, QUEUE_SERVICE)
         si = float(QUEUE_SERVICE.survival_integral(1.0))
         assert constant.occupancy_mean() == pytest.approx(2.0 * si, rel=1e-14)
+
+    def test_no_occupancy_mean_where_q_over_eps_overflows(self):
+        assert queue_spec(5e-324).occupancy_mean() is None
 
     @pytest.mark.parametrize("reps", [1, 2])
     def test_too_few_reps_for_a_residual_se(self, reps):
@@ -396,6 +407,11 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(two_state_model, None, [0.1, 0.4], 1.0, 100, 0)
 
+    def test_grid_entries_must_lie_in_the_unit_interval(self, two_state_model):
+        with pytest.raises(ArgumentError) as info:
+            convergence_study(two_state_model, None, [1.5, 0.1], 1.0, 100, 0)
+        assert info.value.path == "eps_grid"
+
     def test_weak_convergence_with_positive_path_tv(self, two_state_model):
         # marginal distance to the constant-rate pmf shrinks, yet the path
         # total-variation limit stays bounded away from zero
@@ -510,6 +526,11 @@ class TestSpecValidation:
     def test_queue_rejects_renewal_model(self):
         with pytest.raises(ValueError):
             ExperimentSpec(RenewalGammaBase(2.0, 2.0), 1.0, 0.5, ExponentialService(1.0))
+
+    def test_queue_rejection_names_the_model(self):
+        with pytest.raises(ArgumentError) as info:
+            ExperimentSpec(RenewalGammaBase(2, 2), 1.0, 0.1, ExponentialService(1.0))
+        assert str(info.value) == "model: queue experiments require an mmpp or constant model"
 
     def test_unsupported_model_rejected(self):
         with pytest.raises(ValueError):

@@ -14,16 +14,10 @@ from rapidpp import (
     stationary_distribution,
     validate_generator,
 )
-from rapidpp.markov_env import (
-    MAX_SEGMENT_ROUNDS,
-    _jump_cdf,
-    _jump_search_table,
-    _next_state,
-    _segment_rounds,
-)
+from rapidpp.markov_env import MAX_SEGMENT_ROUNDS, _jump_table, _next_state, _segment_rounds
 
 from conftest import make_two_state, random_irreducible_model
-from reference import EnvironmentPath, occupation_integral, sample_path
+from reference import EnvironmentPath, jump_cdf, occupation_integral, sample_path
 
 
 class TestValidateGenerator:
@@ -208,7 +202,7 @@ class TestJumpCdf:
         rng = np.random.default_rng(12)
         for _ in range(20):
             gen = random_irreducible_model(rng, max_states=8).generator
-            cum = _jump_cdf(gen)
+            cum = jump_cdf(gen)
             off = gen.q.copy()
             np.fill_diagonal(off, 0.0)
             for i in range(gen.n):
@@ -218,7 +212,7 @@ class TestJumpCdf:
                 np.testing.assert_allclose(steps, off[i] / gen.exit_rates[i], rtol=0, atol=1e-12)
 
     def test_one_state_row_is_zero(self):
-        assert _jump_cdf(validate_generator([[0.0]])).tolist() == [[0.0]]
+        assert jump_cdf(validate_generator([[0.0]])).tolist() == [[0.0]]
 
 
 def _scan_lookup(cum, state, u):
@@ -243,8 +237,9 @@ class TestNextState:
     def test_matches_full_row_scan(self, n):
         rng = np.random.default_rng(100 + n)
         for _ in range(5):
-            cum = _jump_cdf(_generator_of_size(rng, n))
-            table, width = _jump_search_table(cum)
+            gen = _generator_of_size(rng, n)
+            cum = jump_cdf(gen)
+            table, width = _jump_table(gen)
             assert width >= n and width < 2 * n and width & (width - 1) == 0
             # ties: every table entry below 1.0, looked up in its own row
             rows, cols = np.nonzero(cum < 1.0)
@@ -261,7 +256,7 @@ class TestNextState:
     def test_one_state_chain_stays_put(self):
         # the lone state has no exit, so the kernel never looks its row up;
         # the search over a width-1 row still returns that state
-        table, width = _jump_search_table(_jump_cdf(validate_generator([[0.0]])))
+        table, width = _jump_table(validate_generator([[0.0]]))
         assert width == 1 and table.tolist() == [2.0]
         u = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
         assert _next_state(table, width, np.zeros(3, dtype=np.int64), u).tolist() == [0, 0, 0]
