@@ -11,8 +11,6 @@ deterministic Monte Carlo harness.
 """
 
 from .arrivals import (
-    BaseProcessSpec,
-    CoxBase,
     PeriodicIntensity,
     PoissonBase,
     RenewalGammaBase,

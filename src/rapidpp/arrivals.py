@@ -1,10 +1,14 @@
 """Arrival-process models and their vectorized time-t count kernels.
 
-Four models are covered: a constant-rate Poisson stream, a Markov-modulated
-stream whose intensity at time s is rates[X(s/eps)] for an environment chain
-X, a fast periodic-intensity Poisson stream, and the speed-up-plus-thinning
-construction that runs a base stream on [0, t/eps], keeps each point
-independently with probability eps, and rescales time.
+Four models are covered, one sampler each: a constant-rate Poisson stream,
+a Markov-modulated stream whose intensity at time s is rates[X(s/eps)] for
+an environment chain X, a fast periodic-intensity Poisson stream, and a
+gamma renewal stream run on [0, t/eps], each point kept independently with
+probability eps, and time rescaled.  Thinning a Poisson or a modulated base
+this way gives exactly the constant-rate or the modulated law, so only the
+renewal base is thinned here; the Poisson and modulated constructions are
+the test suite's equivalence oracle (``tests/reference.py`` and
+``tests/gof.py``).
 
 The kernels draw many iid copies of the time-t count exactly, without
 materializing paths or streams: given the environment, the modulated count
@@ -41,8 +45,7 @@ __all__ = [
     "PeriodicIntensity",
     "PoissonBase",
     "RenewalGammaBase",
-    "CoxBase",
-    "BaseProcessSpec",
+    "Model",
     "sample_cox_counts",
     "sample_periodic_counts",
     "sample_thinned_counts",
@@ -130,14 +133,7 @@ class RenewalGammaBase:
         return self.rate / self.shape
 
 
-@dataclass(frozen=True, eq=False)
-class CoxBase:
-    """Markov-modulated base stream with intensity rates[X(s)]."""
-
-    model: CtmcModel
-
-
-BaseProcessSpec = PoissonBase | RenewalGammaBase | CoxBase
+Model = CtmcModel | PeriodicIntensity | PoissonBase | RenewalGammaBase
 
 
 def _check_eps_t(eps: float, t: float, eps_zero: bool = False):
@@ -330,30 +326,19 @@ def _renewal_counts(
 
 
 def sample_thinned_counts(
-    base: BaseProcessSpec,
+    base: RenewalGammaBase,
     eps: float,
     t: float,
     size: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw ``size`` iid copies of the thinned, sped-up count at time t.
+    """Draw ``size`` iid copies of the thinned, sped-up renewal count at time t.
 
-    The base count on [0, t/eps] is drawn first (a renewal count R by inverting
+    The base count on [0, t/eps] is drawn first (R by inverting
     P(R >= n) = P(S_n <= t/eps), S_n ~ gamma(n*shape, rate)); independent
     keep/drop decisions then reduce it binomially with success probability eps.
     """
     _check_eps_t(eps, t)
-    horizon = t / eps
-    if isinstance(base, PoissonBase):
-        base_counts = _poisson(rng, base.rate * horizon, size)
-    elif isinstance(base, RenewalGammaBase):
-        base_counts = _renewal_counts(base, horizon, size, rng)
-    elif isinstance(base, CoxBase):
-        occ = sample_occupation_integrals(
-            base.model, base.model.rates, horizon, size, rng
-        )
-        base_counts = _poisson(rng, occ)
-    else:
+    if not isinstance(base, RenewalGammaBase):
         raise TypeError(f"unsupported base process {base!r}")
-    return rng.binomial(base_counts, eps)
-
+    return rng.binomial(_renewal_counts(base, t / eps, size, rng), eps)

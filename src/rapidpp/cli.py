@@ -7,9 +7,11 @@ config field), and simulate-only --kind counts|queue.
 Exit codes: 0 success, 2 config error (ConfigError: from the parser, or a
 library ArgumentError naming its field), 3 numerical failure
 (SingularSystemError: a modulated count table needing generator entries below
-double precision, a first-order pmf out of double range, a long-run rate pi . f,
-a baseline mean or validate's baseline pmf that underflows to zero, a NaN
-sigma2, or a JSON field such as sigma2 that is not finite), 4 guard violation
+double precision, a stationary or g solve that is singular or leaves double
+range, a first-order pmf out of double range, a long-run rate pi . f, a
+baseline mean or validate's baseline pmf that underflows to zero, rate ratios
+rates / lambda_star past the largest double, a NaN sigma2, or a JSON field
+such as sigma2 that is not finite), 4 guard violation
 (EnumerationTooLargeError: the TV limit's product grid, tv-limit's Monte Carlo
 reps, the renewal CDF table, an environment segment walk, a default kmax or a
 Poisson mean is too large).

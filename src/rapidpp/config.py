@@ -24,13 +24,12 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .arrivals import PeriodicIntensity, PoissonBase, RenewalGammaBase
+from .arrivals import Model, PeriodicIntensity, PoissonBase, RenewalGammaBase
 from .errors import ConfigError, GeneratorValidationError
 from .expansions import MAX_KMAX, ErlangService, ExponentialService, ServiceModel, UniformService
 from .markov_env import CtmcModel, validate_generator
 
 __all__ = [
-    "ModelSpec",
     "ExperimentConfig",
     "parse_model",
     "parse_service",
@@ -39,8 +38,6 @@ __all__ = [
     "resolved_config_dict",
     "config_sha256",
 ]
-
-ModelSpec = CtmcModel | PeriodicIntensity | PoissonBase | RenewalGammaBase
 
 
 def _require(obj: dict, key: str, path: str):
@@ -90,7 +87,7 @@ def _vector(value, path: str) -> list[float]:
     return [_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
-def parse_model(obj, path: str = "model") -> ModelSpec:
+def parse_model(obj, path: str = "model") -> Model:
     """Parse a model document into its domain object."""
     if not isinstance(obj, dict):
         raise ConfigError("expected an object", path)
@@ -146,7 +143,7 @@ class ExperimentConfig:
     """Resolved configuration shared by every command."""
 
     raw: dict
-    model: ModelSpec
+    model: Model
     service: ServiceModel | None
     kind: str
     t: float

@@ -266,8 +266,6 @@ class ErlangService:
         """
         k, t = self.shape, np.maximum(t, 0.0)
         with np.errstate(over="ignore"):  # a rate t past the largest double is inf
-            if k == 1:  # the exponential: no weight, and expm1(-inf) needs no cap
-                return -np.expm1(-self.rate * t) / self.rate
             y = np.minimum(self.rate * t, np.finfo(float).max)
         if k > MAX_ERLANG_SUM_SHAPE:
             return (y * pdtr(k - 1, y) + k * pdtrc(k, y)) / self.rate
@@ -358,7 +356,7 @@ class UniformService:
         ]
 
 
-ServiceModel = ExponentialService | ErlangService | UniformService
+ServiceModel = ErlangService | UniformService
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +426,8 @@ def _ratio_axes(model: CtmcModel, t: float) -> tuple[float, list[tuple[float, fl
     chance that no factor has ratio zero, and a (log r_v, mass_v) pair for
     each distinct ratio r_v other than 0 and 1, in ``np.unique`` order:
     factors of ratio r_v come as independent Poisson(mass_v) counts,
-    mass_v = lambda_star t pi_v.  A constant rate, or t = 0, gives (0.0, []).
+    mass_v = lambda_star t pi_v.  A constant rate, or t = 0, gives (0.0, []).  A
+    ratio past the largest double (a subnormal lambda_star) raises SingularSystemError.
     """
     if not t >= 0:
         raise ArgumentError(f"must be nonnegative, got {t}", "t")
@@ -436,7 +435,12 @@ def _ratio_axes(model: CtmcModel, t: float) -> tuple[float, list[tuple[float, fl
     f = model.rates
     if t == 0.0 or np.all(f == f[0]):  # every ratio is exactly one
         return 0.0, []
-    ratios = f / analysis.lambda_star
+    with np.errstate(over="ignore"):
+        ratios = f / analysis.lambda_star
+    if not np.all(np.isfinite(ratios)):
+        raise SingularSystemError(
+            f"rate ratios to lambda_star = {analysis.lambda_star:.3g} leave double range"
+        )
     zero = ratios == 0.0
     mu = analysis.lambda_star * t
     log_stay = -mu * float(analysis.pi[zero].sum())

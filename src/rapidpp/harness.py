@@ -18,8 +18,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .arrivals import (
-    BaseProcessSpec,
-    CoxBase,
+    Model,
     PeriodicIntensity,
     PoissonBase,
     _check_eps_t,
@@ -56,8 +55,6 @@ CHUNK_SIZE = 16_384
 MIN_BASELINE_PROB = 1e-4
 Z99 = 2.5758293035489004  # the standard normal 0.995 quantile
 
-Model = CtmcModel | PeriodicIntensity | BaseProcessSpec
-
 
 @functools.lru_cache(maxsize=8)
 def _analysis(model: CtmcModel):
@@ -66,6 +63,13 @@ def _analysis(model: CtmcModel):
     arrays are read-only.  ``analyze`` is looked up at call time, so a patch of
     ``harness.analyze`` sees every model's first analysis."""
     return analyze(model)
+
+
+@functools.lru_cache(maxsize=8)
+def _one_state_chain(base: PoissonBase) -> CtmcModel:
+    """A constant rate as a one-state chain, built once per rate, so that a queue study
+    over an eps grid hits :func:`_analysis`' cache and analyzes it once."""
+    return CtmcModel(validate_generator([[0.0]]), np.array([base.rate]), 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +81,8 @@ class ExperimentSpec:
     - ``PoissonBase``: constant-rate count; a constant rate has no speed
       parameter, so ``eps`` is ignored (and set to 1), while every other
       model needs one: an ``eps`` of None raises ArgumentError;
-    - ``RenewalGammaBase`` or ``CoxBase``: count of the base stream sped up
-      by 1/eps and thinned with keep probability eps;
+    - ``RenewalGammaBase``: count of the renewal stream sped up by 1/eps
+      and thinned with keep probability eps;
     - with a ``service``: infinite-server occupancy fed by the stream.  The
       model must be a ``CtmcModel`` or a ``PoissonBase``, which the spec
       wraps as a one-state chain; any other raises ArgumentError.
@@ -104,17 +108,16 @@ class ExperimentSpec:
         if isinstance(model, PoissonBase):
             object.__setattr__(self, "eps", 1.0)
             if self.service is not None:
-                chain = CtmcModel(validate_generator([[0.0]]), np.array([model.rate]), 0)
-                object.__setattr__(self, "model", chain)
+                object.__setattr__(self, "model", _one_state_chain(model))
         elif self.eps is None:
             raise ArgumentError("missing required field", "eps")
         _check_eps_t(self.eps, self.t, eps_zero=True)
 
     def _first_order(self):
         """(baseline mean, corrected pmf or None, its leading arguments): the one model-type
-        dispatch.  A thinned ``CoxBase`` has the modulated stream's law and takes its
-        correction; a constant rate needs none, and no renewal correction is implemented."""
-        model = self.model.model if isinstance(self.model, CoxBase) else self.model
+        dispatch.  A constant rate needs no correction, and no renewal correction is
+        implemented."""
+        model = self.model
         if isinstance(model, CtmcModel):
             res = _analysis(model)
             env = (res.lambda_star, float(res.g[model.initial_state]), res.sigma2)

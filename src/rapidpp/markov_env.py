@@ -13,11 +13,12 @@ sampler kept in ``tests/reference.py`` is what the tests check them against.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -138,16 +139,25 @@ class StationaryAnalysis:
     sigma2: float
 
 
-def _solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense solve with one step of iterative refinement."""
+def _solve_refined(a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
+    """Dense LU solve with one step of iterative refinement.
+
+    A matrix that is not finite, an exactly zero pivot (scipy's LinAlgWarning)
+    or a step that leaves double range raises one SingularSystemError naming
+    the ``name`` solve, and nothing is warned.  The warning filter is
+    process-wide, so this runs only where no chunk thread does: before any
+    sampling, from :func:`analyze`.
+    """
     try:
-        lu = lu_factor(a)
-        x = lu_solve(lu, b)
-        x += lu_solve(lu, b - a @ x)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSystemError(str(exc)) from exc
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error", LinAlgWarning)
+            lu = lu_factor(a)
+            x = lu_solve(lu, b)
+            x += lu_solve(lu, b - a @ x)
+    except (LinAlgWarning, FloatingPointError, ValueError) as exc:
+        raise SingularSystemError(f"the {name} solve is singular or leaves double range") from exc
     if not np.all(np.isfinite(x)):
-        raise SingularSystemError("linear solve produced non-finite values")
+        raise SingularSystemError(f"the {name} solve produced non-finite values")
     return x
 
 
@@ -162,7 +172,7 @@ def stationary_distribution(gen: GeneratorMatrix) -> np.ndarray:
     a[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    pi = _solve_refined(a, b)
+    pi = _solve_refined(a, b, "stationary")
     if np.any(pi <= 0):
         raise SingularSystemError("stationary solve produced nonpositive entries")
     return pi / pi.sum()
@@ -188,7 +198,7 @@ def analyze(model: CtmcModel) -> StationaryAnalysis:
     a[-1, :] = pi
     b = -f_centered.copy()
     b[-1] = 0.0
-    g = _solve_refined(a, b)
+    g = _solve_refined(a, b, "deviation (g)")
     # rates and g near the largest double give inf, and an inf and a -inf term give NaN;
     # eta_squared and the CLI's JSON writer report either
     with np.errstate(over="ignore", invalid="ignore"):

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from rapidpp import CoxBase, CtmcModel, ExperimentSpec, PmfEstimate, PmfVector, estimate_pmf
+from rapidpp import (
+    CtmcModel,
+    ExperimentSpec,
+    PmfEstimate,
+    PmfVector,
+    estimate_pmf,
+    sample_occupation_integrals,
+)
+from rapidpp.arrivals import _finite_horizon
 
 MIN_EXPECTED = 5.0
 
@@ -111,6 +119,25 @@ def chi_square_two_sample(counts_a, counts_b) -> GofResult:
     return _chi2_result(statistic, oa.size)
 
 
+@dataclass(frozen=True, eq=False)
+class _ThinnedModulated:
+    """The modulated base run on [0, horizon] and thinned with keep probability eps, as a
+    spec that :func:`estimate_pmf` draws from.  Given the environment, the base count is
+    Poisson with the occupation integral of the rates as its mean; each point is then kept
+    independently.  Its baseline is the directly modulated experiment's."""
+
+    direct: ExperimentSpec
+    horizon: float
+
+    def baseline_mean(self) -> float:
+        return self.direct.baseline_mean()
+
+    def sample_counts(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        model = self.direct.model
+        occupation = sample_occupation_integrals(model, model.rates, self.horizon, size, rng)
+        return rng.binomial(rng.poisson(occupation), self.direct.eps)
+
+
 def construction_equivalence_test(
     model: CtmcModel,
     eps: float,
@@ -127,8 +154,8 @@ def construction_equivalence_test(
     segments and thins a Poisson base count binomially, while the direct
     count is inverted from its exact table (:func:`sample_cox_counts`).
     """
-    thin_spec = ExperimentSpec(CoxBase(model), t, eps)
     cox_spec = ExperimentSpec(model, t, eps)
+    thin_spec = _ThinnedModulated(cox_spec, _finite_horizon(eps, t))
     est_thin = estimate_pmf(thin_spec, reps, master_seed, workers=workers, stream_key=(1,))
     est_cox = estimate_pmf(cox_spec, reps, master_seed, workers=workers, stream_key=(2,))
     return chi_square_two_sample(est_thin.counts, est_cox.counts)

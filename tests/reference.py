@@ -32,8 +32,6 @@ from scipy import stats
 from scipy.special import gammaln
 
 from rapidpp.arrivals import (
-    BaseProcessSpec,
-    CoxBase,
     PeriodicIntensity,
     PoissonBase,
     RenewalGammaBase,
@@ -251,22 +249,26 @@ def _renewal_times(base: RenewalGammaBase, horizon: float, rng: np.random.Genera
     return times[times <= horizon]
 
 
-def simulate_base(base: BaseProcessSpec, horizon: float, rng: np.random.Generator) -> ArrivalStream:
-    """Simulate a base stream at its natural speed on (0, horizon]."""
+BaseStream = PoissonBase | RenewalGammaBase | CtmcModel
+
+
+def simulate_base(base: BaseStream, horizon: float, rng: np.random.Generator) -> ArrivalStream:
+    """Simulate a base stream at its natural speed on (0, horizon]; a ``CtmcModel`` is the
+    modulated stream with intensity rates[X(s)]."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if isinstance(base, PoissonBase):
         return simulate_constant_poisson(base.rate, horizon, rng)
     if isinstance(base, RenewalGammaBase):
         return ArrivalStream(horizon, _renewal_times(base, horizon, rng))
-    if isinstance(base, CoxBase):
-        stream, _ = simulate_cox(base.model, 1.0, horizon, rng)
+    if isinstance(base, CtmcModel):
+        stream, _ = simulate_cox(base, 1.0, horizon, rng)
         return stream
     raise TypeError(f"unsupported base process {base!r}")
 
 
 def thin_and_speed(
-    base: BaseProcessSpec, eps: float, t: float, rng: np.random.Generator
+    base: BaseStream, eps: float, t: float, rng: np.random.Generator
 ) -> ArrivalStream:
     """Run the base on [0, t/eps], keep points with probability eps, rescale time.
 

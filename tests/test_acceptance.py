@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from rapidpp import (
-    CoxBase,
     ErlangService,
     ExperimentSpec,
     ExponentialService,
@@ -194,7 +193,7 @@ def test_A7_construction_equivalence():
     start = time.monotonic()
     res = construction_equivalence_test(WORKED_MODEL, 0.2, 1.0, 1_000_000, 707)
     assert res.p_value > 0.01
-    for base in (PoissonBase(2.0), RenewalGammaBase(2.0, 2.0), CoxBase(WORKED_MODEL)):
+    for base in (PoissonBase(2.0), RenewalGammaBase(2.0, 2.0), WORKED_MODEL):
         thinned = thin_and_speed(base, 1.0, 3.0, np.random.default_rng(17))
         direct = simulate_base(base, 3.0, np.random.default_rng(17))
         np.testing.assert_array_equal(thinned.times, direct.times)

@@ -10,7 +10,6 @@ from scipy import special, stats
 from scipy.sparse.linalg import expm_multiply
 
 from rapidpp import (
-    CoxBase,
     ExperimentSpec,
     PeriodicIntensity,
     PmfVector,
@@ -270,30 +269,18 @@ class TestThinAndSpeed:
         bases = [
             PoissonBase(2.0),
             RenewalGammaBase(2.0, 2.0),
-            CoxBase(two_state_model),
+            two_state_model,
         ]
         for base in bases:
             thinned = thin_and_speed(base, 1.0, 4.0, np.random.default_rng(77))
             direct = simulate_base(base, 4.0, np.random.default_rng(77))
             np.testing.assert_array_equal(thinned.times, direct.times)
 
-    def test_poisson_base_closure(self, rng):
-        # speeding up to rate lam/eps and thinning by eps restores rate lam
-        counts = sample_thinned_counts(PoissonBase(1.3), 0.2, 1.0, 200_000, rng)
-        assert chi_square_gof(np.bincount(counts), poisson_pmf(1.3)).p_value > 0.01
-
     def test_stream_level_poisson_closure(self, rng):
         counts = np.bincount(
             [thin_and_speed(PoissonBase(1.0), 0.25, 1.0, rng).count for _ in range(20_000)]
         )
         assert chi_square_gof(counts, poisson_pmf(1.0)).p_value > 0.01
-
-    def test_cox_base_matches_direct_simulation(self, two_state_model, rng):
-        thin = np.bincount(
-            sample_thinned_counts(CoxBase(two_state_model), 0.2, 1.0, 150_000, rng)
-        )
-        direct = np.bincount(sample_cox_counts(two_state_model, 0.2, 1.0, 150_000, rng))
-        assert chi_square_two_sample(thin, direct).p_value > 0.01
 
     def test_renewal_base_approaches_poisson(self):
         # gamma(2, 2) interarrivals: long-run rate 1; thinned counts drift

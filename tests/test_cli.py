@@ -855,6 +855,17 @@ NO_BASELINE_BIN = {"model": dict(MMPP, rates=[0, 20]), "t": 1.0, "eps_grid": [0.
 UNDERFLOWED_BASELINE = {"model": {"type": "mmpp", "generator": [[0]], "rates": [20]},
                         "t": 50.0, "eps_grid": [0.5], "reps": 100}
 
+# Two generators from a fuzz over off-diagonal rates 10^U(-300, 300).  On SINGULAR_G the g
+# solve meets an exactly zero pivot; on SUBNORMAL_LAMBDA pi = (1.48e-311, 1), so
+# lambda_star = 1.48e-311 and the rate ratio rates[0] / lambda_star passes the largest double.
+SINGULAR_G = {"type": "mmpp", "rates": [1, 0.5, 2], "generator": [
+    [-3.102650262030696e+89, 3.102650262030696e+89, 4.579338463350663e-59],
+    [3.9642084446920263e-231, -3.9642084446920263e-231, 0.0],
+    [11593.1635103564, 0.0, -11593.1635103564]]}
+SUBNORMAL_LAMBDA = {"type": "mmpp", "rates": [1, 0], "generator": [
+    [-2.7766894233684487e+136, 2.7766894233684487e+136],
+    [4.1096006747559125e-175, -4.1096006747559125e-175]]}
+
 
 def run_quietly(command, cfg, out, capsys):
     """``main`` in process with every warning an error; returns (exit code, stderr)."""
@@ -888,6 +899,34 @@ class TestNanSigma2:
         cfg = write_config(tmp_path, {"model": NAN_SIGMA2, "t": 1.0})
         assert run_quietly(command, cfg, out, capsys) == (code, message)
         assert not out.exists()
+
+
+class TestExtremeGenerators:
+    @pytest.mark.parametrize("command", ["analyze", "expand", "tv-limit"])
+    def test_singular_g_solve_exits_3_with_one_line(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"model": SINGULAR_G, "t": 1.0, "eps": 0.1})
+        assert run_quietly(command, cfg, out, capsys) == (
+            3, "numerical failure: the deviation (g) solve is singular or leaves double range\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "tv-limit"])
+    def test_subnormal_lambda_star_tv_limit_exits_3_with_one_line(self, tmp_path, capsys, command):
+        # the limit is at most lambda_star t = 1.5e-311; the ratio used to give 1.0
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"model": SUBNORMAL_LAMBDA, "t": 1.0, "tv_limit": True})
+        assert run_quietly(command, cfg, out, capsys) == (
+            3, "numerical failure: rate ratios to lambda_star = 1.48e-311 leave double range\n"
+        )
+        assert not out.exists()
+
+    def test_subnormal_lambda_star_expansion_needs_no_ratio(self, tmp_path, capsys):
+        # at mean 1.5e-311 the count is 0 but for a chance below 1e-310
+        out = tmp_path / "out.csv"
+        cfg = write_config(tmp_path, {"model": SUBNORMAL_LAMBDA, "t": 1.0, "eps": 0.1})
+        assert run_quietly("expand", cfg, out, capsys) == (0, "")
+        assert read_csv(out)[1].tolist() == [[0.0, 1.0, 1.0]]
 
 
 class TestValidateWithNoBaselineBin:
@@ -1046,10 +1085,24 @@ MODELS = st.one_of(
 )
 
 
+# Off-diagonal rates 10^U(-300, 300) on 2-4 states, for the commands that walk no
+# segments: their solves and rate ratios meet pivots and ratios at the ends of double range.
 @st.composite
-def cli_runs(draw):
-    command = draw(st.sampled_from(["analyze", "expand", "simulate", "validate", "tv-limit"]))
-    doc = {"model": draw(MODELS), "t": draw(T_VALUES), "reps": draw(st.sampled_from([100, 40, 3]))}
+def extreme_mmpp_models(draw):
+    n = draw(st.integers(2, 4))
+    off = st.one_of(st.floats(-300.0, 300.0).map(lambda e: 10.0**e), st.just(0.0))
+    q = [[draw(off) if i != j else 0.0 for j in range(n)] for i in range(n)]
+    for i, row in enumerate(q):
+        row[i] = -sum(row)
+    return {"type": "mmpp", "generator": q, "rates": [draw(RATES) for _ in range(n)],
+            "initial_state": draw(st.integers(0, n - 1))}
+
+
+@st.composite
+def cli_runs(draw, commands=("analyze", "expand", "simulate", "validate", "tv-limit"),
+             models=MODELS):
+    command = draw(st.sampled_from(commands))
+    doc = {"model": draw(models), "t": draw(T_VALUES), "reps": draw(st.sampled_from([100, 40, 3]))}
     service = draw(SERVICES)
     if service is not None:
         doc["service"] = service
@@ -1084,8 +1137,21 @@ class TestRobustness:
     @example(("validate", {**NAN_QUEUE, "eps_grid": [0.5, 0.25]}))
     def test_every_config_ends_in_a_known_exit(self, run_dir, run):
         # pytest turns any RuntimeWarning into an error, so a warning escapes as one too
-        command, doc = run
-        cfg = write_config(run_dir, doc)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main([command, "--config", cfg, "--out", str(run_dir / "out")])
-        assert code in (0, 2, 3, 4)
+        assert_known_exit(run_dir, *run)
+
+    @settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+    @given(cli_runs(("analyze", "expand", "tv-limit"), extreme_mmpp_models()))
+    @example(("analyze", {"model": SINGULAR_G, "t": 1.0}))
+    @example(("expand", {"model": SINGULAR_G, "t": 1.0, "eps": 0.1}))
+    @example(("tv-limit", {"model": SINGULAR_G, "t": 1.0}))
+    @example(("analyze", {"model": SUBNORMAL_LAMBDA, "t": 1.0, "tv_limit": True}))
+    @example(("tv-limit", {"model": SUBNORMAL_LAMBDA, "t": 1.0}))
+    def test_every_extreme_generator_ends_in_a_known_exit(self, run_dir, run):
+        assert_known_exit(run_dir, *run)
+
+
+def assert_known_exit(run_dir, command, doc):
+    cfg = write_config(run_dir, doc)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--config", cfg, "--out", str(run_dir / "out")])
+    assert code in (0, 2, 3, 4)

@@ -896,3 +896,18 @@ class TestTvLimit:
             tv_limit_exact(two_state_model, math.inf)
         with pytest.raises(EnumerationTooLargeError):
             tv_limit_mc(two_state_model, math.inf, 100, np.random.default_rng(0))
+
+    def test_subnormal_lambda_star_is_a_numerical_failure(self):
+        # pi = (1.48e-311, 1), so lambda_star = 1.48e-311 and rates[0] / lambda_star is
+        # past the largest double; the limit is at most lambda_star t, not 1
+        q = [[-2.7766894233684487e136, 2.7766894233684487e136],
+             [4.1096006747559125e-175, -4.1096006747559125e-175]]
+        model = CtmcModel(validate_generator(q), np.array([1.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: tv_limit_exact(model, 1.0),
+                lambda: tv_limit_mc(model, 1.0, 100, np.random.default_rng(0)),
+            ):
+                with pytest.raises(SingularSystemError, match="leave double range"):
+                    call()

@@ -9,7 +9,6 @@ from scipy import stats
 
 from rapidpp import (
     ArgumentError,
-    CoxBase,
     CtmcModel,
     ErlangService,
     ExperimentSpec,
@@ -376,6 +375,19 @@ class TestConvergenceStudy:
         convergence_study(model, QUEUE_SERVICE, [0.4, 0.2, 0.1, 0.05], 1.0, 100, 5)
         assert calls == [model]
 
+    def test_constant_rate_queue_study_analyzes_once(self, monkeypatch):
+        # each spec wraps the rate in a one-state chain; one chain per rate hits the cache
+        grid = [0.5, 0.25, 0.125, 0.0625]
+        chain = CtmcModel(validate_generator([[0.0]]), [1.5])
+        wrapped = convergence_study(chain, ExponentialService(1.0), grid, 1.0, 100, 5)
+        harness._analysis.cache_clear()
+        harness._one_state_chain.cache_clear()
+        calls = []
+        monkeypatch.setattr(harness, "analyze", lambda m: calls.append(m) or analyze(m))
+        report = convergence_study(PoissonBase(1.5), ExponentialService(1.0), grid, 1.0, 100, 5)
+        assert len(calls) == 1 and calls[0].n == 1
+        assert report.to_json_dict() == wrapped.to_json_dict()
+
     def test_first_order_beats_zeroth_on_worked_example(self, two_state_model):
         report = convergence_study(two_state_model, None, [0.4, 0.1], 1.0, 200_000, 29)
         for entry in report.entries:
@@ -426,12 +438,6 @@ class TestConvergenceStudy:
 
 
 class TestExpansion:
-    def test_thinned_cox_takes_the_modulated_correction(self, two_state_model):
-        thinned = ExperimentSpec(CoxBase(two_state_model), 1.0, 0.2).expansion()
-        direct = ExperimentSpec(two_state_model, 1.0, 0.2).expansion()
-        for a, b in zip(thinned, direct):
-            np.testing.assert_array_equal(a.probs, b.probs)
-
     def test_constant_rate_ignores_eps(self):
         spec = ExperimentSpec(PoissonBase(2.0), 1.5, 0.3)
         assert spec.eps == 1.0
@@ -497,12 +503,6 @@ DISPATCH = {
     "constant-queue": _queue_case(PoissonBase(2.0), ExponentialService(1.5)),
     "renewal": (
         DISPATCH_RENEWAL, None, lambda _: DISPATCH_RENEWAL.long_run_rate * DISPATCH_T, None
-    ),
-    "cox": (
-        CoxBase(DISPATCH_CHAIN),
-        None,
-        lambda _: analyze(DISPATCH_CHAIN).lambda_star * DISPATCH_T,
-        lambda _, *rest: corrected_count_pmf(*_env(DISPATCH_CHAIN), *rest),
     ),
 }
 

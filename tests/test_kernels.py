@@ -8,7 +8,6 @@ import pytest
 from rapidpp import (
     ArgumentError,
     ConfigError,
-    CoxBase,
     CtmcModel,
     ErlangService,
     ExperimentSpec,
@@ -54,9 +53,6 @@ SAMPLERS = {
     "sample_periodic_counts": lambda eps, t: sample_periodic_counts(HALF_ON, eps, t, 10, _rng()),
     "sample_thinned_counts": lambda eps, t: sample_thinned_counts(
         RenewalGammaBase(2.0, 2.0), eps, t, 10, _rng()
-    ),
-    "sample_thinned_counts_cox": lambda eps, t: sample_thinned_counts(
-        CoxBase(MODEL), eps, t, 10, _rng()
     ),
     "sample_queue_counts": lambda eps, t: sample_queue_counts(MODEL, SERVICE, eps, t, 10, _rng()),
     "periodic_mean_count": lambda eps, t: periodic_mean_count(HALF_ON, eps, t),

@@ -8,13 +8,20 @@ from rapidpp import (
     EnumerationTooLargeError,
     ExponentialService,
     GeneratorValidationError,
+    SingularSystemError,
     analyze,
     sample_occupation_integrals,
     sample_queue_counts,
     stationary_distribution,
     validate_generator,
 )
-from rapidpp.markov_env import MAX_SEGMENT_ROUNDS, _jump_table, _next_state, _segment_rounds
+from rapidpp.markov_env import (
+    MAX_SEGMENT_ROUNDS,
+    _jump_table,
+    _next_state,
+    _segment_rounds,
+    _solve_refined,
+)
 
 from conftest import make_two_state, random_irreducible_model
 from reference import EnvironmentPath, jump_cdf, occupation_integral, sample_path
@@ -74,6 +81,28 @@ class TestStationaryDistribution:
             validate_generator([[-1, 1, 0], [0, -1, 1], [1, 0, -1]])
         )
         np.testing.assert_allclose(pi, np.ones(3) / 3, atol=1e-12)
+
+
+# (matrix, right-hand side) pairs: a zero pivot, a solution past the largest double, a NaN
+SINGULAR_SYSTEMS = {
+    "zero-pivot": ([[0.0, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+    "overflow": ([[1e-300, 0.0], [0.0, 1.0]], [1e10, 1.0]),
+    "nan": ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+}
+
+
+class TestSolveRefined:
+    @pytest.mark.parametrize("case", list(SINGULAR_SYSTEMS))
+    def test_singular_or_overflowing_solve_raises_one_error_naming_it(self, case):
+        a, b = SINGULAR_SYSTEMS[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError, match="^the test solve "):
+                _solve_refined(np.array(a), np.array(b), "test")
+
+    def test_regular_system_is_solved(self):
+        x = _solve_refined(np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([3.0, 5.0]), "test")
+        np.testing.assert_allclose(x, [0.8, 1.4], rtol=1e-15)
 
 
 def two_state_closed_form(a, b, f1, f2):
