@@ -21,10 +21,7 @@ from .arrivals import (
 from .errors import (
     ArgumentError,
     ConfigError,
-    DegenerateMeanError,
     EnumerationTooLargeError,
-    GeneratorValidationError,
-    NotANumberError,
     RapidppError,
     SingularSystemError,
 )

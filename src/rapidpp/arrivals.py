@@ -149,6 +149,16 @@ def _check_eps_t(eps: float, t: float, eps_zero: bool = False):
         raise ArgumentError(f"must be positive, got {t}", "t")
 
 
+def _check_eps_grid(eps_grid) -> list[float]:
+    """eps_grid as floats; ArgumentError unless nonempty, in (0, 1] and strictly decreasing."""
+    grid = [float(e) for e in eps_grid]
+    if not grid or any(not 0.0 < e <= 1.0 for e in grid):
+        raise ArgumentError("entries must lie in (0, 1]", "eps_grid")
+    if any(b >= a for a, b in zip(grid, grid[1:])):
+        raise ArgumentError("entries must decrease strictly", "eps_grid")
+    return grid
+
+
 def _finite_horizon(eps: float, t: float) -> float:
     """t/eps after the sampler form of :func:`_check_eps_t`; ArgumentError unless finite.
 

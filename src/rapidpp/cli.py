@@ -4,8 +4,9 @@ Subcommands: analyze | expand | simulate | validate | tv-limit.
 Flags: --config PATH, --out PATH, --seed U64, --reps N (each overrides its
 config field), and simulate-only --kind counts|queue.
 
-Exit codes: 0 success, 2 config error (ConfigError: from the parser, or a
-library ArgumentError naming its field), 3 numerical failure
+Exit codes: 0 success, 2 config error (ConfigError: from the parser, which
+reports a model constructor's ValueError on ``model``, or a library
+ArgumentError naming its field), 3 numerical failure
 (SingularSystemError: a modulated count table needing generator entries below
 double precision, a stationary or g solve that is singular or leaves double
 range, a first-order pmf out of double range, a long-run rate pi . f, a

@@ -5,7 +5,6 @@ Model documents::
     {"type": "mmpp", "generator": [[-1, 1], [1, -1]], "rates": [0, 2], "initial_state": 0}
     {"type": "periodic", "breakpoints": [0, 0.5], "values": [2, 0]}
     {"type": "constant", "rate": 1.0}
-    {"type": "poisson", "rate": 1.0}
     {"type": "renewal_gamma", "shape": 2, "rate": 2}
 
 Service documents::
@@ -24,8 +23,15 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .arrivals import Model, PeriodicIntensity, PoissonBase, RenewalGammaBase
-from .errors import ConfigError, GeneratorValidationError
+from .arrivals import (
+    Model,
+    PeriodicIntensity,
+    PoissonBase,
+    RenewalGammaBase,
+    _check_eps_grid,
+    _check_eps_t,
+)
+from .errors import ConfigError
 from .expansions import MAX_KMAX, ErlangService, ExponentialService, ServiceModel, UniformService
 from .markov_env import CtmcModel, validate_generator
 
@@ -103,14 +109,14 @@ def parse_model(obj, path: str = "model") -> Model:
                 _vector(_require(obj, "breakpoints", path), f"{path}.breakpoints"),
                 _vector(_require(obj, "values", path), f"{path}.values"),
             )
-        if kind in ("constant", "poisson"):
+        if kind == "constant":
             return PoissonBase(_number(_require(obj, "rate", path), f"{path}.rate"))
         if kind == "renewal_gamma":
             return RenewalGammaBase(
                 _number(_require(obj, "shape", path), f"{path}.shape"),
                 _number(_require(obj, "rate", path), f"{path}.rate"),
             )
-    except (GeneratorValidationError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc), path) from exc
     raise ConfigError(f"unknown model type {kind!r}", f"{path}.type")
 
@@ -178,22 +184,15 @@ def parse_experiment_config(obj) -> ExperimentConfig:
     if isinstance(model, PeriodicIntensity) and service is not None:
         raise ConfigError("periodic models do not take a service spec", "service")
 
+    # The library's own rules, checked before any command runs; an absent eps checks t alone.
     t = _number(obj.get("t", 1.0), "t")
-    if t <= 0:
-        raise ConfigError("t must be positive", "t")
-
     eps = obj.get("eps")
     if eps is not None:
         eps = _number(eps, "eps")
-        if not 0.0 <= eps <= 1.0:
-            raise ConfigError("eps must lie in [0, 1]", "eps")
+    _check_eps_t(1.0 if eps is None else eps, t, eps_zero=True)
     eps_grid = obj.get("eps_grid")
     if eps_grid is not None:
-        eps_grid = _vector(eps_grid, "eps_grid")
-        if not eps_grid or any(not 0.0 < e <= 1.0 for e in eps_grid):
-            raise ConfigError("entries must lie in (0, 1]", "eps_grid")
-        if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
-            raise ConfigError("entries must decrease strictly", "eps_grid")
+        eps_grid = _check_eps_grid(_vector(eps_grid, "eps_grid"))
     if eps is not None and eps_grid is not None:
         raise ConfigError("give either eps or eps_grid, not both", "eps")
 

@@ -2,8 +2,10 @@
 
 The CLI maps one class to each exit code: :class:`ConfigError` to 2,
 :class:`SingularSystemError` to 3 and :class:`EnumerationTooLargeError` to 4.
-A :class:`GeneratorValidationError` reaches it as a ConfigError, which the
-config parser raises in its place.
+:class:`ArgumentError` and :class:`SingularSystemError` are also ValueErrors,
+as numpy's ``LinAlgError`` is, so a library caller sees any unusable value as
+a ValueError; a generator that fails validation raises a plain ValueError,
+which the config parser reports as a ConfigError.
 """
 
 
@@ -11,29 +13,12 @@ class RapidppError(Exception):
     """Base class for all package-specific errors."""
 
 
-class GeneratorValidationError(RapidppError):
-    """A proposed transition-rate matrix is not a usable generator."""
-
-
-class SingularSystemError(RapidppError):
+class SingularSystemError(RapidppError, ValueError):
     """A linear system or a matrix exponential that should be computable turned
-    out numerically degenerate, the long-run rate pi . f is zero, a first-order pmf
-    left double range (an infinite excess times a zero difference of the baseline,
-    say), or a result holds a number JSON cannot write."""
-
-
-class NotANumberError(SingularSystemError, ValueError):
-    """A computed quantity is NaN, as sigma2 is when its sum meets an inf and a -inf
-    term.  It is a ValueError to the function handed it, like every other unusable
-    argument value."""
-
-
-class DegenerateMeanError(SingularSystemError, ValueError):
-    """A baseline mean that must be positive is not (t = 0, or a rate times t that
-    underflows to zero).
-
-    It is a ValueError, like every other unusable argument value.
-    """
+    out numerically degenerate, the long-run rate pi . f or a baseline mean is not
+    positive, a first-order pmf left double range (an infinite excess times a zero
+    difference of the baseline, say), sigma2 is NaN, or a result holds a number
+    JSON cannot write."""
 
 
 class EnumerationTooLargeError(RapidppError):

@@ -17,13 +17,7 @@ import numpy as np
 from scipy.special import bdtr, bdtrc, gammainc, gammaincc, gammaln, pdtr, pdtrc, pdtrik, xlogy
 
 from .arrivals import PeriodicIntensity, _check_eps_t, _finite_horizon, _poisson
-from .errors import (
-    ArgumentError,
-    DegenerateMeanError,
-    EnumerationTooLargeError,
-    NotANumberError,
-    SingularSystemError,
-)
+from .errors import ArgumentError, EnumerationTooLargeError, SingularSystemError
 from .markov_env import CtmcModel, analyze
 
 __all__ = [
@@ -133,9 +127,9 @@ def poisson_pmf(mean: float, kmax: int | None = None) -> PmfVector:
 
 
 def _baseline(mean: float, eps: float, t: float, kmax: int | None, degenerate: str) -> PmfVector:
-    """Poisson(mean) pmf; a mean that is not positive raises DegenerateMeanError before eps/t."""
+    """Poisson(mean) pmf; a mean that is not positive raises SingularSystemError before eps/t."""
     if not mean > 0:
-        raise DegenerateMeanError(degenerate)
+        raise SingularSystemError(degenerate)
     _check_eps_t(eps, t, eps_zero=True)
     return poisson_pmf(mean, kmax)
 
@@ -385,7 +379,7 @@ def eta_squared(sigma2: float, service: ServiceModel, t: float) -> float:
     if not t > 0:
         raise ValueError("t must be positive")
     if math.isnan(sigma2):  # analyze's sum of an inf and a -inf term
-        raise NotANumberError("sigma2 is not a number")
+        raise SingularSystemError("sigma2 is not a number")
     if not sigma2 >= 0:
         raise ValueError("sigma2 must be nonnegative")
     return sigma2 * service.survival_square_integral(t)

@@ -21,6 +21,7 @@ from .arrivals import (
     Model,
     PeriodicIntensity,
     PoissonBase,
+    _check_eps_grid,
     _check_eps_t,
     _poisson,
     sample_cox_counts,
@@ -206,7 +207,7 @@ class PmfEstimate:
         if counts.sum() != reps:
             raise ValueError("counts must sum to reps")
         if counts.size < kmax + 1:
-            counts = np.concatenate([counts, np.zeros(kmax + 1 - counts.size, np.int64)])
+            raise ValueError("counts must cover 0..kmax")
         probs = counts[: kmax + 1] / reps
         return cls._wald(counts, reps, kmax, probs, np.sqrt(probs * (1.0 - probs) / reps))
 
@@ -415,11 +416,7 @@ def convergence_study(
     Erlang(2, 2) service at t = 1 and 131,072 reps, residual/eps² reads
     0.055 to 0.08 from eps 0.2 down to 0.02.  A Markov model is analyzed once.
     """
-    grid = [float(e) for e in eps_grid]
-    if not grid or any(not 0.0 < e <= 1.0 for e in grid):
-        raise ArgumentError("entries must lie in (0, 1]", "eps_grid")
-    if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise ArgumentError("entries must decrease strictly", "eps_grid")
+    grid = _check_eps_grid(eps_grid)
     specs = [ExperimentSpec(model, t, eps, service) for eps in grid]
     if not all(t / eps < math.inf for eps in grid):  # checked before the first estimate
         raise ArgumentError("t/eps must be finite for every entry", "eps_grid")

@@ -22,7 +22,7 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import EnumerationTooLargeError, GeneratorValidationError, SingularSystemError
+from .errors import EnumerationTooLargeError, SingularSystemError
 
 __all__ = [
     "GeneratorMatrix",
@@ -49,23 +49,23 @@ class GeneratorMatrix:
     def __post_init__(self):
         q = np.array(self.q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise GeneratorValidationError(f"rate matrix must be square, got shape {q.shape}")
+            raise ValueError(f"rate matrix must be square, got shape {q.shape}")
         if not np.all(np.isfinite(q)):
-            raise GeneratorValidationError("rate matrix entries must be finite")
+            raise ValueError("rate matrix entries must be finite")
         off = q.copy()
         np.fill_diagonal(off, 0.0)
         if np.any(off < 0):
             i, j = np.argwhere(off < 0)[0]
-            raise GeneratorValidationError(f"off-diagonal rate q[{i}][{j}] = {q[i, j]} is negative")
+            raise ValueError(f"off-diagonal rate q[{i}][{j}] = {q[i, j]} is negative")
         row_sums = q.sum(axis=1)
         bad = np.abs(row_sums) > ROW_SUM_TOL
         if np.any(bad):
             i = int(np.argmax(np.abs(row_sums)))
-            raise GeneratorValidationError(f"row {i} sums to {row_sums[i]:.3e}, expected 0")
+            raise ValueError(f"row {i} sums to {row_sums[i]:.3e}, expected 0")
         adjacency = csr_matrix(off > 0)
         n_comp, _ = connected_components(adjacency, directed=True, connection="strong")
         if n_comp != 1:
-            raise GeneratorValidationError(
+            raise ValueError(
                 "positive-rate graph is not strongly connected "
                 f"({n_comp} strongly connected components)"
             )
@@ -85,9 +85,8 @@ class GeneratorMatrix:
 def validate_generator(q) -> GeneratorMatrix:
     """Check a candidate rate matrix and wrap it as a :class:`GeneratorMatrix`.
 
-    Raises :class:`GeneratorValidationError` on a matrix that is not square, has a
-    non-finite entry or a negative off-diagonal rate, has a row that does not sum
-    to zero, or is reducible.
+    Raises ValueError on a matrix that is not square, has a non-finite entry or a
+    negative off-diagonal rate, has a row that does not sum to zero, or is reducible.
     """
     return GeneratorMatrix(q)
 

@@ -963,10 +963,17 @@ REJECTED = {
                        "model.rates: expected a list of numbers"),
     "model-not-object": ({**EXPAND, "model": 3}, "model: expected an object"),
     "service-not-object": ({**EXPAND, "service": 3}, "service: expected an object"),
+    "poisson-alias": ({**EXPAND, "model": {"type": "poisson", "rate": 1.0}},
+                      "model.type: unknown model type 'poisson'"),
     "service-type": ({**EXPAND, "service": {"type": "lognormal"}},
                      "service.type: unknown service type 'lognormal'"),
     "kind": ({**EXPAND, "kind": "paths"}, "kind: expected 'counts' or 'queue', got 'paths'"),
     "eps-grid": ({"model": MMPP, "eps_grid": [1.5, 0.1]}, "eps_grid: entries must lie in (0, 1]"),
+    "eps-grid-order": ({"model": MMPP, "eps_grid": [0.1, 0.5]},
+                       "eps_grid: entries must decrease strictly"),
+    "t": ({**EXPAND, "t": -1}, "t: must be positive, got -1.0"),
+    "eps": ({**EXPAND, "eps": 2}, "eps: must lie in [0, 1], got 2.0"),
+    "eps-before-t": ({**EXPAND, "t": -1, "eps": 2}, "eps: must lie in [0, 1], got 2.0"),
     "reps": ({**EXPAND, "reps": 0}, "reps: reps must be at least 1"),
     "master-seed": ({**EXPAND, "master_seed": -1}, "master_seed: master_seed must be nonnegative"),
     "workers": ({**EXPAND, "workers": 0}, "workers: workers must be at least 1"),

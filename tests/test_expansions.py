@@ -15,7 +15,6 @@ from scipy.special import binom, gammainc
 from rapidpp import (
     ArgumentError,
     CtmcModel,
-    DegenerateMeanError,
     EnumerationTooLargeError,
     ErlangService,
     ExponentialService,
@@ -569,7 +568,7 @@ class TestCorrectedQueuePmf:
     def test_degenerate_mean_raises(self, pmf):
         # the mean check comes first: at t = 0 the periodic integral and
         # eta_squared would raise ArgumentError and ValueError instead
-        with pytest.raises(DegenerateMeanError):
+        with pytest.raises(SingularSystemError):
             pmf(0.0)
 
     def test_negative_sigma2_raises(self):

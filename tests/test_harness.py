@@ -103,6 +103,11 @@ class TestEstimatePmf:
         with pytest.raises(ValueError):
             PmfEstimate.from_counts([1, 2], 4, 1)
 
+    def test_counts_must_cover_zero_to_kmax(self):
+        # padding would return fewer than kmax + 1 probabilities without a word
+        with pytest.raises(ValueError, match="^counts must cover 0..kmax$"):
+            PmfEstimate.from_counts([3], 3, 2)
+
     def test_counts_always_sum_to_reps(self, two_state_model):
         spec = ExperimentSpec(two_state_model, 1.0, 0.5)
         est = estimate_pmf(spec, 12_345, 3, kmax=2)
