@@ -16,16 +16,16 @@ import numpy as np
 from rapidpp import (
     CtmcModel,
     ExperimentSpec,
+    GeneratorMatrix,
     RenewalGammaBase,
     estimate_pmf,
     poisson_pmf,
     sample_occupation_integrals,
     sample_thinned_counts,
-    validate_generator,
 )
 from rapidpp.arrivals import _cox_count_pmf
 
-model = CtmcModel(validate_generator([[-1.0, 1.0], [1.0, -1.0]]), [0.0, 2.0])
+model = CtmcModel(GeneratorMatrix([[-1.0, 1.0], [1.0, -1.0]]), [0.0, 2.0])
 eps, t, reps = 0.2, 1.0, 200_000
 
 exact = _cox_count_pmf(model, eps, t)  # the modulated count's pmf at eps 0.2, t 1

@@ -11,12 +11,12 @@ import numpy as np
 from rapidpp import (
     CtmcModel,
     ExperimentSpec,
+    GeneratorMatrix,
     estimate_pmf,
     poisson_pmf,
-    validate_generator,
 )
 
-model = CtmcModel(validate_generator([[-1.0, 1.0], [1.0, -1.0]]), [0.0, 2.0])
+model = CtmcModel(GeneratorMatrix([[-1.0, 1.0], [1.0, -1.0]]), [0.0, 2.0])
 t = 1.0
 baseline = poisson_pmf(1.0, kmax=8)
 

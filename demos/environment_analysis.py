@@ -9,9 +9,9 @@ variance constant sigma2.
 
 import numpy as np
 
-from rapidpp import CtmcModel, analyze, sample_occupation_integrals, validate_generator
+from rapidpp import CtmcModel, GeneratorMatrix, analyze, sample_occupation_integrals
 
-model = CtmcModel(validate_generator([[-1.0, 1.0], [1.0, -1.0]]), [0.0, 2.0])
+model = CtmcModel(GeneratorMatrix([[-1.0, 1.0], [1.0, -1.0]]), [0.0, 2.0])
 res = analyze(model)
 
 print("stationary distribution:", res.pi)

@@ -8,11 +8,11 @@ first-order correction involves only the fractional final period.
 import numpy as np
 
 from rapidpp import (
+    ExperimentSpec,
     PeriodicIntensity,
     corrected_count_pmf_periodic,
     periodic_correction_integral,
     poisson_pmf,
-    sample_periodic_counts,
 )
 
 intensity = PeriodicIntensity([0.0, 0.5], [2.0, 0.0])
@@ -25,7 +25,7 @@ print(f"\nfractional-period correction integral at eps={eps}: {integral}")
 
 reps = 200_000
 rng = np.random.default_rng(4)
-counts = sample_periodic_counts(intensity, eps, t, reps, rng)
+counts = ExperimentSpec(intensity, t, eps).sample_counts(reps, rng)
 empirical = np.bincount(counts, minlength=7) / reps
 
 baseline = poisson_pmf(intensity.average_rate * t, kmax=6)

@@ -11,16 +11,16 @@ from rapidpp import (
     CtmcModel,
     ExperimentSpec,
     ExponentialService,
+    GeneratorMatrix,
     analyze,
     corrected_queue_pmf,
     estimate_pmf,
     eta_squared,
     mean_q0,
     poisson_pmf,
-    validate_generator,
 )
 
-model = CtmcModel(validate_generator([[-1.0, 1.0], [1.0, -1.0]]), [0.0, 2.0])
+model = CtmcModel(GeneratorMatrix([[-1.0, 1.0], [1.0, -1.0]]), [0.0, 2.0])
 service = ExponentialService(1.0)
 t, eps = 1.0, 0.2
 

@@ -12,14 +12,14 @@ import numpy as np
 from rapidpp import (
     CtmcModel,
     ExperimentSpec,
+    GeneratorMatrix,
     estimate_pmf,
     poisson_pmf,
     tv_limit_exact,
     tv_limit_mc,
-    validate_generator,
 )
 
-model = CtmcModel(validate_generator([[-1.0, 1.0], [1.0, -1.0]]), [0.0, 2.0])
+model = CtmcModel(GeneratorMatrix([[-1.0, 1.0], [1.0, -1.0]]), [0.0, 2.0])
 ref = poisson_pmf(1.0)
 
 print("eps     marginal tv to Poisson(1)")

@@ -15,7 +15,6 @@ from .arrivals import (
     PoissonBase,
     RenewalGammaBase,
     sample_cox_counts,
-    sample_periodic_counts,
     sample_thinned_counts,
 )
 from .errors import (
@@ -57,7 +56,6 @@ from .markov_env import (
     analyze,
     sample_occupation_integrals,
     stationary_distribution,
-    validate_generator,
 )
 from .queue_sim import sample_queue_counts
 

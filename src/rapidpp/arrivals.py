@@ -1,14 +1,15 @@
 """Arrival-process models and their vectorized time-t count kernels.
 
-Four models are covered, one sampler each: a constant-rate Poisson stream,
-a Markov-modulated stream whose intensity at time s is rates[X(s/eps)] for
-an environment chain X, a fast periodic-intensity Poisson stream, and a
-gamma renewal stream run on [0, t/eps], each point kept independently with
-probability eps, and time rescaled.  Thinning a Poisson or a modulated base
-this way gives exactly the constant-rate or the modulated law, so only the
-renewal base is thinned here; the Poisson and modulated constructions are
-the test suite's equivalence oracle (``tests/reference.py`` and
-``tests/gof.py``).
+Four models are covered: a constant-rate Poisson stream, a Markov-modulated
+stream whose intensity at time s is rates[X(s/eps)] for an environment chain
+X, a fast periodic-intensity Poisson stream, and a gamma renewal stream run
+on [0, t/eps], each point kept independently with probability eps, and time
+rescaled.  ``harness.ExperimentSpec`` draws the constant-rate and periodic
+counts as Poisson at their exact mean; the other two have a sampler each
+here.  Thinning a Poisson or a modulated base this way gives exactly the
+constant-rate or the modulated law, so only the renewal base is thinned
+here; the Poisson and modulated constructions are the test suite's
+equivalence oracle (``tests/reference.py`` and ``tests/gof.py``).
 
 The kernels draw many iid copies of the time-t count exactly, without
 materializing paths or streams: given the environment, the modulated count
@@ -47,7 +48,6 @@ __all__ = [
     "RenewalGammaBase",
     "Model",
     "sample_cox_counts",
-    "sample_periodic_counts",
     "sample_thinned_counts",
     "periodic_mean_count",
 ]
@@ -297,13 +297,6 @@ def sample_cox_counts(
     if q is not None:
         return _invert_cdf(q, 0, size, rng)
     return _poisson(rng, eps * sample_occupation_integrals(model, model.rates, horizon, size, rng))
-
-
-def sample_periodic_counts(
-    intensity: PeriodicIntensity, eps: float, t: float, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``size`` iid copies of the fast-periodic count at time t."""
-    return _poisson(rng, periodic_mean_count(intensity, eps, t), size)
 
 
 def _renewal_cdf(base: RenewalGammaBase, horizon: float) -> tuple[int, np.ndarray]:

@@ -231,7 +231,3 @@ def main(argv=None) -> int:
     except EnumerationTooLargeError as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

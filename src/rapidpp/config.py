@@ -32,8 +32,16 @@ from .arrivals import (
     _check_eps_t,
 )
 from .errors import ConfigError
-from .expansions import MAX_KMAX, ErlangService, ExponentialService, ServiceModel, UniformService
-from .markov_env import CtmcModel, validate_generator
+from .expansions import (
+    ErlangService,
+    ExponentialService,
+    ServiceModel,
+    UniformService,
+    _check_kmax,
+    _check_truncation_mass,
+)
+from .harness import _check_workers
+from .markov_env import CtmcModel, GeneratorMatrix
 
 __all__ = [
     "ExperimentConfig",
@@ -100,7 +108,7 @@ def parse_model(obj, path: str = "model") -> Model:
     kind = _require(obj, "type", path)
     try:
         if kind == "mmpp":
-            gen = validate_generator(_matrix(_require(obj, "generator", path), f"{path}.generator"))
+            gen = GeneratorMatrix(_matrix(_require(obj, "generator", path), f"{path}.generator"))
             rates = _vector(_require(obj, "rates", path), f"{path}.rates")
             initial = _integer(obj.get("initial_state", 0), f"{path}.initial_state")
             return CtmcModel(gen, rates, initial)
@@ -205,17 +213,14 @@ def parse_experiment_config(obj) -> ExperimentConfig:
     kmax = obj.get("kmax")
     if kmax is not None:
         kmax = _integer(kmax, "kmax")
-        if not 0 <= kmax <= MAX_KMAX:
-            raise ConfigError(f"kmax must lie in [0, {MAX_KMAX}]", "kmax")
+        _check_kmax(kmax)
     workers = _integer(obj.get("workers", 1), "workers")
-    if workers < 1:
-        raise ConfigError("workers must be at least 1", "workers")
+    _check_workers(workers)
     tv_limit = obj.get("tv_limit", False)
     if not isinstance(tv_limit, bool):
         raise ConfigError("expected true or false", "tv_limit")
     truncation_mass = _number(obj.get("truncation_mass", 1e-10), "truncation_mass")
-    if not 0.0 < truncation_mass < 1.0:
-        raise ConfigError("truncation_mass must lie in (0, 1)", "truncation_mass")
+    _check_truncation_mass(truncation_mass)
     out = obj.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("expected a string path", "out")

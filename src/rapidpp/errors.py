@@ -38,5 +38,6 @@ class ConfigError(RapidppError):
 
 class ArgumentError(ConfigError, ValueError):
     """An unusable argument value; ``path`` names the parameter, which is
-    also the config field that feeds it (``eps``, ``eps_grid``, ``t``, ``reps``).
+    also the config field that feeds it (``eps``, ``eps_grid``, ``t``, ``reps``,
+    ``kmax``, ``workers``, ``truncation_mass``).
     """

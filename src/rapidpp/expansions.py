@@ -75,6 +75,11 @@ class PmfVector:
         return np.flatnonzero(self.probs < 0.0).tolist()
 
 
+def _check_kmax(kmax: int):
+    if not 0 <= kmax <= MAX_KMAX:
+        raise ArgumentError(f"kmax must lie in [0, {MAX_KMAX}]", "kmax")
+
+
 def default_kmax(mean: float) -> int:
     """Smallest K whose Poisson(mean) CDF is at least 1 - 1e-12, at most MAX_KMAX."""
     kmax = _poisson_ppf(1.0 - TAIL_MASS, mean)
@@ -113,6 +118,7 @@ def poisson_pmf(mean: float, kmax: int | None = None) -> PmfVector:
         raise ValueError("mean must be nonnegative")
     if kmax is None:
         kmax = default_kmax(mean)
+    _check_kmax(kmax)
     if mean == math.inf:  # no mass on a finite count; the recurrence would form 0 * inf
         return PmfVector(np.zeros(kmax + 1), kmax, 1.0)
     probs = np.empty(kmax + 1)
@@ -443,6 +449,11 @@ def _ratio_axes(model: CtmcModel, t: float) -> tuple[float, list[tuple[float, fl
     return log_stay, [(v, m) for v, m in zip(values, masses) if v != 0.0]
 
 
+def _check_truncation_mass(truncation_mass: float):
+    if not 0.0 < truncation_mass < 1.0:
+        raise ArgumentError("truncation_mass must lie in (0, 1)", "truncation_mass")
+
+
 def tv_limit_exact(model: CtmcModel, t: float, truncation_mass: float = 1e-10) -> float:
     """Limiting path total-variation distance to the constant-rate approximation.
 
@@ -464,9 +475,8 @@ def tv_limit_exact(model: CtmcModel, t: float, truncation_mass: float = 1e-10) -
     A grid that would exceed MAX_TV_TERMS points raises
     EnumerationTooLargeError.
     """
+    _check_truncation_mass(truncation_mass)
     log_stay, axes = _ratio_axes(model, t)
-    if log_stay == 0.0 and not axes:
-        return 0.0
     means = [(m, m * math.exp(v)) for v, m in axes]
     tail = max(truncation_mass / (2 * max(len(means), 1)), 2.0**-52)
     lengths = [_poisson_ppf(1.0 - tail, max(m)) + 1 for m in means]

@@ -24,14 +24,15 @@ from .arrivals import (
     _check_eps_grid,
     _check_eps_t,
     _poisson,
+    periodic_mean_count,
     sample_cox_counts,
-    sample_periodic_counts,
     sample_thinned_counts,
 )
 from .errors import ArgumentError, SingularSystemError
 from .expansions import (
     PmfVector,
     ServiceModel,
+    _check_kmax,
     corrected_count_pmf,
     corrected_count_pmf_periodic,
     corrected_queue_pmf,
@@ -39,7 +40,7 @@ from .expansions import (
     mean_q0,
     poisson_pmf,
 )
-from .markov_env import CtmcModel, analyze, validate_generator
+from .markov_env import CtmcModel, GeneratorMatrix, analyze
 from .queue_sim import _occupancy_mean, sample_queue_counts
 
 __all__ = [
@@ -70,7 +71,7 @@ def _analysis(model: CtmcModel):
 def _one_state_chain(base: PoissonBase) -> CtmcModel:
     """A constant rate as a one-state chain, built once per rate, so that a queue study
     over an eps grid hits :func:`_analysis`' cache and analyzes it once."""
-    return CtmcModel(validate_generator([[0.0]]), np.array([base.rate]), 0)
+    return CtmcModel(GeneratorMatrix([[0.0]]), np.array([base.rate]), 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +167,7 @@ class ExperimentSpec:
         if isinstance(model, CtmcModel):
             return sample_cox_counts(model, self.eps, self.t, size, rng)
         if isinstance(model, PeriodicIntensity):
-            return sample_periodic_counts(model, self.eps, self.t, size, rng)
+            return _poisson(rng, periodic_mean_count(model, self.eps, self.t), size)
         if isinstance(model, PoissonBase):
             return _poisson(rng, model.rate * self.t, size)
         return sample_thinned_counts(model, self.eps, self.t, size, rng)
@@ -251,6 +252,11 @@ def _poisson_terms(means: np.ndarray, kmax: int) -> np.ndarray:
     return out
 
 
+def _check_workers(workers: int):
+    if workers < 1:
+        raise ArgumentError("workers must be at least 1", "workers")
+
+
 def estimate_pmf(
     spec: ExperimentSpec,
     reps: int,
@@ -286,6 +292,8 @@ def estimate_pmf(
         raise ArgumentError("must be at least 3 for a conditional estimate", "reps")
     if kmax is None:
         kmax = default_kmax(spec.baseline_mean())
+    _check_kmax(kmax)
+    _check_workers(workers)
     n_chunks = math.ceil(reps / CHUNK_SIZE)
 
     def run_chunk(c: int) -> np.ndarray:

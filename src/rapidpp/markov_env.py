@@ -19,8 +19,6 @@ from typing import Iterator
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import EnumerationTooLargeError, SingularSystemError
 
@@ -28,7 +26,6 @@ __all__ = [
     "GeneratorMatrix",
     "CtmcModel",
     "StationaryAnalysis",
-    "validate_generator",
     "stationary_distribution",
     "analyze",
     "sample_occupation_integrals",
@@ -40,9 +37,39 @@ ROW_SUM_TOL = 1e-12
 MAX_SEGMENT_ROUNDS = 2**24
 
 
+def _strong_components(adjacency: np.ndarray) -> int:
+    """The number of strongly connected components of a boolean adjacency matrix.
+
+    Breadth-first searches from state 0, along the edges and against them,
+    settle the strongly connected case in O(n^2).  Otherwise the count is the
+    number of distinct rows of mutual reachability, from a transitive closure by
+    repeated squaring: k squarings cover every path of up to 2^k edges, and the
+    float32 products are exact counts of at most n.
+    """
+    n = len(adjacency)
+    reached = []
+    for edges in (adjacency, adjacency.T):
+        seen = frontier = np.arange(n) == 0
+        while frontier.any():
+            frontier = edges[frontier].any(axis=0) & ~seen
+            seen = seen | frontier
+        reached.append(seen.all())
+    if n and all(reached):
+        return 1
+    reach = (adjacency | np.eye(n, dtype=bool)).astype(np.float32)
+    for _ in range(n.bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)
+    closed = reach > 0
+    return len(np.unique(closed & closed.T, axis=0))
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """Validated transition-rate matrix of an irreducible finite CTMC, as a read-only copy."""
+    """Validated transition-rate matrix of an irreducible finite CTMC, as a read-only copy.
+
+    Raises ValueError on a matrix that is not square, has a non-finite entry or a
+    negative off-diagonal rate, has a row that does not sum to zero, or is reducible.
+    """
 
     q: np.ndarray
 
@@ -62,8 +89,7 @@ class GeneratorMatrix:
         if np.any(bad):
             i = int(np.argmax(np.abs(row_sums)))
             raise ValueError(f"row {i} sums to {row_sums[i]:.3e}, expected 0")
-        adjacency = csr_matrix(off > 0)
-        n_comp, _ = connected_components(adjacency, directed=True, connection="strong")
+        n_comp = _strong_components(off > 0)
         if n_comp != 1:
             raise ValueError(
                 "positive-rate graph is not strongly connected "
@@ -80,15 +106,6 @@ class GeneratorMatrix:
     def exit_rates(self) -> np.ndarray:
         """Sojourn-ending rate per state, -q[i][i]; +0.0, not -0.0, for a state with no exit."""
         return 0.0 - np.diag(self.q)
-
-
-def validate_generator(q) -> GeneratorMatrix:
-    """Check a candidate rate matrix and wrap it as a :class:`GeneratorMatrix`.
-
-    Raises ValueError on a matrix that is not square, has a non-finite entry or a
-    negative off-diagonal rate, has a row that does not sum to zero, or is reducible.
-    """
-    return GeneratorMatrix(q)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from rapidpp import CtmcModel, validate_generator
+from rapidpp import CtmcModel, GeneratorMatrix
 
 
 def make_two_state(a=1.0, b=1.0, rates=(0.0, 2.0), initial_state=0):
     """Two-state model with generator [[-a, a], [b, -b]]."""
-    gen = validate_generator([[-a, a], [b, -b]])
+    gen = GeneratorMatrix([[-a, a], [b, -b]])
     return CtmcModel(gen, np.array(rates, dtype=float), initial_state)
 
 
@@ -24,7 +24,7 @@ def random_irreducible_model(rng, max_states=20, max_rate=10.0):
     rates = rng.uniform(0.0, max_rate, n)
     if not np.any(rates > 0):
         rates[0] = 1.0
-    return CtmcModel(validate_generator(q), rates, int(rng.integers(0, n)))
+    return CtmcModel(GeneratorMatrix(q), rates, int(rng.integers(0, n)))
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ from rapidpp import (
     poisson_pmf,
     sample_cox_counts,
     sample_occupation_integrals,
-    sample_periodic_counts,
     sample_thinned_counts,
 )
 from rapidpp.arrivals import (
@@ -233,7 +232,7 @@ class TestSimulatePeriodic:
 
     def test_whole_period_mean(self, rng):
         reps = 50_000
-        counts = sample_periodic_counts(HALF_ON, 0.25, 3.0, reps, rng)
+        counts = ExperimentSpec(HALF_ON, 3.0, 0.25).sample_counts(reps, rng)
         assert periodic_mean_count(HALF_ON, 0.25, 3.0) == pytest.approx(3.0)
         assert abs(counts.mean() - 3.0) < 3 * math.sqrt(3.0 / reps)
 
@@ -247,7 +246,7 @@ class TestSimulatePeriodic:
         ref = np.bincount(
             [simulate_periodic(HALF_ON, 0.4, 1.3, rng).count for _ in range(20_000)]
         )
-        kern = np.bincount(sample_periodic_counts(HALF_ON, 0.4, 1.3, 200_000, rng))
+        kern = np.bincount(ExperimentSpec(HALF_ON, 1.3, 0.4).sample_counts(200_000, rng))
         assert chi_square_two_sample(ref, kern).p_value > 0.01
 
     def test_cumulative_rejects_x_beyond_one_period(self):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from rapidpp import ConfigError, CtmcModel, PeriodicIntensity, PoissonBase, RenewalGammaBase
 from rapidpp.cli import main
 from rapidpp.config import (
-    MAX_KMAX,
     _number,
     _vector,
     config_sha256,
@@ -15,7 +14,7 @@ from rapidpp.config import (
     parse_service,
     resolved_config_dict,
 )
-from rapidpp.expansions import ErlangService, ExponentialService, UniformService
+from rapidpp.expansions import MAX_KMAX, ErlangService, ExponentialService, UniformService
 
 MMPP = {"type": "mmpp", "generator": [[-1, 1], [1, -1]], "rates": [0, 2], "initial_state": 0}
 

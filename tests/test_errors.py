@@ -8,11 +8,11 @@ import pytest
 from rapidpp import (
     CtmcModel,
     ExponentialService,
+    GeneratorMatrix,
     analyze,
     corrected_count_pmf,
     eta_squared,
     errors,
-    validate_generator,
 )
 from rapidpp.errors import (
     ArgumentError,
@@ -58,7 +58,7 @@ SINGULAR_G = [
     [
         (lambda: corrected_count_pmf(1.0, 0.0, 1.0, 0.1, 0.0), "lambda_star \\* t must be positive"),
         (lambda: eta_squared(math.nan, ExponentialService(1.0), 1.0), "sigma2 is not a number"),
-        (lambda: analyze(CtmcModel(validate_generator(SINGULAR_G), [1, 0.5, 2])),
+        (lambda: analyze(CtmcModel(GeneratorMatrix(SINGULAR_G), [1, 0.5, 2])),
          "the deviation \\(g\\) solve is singular"),
     ],
     ids=["degenerate-mean", "nan-sigma2", "singular-solve"],

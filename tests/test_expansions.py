@@ -18,6 +18,7 @@ from rapidpp import (
     EnumerationTooLargeError,
     ErlangService,
     ExponentialService,
+    GeneratorMatrix,
     PeriodicIntensity,
     PmfVector,
     SingularSystemError,
@@ -32,7 +33,6 @@ from rapidpp import (
     poisson_pmf,
     tv_limit_exact,
     tv_limit_mc,
-    validate_generator,
 )
 from rapidpp.expansions import _first_order_pmf, _poisson_logpmf, _poisson_ppf, _products
 
@@ -48,7 +48,7 @@ from reference import (
 HALF_ON = PeriodicIntensity([0.0, 0.5], [2.0, 0.0])
 # Uniform jumps and rates 0, 1, 2, 5: lambda_star 2, ratios 0, 1/2, 1 and 5/2.
 FOUR_STATE = CtmcModel(
-    validate_generator(np.ones((4, 4)) - 4.0 * np.eye(4)), np.array([0.0, 1.0, 2.0, 5.0])
+    GeneratorMatrix(np.ones((4, 4)) - 4.0 * np.eye(4)), np.array([0.0, 1.0, 2.0, 5.0])
 )
 
 
@@ -814,15 +814,15 @@ class TestTvLimit:
         np.fill_diagonal(q, 0.0)
         np.fill_diagonal(q, -q.sum(axis=1))
         model_big = make_two_state()
-        from rapidpp import CtmcModel, validate_generator
+        from rapidpp import CtmcModel, GeneratorMatrix
 
-        model7 = CtmcModel(validate_generator(q), rng.uniform(0, 2, 7))
+        model7 = CtmcModel(GeneratorMatrix(q), rng.uniform(0, 2, 7))
         exact = tv_limit_exact(model7, 1.0)
         est, se = tv_limit_mc(model7, 1.0, 200_000, np.random.default_rng(0))
         assert abs(est - exact) <= 3 * se + 1e-10
         assert tv_limit_exact(model_big, 60.0) == pytest.approx(-math.expm1(-30.0), abs=1e-9)
         # rates 0..6 at t = 200: five ratio axes of about 200 counts each
-        rates7 = CtmcModel(validate_generator(q), np.arange(7.0))
+        rates7 = CtmcModel(GeneratorMatrix(q), np.arange(7.0))
         with pytest.raises(EnumerationTooLargeError):
             tv_limit_exact(rates7, 200.0)
 
@@ -901,7 +901,7 @@ class TestTvLimit:
         # past the largest double; the limit is at most lambda_star t, not 1
         q = [[-2.7766894233684487e136, 2.7766894233684487e136],
              [4.1096006747559125e-175, -4.1096006747559125e-175]]
-        model = CtmcModel(validate_generator(q), np.array([1.0, 0.0]))
+        model = CtmcModel(GeneratorMatrix(q), np.array([1.0, 0.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for call in (

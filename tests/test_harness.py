@@ -13,6 +13,7 @@ from rapidpp import (
     ErlangService,
     ExperimentSpec,
     ExponentialService,
+    GeneratorMatrix,
     PmfEstimate,
     PeriodicIntensity,
     PmfVector,
@@ -28,7 +29,6 @@ from rapidpp import (
     mean_q0,
     poisson_pmf,
     tv_limit_exact,
-    validate_generator,
 )
 
 from rapidpp import arrivals, harness
@@ -365,7 +365,7 @@ class TestConvergenceStudy:
             assert entry.zeroth < 3.5 * entry.zeroth_se + 1e-12
             assert entry.first < 3.5 * entry.first_se + 1e-12
         # one state: every conditional mean is the same, so the estimate is exact
-        one_state = CtmcModel(validate_generator([[0.0]]), [1.0])
+        one_state = CtmcModel(GeneratorMatrix([[0.0]]), [1.0])
         report = convergence_study(one_state, QUEUE_SERVICE, [0.5, 0.1], 1.0, 50_000, 13)
         for entry in report.entries:
             for value in (entry.zeroth, entry.zeroth_se, entry.first, entry.first_se):
@@ -383,7 +383,7 @@ class TestConvergenceStudy:
     def test_constant_rate_queue_study_analyzes_once(self, monkeypatch):
         # each spec wraps the rate in a one-state chain; one chain per rate hits the cache
         grid = [0.5, 0.25, 0.125, 0.0625]
-        chain = CtmcModel(validate_generator([[0.0]]), [1.5])
+        chain = CtmcModel(GeneratorMatrix([[0.0]]), [1.5])
         wrapped = convergence_study(chain, ExponentialService(1.0), grid, 1.0, 100, 5)
         harness._analysis.cache_clear()
         harness._one_state_chain.cache_clear()

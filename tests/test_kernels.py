@@ -12,6 +12,7 @@ from rapidpp import (
     ErlangService,
     ExperimentSpec,
     ExponentialService,
+    GeneratorMatrix,
     PeriodicIntensity,
     PoissonBase,
     RenewalGammaBase,
@@ -20,18 +21,20 @@ from rapidpp import (
     corrected_count_pmf,
     corrected_count_pmf_periodic,
     corrected_queue_pmf,
+    estimate_pmf,
     eta_squared,
     mean_q0,
     periodic_correction_integral,
+    poisson_pmf,
     sample_cox_counts,
     sample_occupation_integrals,
-    sample_periodic_counts,
     sample_queue_counts,
     sample_thinned_counts,
+    tv_limit_exact,
     tv_limit_mc,
-    validate_generator,
 )
 from rapidpp.arrivals import periodic_mean_count
+from rapidpp.expansions import MAX_KMAX
 from rapidpp.markov_env import _segment_rounds
 
 from conftest import make_two_state
@@ -50,7 +53,9 @@ def _rng():
 # samplers form t/eps and need eps > 0; the rest accept eps 0.
 SAMPLERS = {
     "sample_cox_counts": lambda eps, t: sample_cox_counts(MODEL, eps, t, 10, _rng()),
-    "sample_periodic_counts": lambda eps, t: sample_periodic_counts(HALF_ON, eps, t, 10, _rng()),
+    "ExperimentSpec.sample_counts": lambda eps, t: ExperimentSpec(HALF_ON, t, eps).sample_counts(
+        10, _rng()
+    ),
     "sample_thinned_counts": lambda eps, t: sample_thinned_counts(
         RenewalGammaBase(2.0, 2.0), eps, t, 10, _rng()
     ),
@@ -120,6 +125,26 @@ ARGUMENT_ERRORS = {
     "eps_grid t/eps": (
         "eps_grid", lambda: convergence_study(MODEL, None, [0.5, 1e-320], 1.0, 100, 0)
     ),
+    "kmax poisson_pmf": ("kmax", lambda: poisson_pmf(1.0, -1)),
+    "kmax above MAX_KMAX": ("kmax", lambda: poisson_pmf(1.0, MAX_KMAX + 1)),
+    "kmax corrected_count_pmf": (
+        "kmax", lambda: corrected_count_pmf(1.0, -0.5, 1.0, 0.5, 1.0, kmax=-1)
+    ),
+    "kmax convergence_study": (
+        "kmax", lambda: convergence_study(MODEL, None, [0.5], 1.0, 100, 0, kmax=-1)
+    ),
+    "kmax estimate_pmf": (
+        "kmax", lambda: estimate_pmf(ExperimentSpec(MODEL, 1.0, 0.5), 100, 0, -3)
+    ),
+    "workers": (
+        "workers", lambda: estimate_pmf(ExperimentSpec(MODEL, 1.0, 0.5), 100, 0, workers=0)
+    ),
+    **{
+        f"truncation_mass {mass}": (
+            "truncation_mass", lambda mass=mass: tv_limit_exact(MODEL, 1.0, mass)
+        )
+        for mass in [2.0, math.nan, 0.0, -1.0]
+    },
 }
 
 
@@ -171,7 +196,7 @@ class TestNonFiniteArguments:
 
 class TestOneStateChain:
     def test_one_segment_per_replication(self):
-        model = CtmcModel(validate_generator([[0.0]]), [1.5])
+        model = CtmcModel(GeneratorMatrix([[0.0]]), [1.5])
         size, horizon = 1000, 7.25
         rng = np.random.default_rng(3)
         rounds = list(_segment_rounds(model, horizon, size, rng))

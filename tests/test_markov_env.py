@@ -2,17 +2,19 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from rapidpp import (
     CtmcModel,
     EnumerationTooLargeError,
     ExponentialService,
+    GeneratorMatrix,
     SingularSystemError,
     analyze,
     sample_occupation_integrals,
     sample_queue_counts,
     stationary_distribution,
-    validate_generator,
 )
 from rapidpp.markov_env import (
     MAX_SEGMENT_ROUNDS,
@@ -28,29 +30,29 @@ from reference import EnvironmentPath, jump_cdf, occupation_integral, sample_pat
 
 class TestValidateGenerator:
     def test_symmetric_two_state_is_valid(self):
-        gen = validate_generator([[-1, 1], [1, -1]])
+        gen = GeneratorMatrix([[-1, 1], [1, -1]])
         assert gen.n == 2
 
     def test_absorbing_state_is_reducible(self):
         with pytest.raises(ValueError, match="not strongly connected"):
-            validate_generator([[-1, 1], [0, 0]])
+            GeneratorMatrix([[-1, 1], [0, 0]])
 
     def test_asymmetric_two_state_is_valid(self):
         # rows sum to zero and 0 <-> 1 communicate
-        gen = validate_generator([[-2, 2], [1, -1]])
+        gen = GeneratorMatrix([[-2, 2], [1, -1]])
         assert np.allclose(gen.q.sum(axis=1), 0.0, atol=1e-12)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="must be square"):
-            validate_generator([[-1, 1, 0], [1, -1, 0]])
+            GeneratorMatrix([[-1, 1, 0], [1, -1, 0]])
 
     def test_negative_off_diagonal_rejected(self):
         with pytest.raises(ValueError, match="is negative"):
-            validate_generator([[-1, 1], [-0.5, 0.5]])
+            GeneratorMatrix([[-1, 1], [-0.5, 0.5]])
 
     def test_nonzero_row_sum_rejected(self):
         with pytest.raises(ValueError, match="sums to"):
-            validate_generator([[-1, 1.5], [1, -1]])
+            GeneratorMatrix([[-1, 1.5], [1, -1]])
 
     @pytest.mark.parametrize(
         "q", [[[-np.inf, np.inf], [1, -1]], [[-1, np.nan], [1, -1]]], ids=["inf", "nan"]
@@ -58,34 +60,57 @@ class TestValidateGenerator:
     def test_non_finite_entry_rejected(self, q):
         # the config parser rejects these first, so only a library caller meets this check
         with pytest.raises(ValueError, match="^rate matrix entries must be finite$"):
-            validate_generator(q)
+            GeneratorMatrix(q)
 
     def test_one_state_chain_is_valid(self):
-        assert validate_generator([[0.0]]).n == 1
+        assert GeneratorMatrix([[0.0]]).n == 1
 
     def test_a_state_with_no_exit_has_exit_rate_plus_zero(self):
         # the segment walk divides its draws by it: +inf ends the sojourn, -inf would not
-        [rate] = validate_generator([[0.0]]).exit_rates
+        [rate] = GeneratorMatrix([[0.0]]).exit_rates
         assert rate == 0.0 and not np.signbit(rate)
 
     def test_one_way_ring_is_irreducible(self):
         q = [[-1, 1, 0], [0, -1, 1], [1, 0, -1]]
-        assert validate_generator(q).n == 3
+        assert GeneratorMatrix(q).n == 3
+
+    def test_component_count_matches_scipy(self):
+        # scipy's count is the oracle for the numpy search; small graphs at any density
+        # and larger sparse ones, whose long paths need every squaring of the closure
+        rng = np.random.default_rng(2024)
+        seen = set()
+        for i in range(2000):
+            n = int(rng.integers(1, 12)) if i % 2 else int(rng.integers(12, 65))
+            adjacency = rng.random((n, n)) < rng.uniform(0.0, 0.6 if n < 12 else 3.0 / n)
+            np.fill_diagonal(adjacency, False)
+            q = adjacency.astype(float)
+            np.fill_diagonal(q, -q.sum(axis=1))
+            count, _ = connected_components(
+                csr_matrix(adjacency), directed=True, connection="strong"
+            )
+            seen.add(count == 1)
+            if count == 1:
+                assert GeneratorMatrix(q).n == n
+            else:
+                message = rf"\({count} strongly connected components\)$"
+                with pytest.raises(ValueError, match=message):
+                    GeneratorMatrix(q)
+        assert seen == {True, False}
 
 
 class TestStationaryDistribution:
     def test_symmetric_two_state(self):
-        pi = stationary_distribution(validate_generator([[-1, 1], [1, -1]]))
+        pi = stationary_distribution(GeneratorMatrix([[-1, 1], [1, -1]]))
         np.testing.assert_allclose(pi, [0.5, 0.5], atol=1e-12)
 
     def test_asymmetric_two_state(self):
         # balance: pi0 * 2 = pi1 * 1 with pi0 + pi1 = 1
-        pi = stationary_distribution(validate_generator([[-2, 2], [1, -1]]))
+        pi = stationary_distribution(GeneratorMatrix([[-2, 2], [1, -1]]))
         np.testing.assert_allclose(pi, [1 / 3, 2 / 3], atol=1e-12)
 
     def test_cyclic_three_state_uniform(self):
         pi = stationary_distribution(
-            validate_generator([[-1, 1, 0], [0, -1, 1], [1, 0, -1]])
+            GeneratorMatrix([[-1, 1, 0], [0, -1, 1], [1, 0, -1]])
         )
         np.testing.assert_allclose(pi, np.ones(3) / 3, atol=1e-12)
 
@@ -200,7 +225,7 @@ class TestAnalyze:
     def test_model_arrays_are_read_only_copies(self):
         # the modulated count table is cached by model identity
         q, rates = np.array([[-1.0, 1.0], [1.0, -1.0]]), np.array([0.0, 2.0])
-        model = CtmcModel(validate_generator(q), rates)
+        model = CtmcModel(GeneratorMatrix(q), rates)
         with pytest.raises(ValueError):
             model.rates[0] = 1.0
         with pytest.raises(ValueError):
@@ -211,7 +236,7 @@ class TestAnalyze:
 
 class TestSamplePath:
     def test_one_state_model_never_jumps(self, rng):
-        model = CtmcModel(validate_generator([[0.0]]), [1.0])
+        model = CtmcModel(GeneratorMatrix([[0.0]]), [1.0])
         path = sample_path(model, 5.0, rng)
         assert path.n_jumps == 0
         assert path.states.tolist() == [0]
@@ -261,7 +286,7 @@ class TestJumpCdf:
                 np.testing.assert_allclose(steps, off[i] / gen.exit_rates[i], rtol=0, atol=1e-12)
 
     def test_one_state_row_is_zero(self):
-        assert jump_cdf(validate_generator([[0.0]])).tolist() == [[0.0]]
+        assert jump_cdf(GeneratorMatrix([[0.0]])).tolist() == [[0.0]]
 
 
 def _scan_lookup(cum, state, u):
@@ -278,7 +303,7 @@ def _generator_of_size(rng, n):
     q[cycle] = np.maximum(q[cycle], 0.5)
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))
-    return validate_generator(q)
+    return GeneratorMatrix(q)
 
 
 class TestNextState:
@@ -305,7 +330,7 @@ class TestNextState:
     def test_one_state_chain_stays_put(self):
         # the lone state has no exit, so the kernel never looks its row up;
         # the search over a width-1 row still returns that state
-        table, width = _jump_table(validate_generator([[0.0]]))
+        table, width = _jump_table(GeneratorMatrix([[0.0]]))
         assert width == 1 and table.tolist() == [2.0]
         u = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
         assert _next_state(table, width, np.zeros(3, dtype=np.int64), u).tolist() == [0, 0, 0]
@@ -374,7 +399,7 @@ class TestOccupationSampler:
             def exponential(self, size):
                 return np.zeros(size)
 
-        model = CtmcModel(validate_generator([[0.0]]), [2.0])
+        model = CtmcModel(GeneratorMatrix([[0.0]]), [2.0])
         before = np.geterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -386,6 +411,6 @@ class TestOccupationSampler:
 
     def test_one_state_walk_has_no_round_cap(self):
         # One state never jumps, so any finite horizon is one round.
-        model = CtmcModel(validate_generator([[0.0]]), [2.0])
+        model = CtmcModel(GeneratorMatrix([[0.0]]), [2.0])
         out = sample_occupation_integrals(model, [2.0], 1e300, 3, np.random.default_rng(6))
         assert np.all(out == 2e300)

@@ -8,13 +8,13 @@ from rapidpp import (
     CtmcModel,
     ErlangService,
     ExponentialService,
+    GeneratorMatrix,
     PmfVector,
     UniformService,
     analyze,
     mean_q0,
     poisson_pmf,
     sample_queue_counts,
-    validate_generator,
 )
 from rapidpp.arrivals import _cox_count_pmf
 from rapidpp.queue_sim import MAX_OCCUPANCY_BLOCK, _occupancy_mean
@@ -32,7 +32,7 @@ from reference import (
 
 
 def one_state_model(rate):
-    return CtmcModel(validate_generator([[0.0]]), [rate])
+    return CtmcModel(GeneratorMatrix([[0.0]]), [rate])
 
 
 class TestSampleService:
