@@ -29,6 +29,7 @@ import numpy as np
 
 from .config import (
     ExperimentConfig,
+    canonical_config,
     config_sha256,
     load_config_file,
     parse_experiment_config,
@@ -92,11 +93,10 @@ def _json_doc(cfg: ExperimentConfig, body: dict) -> str:
 
 def _csv_doc(cfg: ExperimentConfig, base: PmfVector, corrected: PmfVector, **estimate) -> str:
     """Config header comments, then a row per count k: k, each ``estimate`` column, both pmfs."""
-    canonical = json.dumps(resolved_config_dict(cfg), sort_keys=True, separators=(",", ":"))
     columns = {**estimate, "p_poisson": base.probs, "p_corrected": corrected.probs}
     lines = [
         f"# config_sha256: {config_sha256(cfg)}",
-        f"# config: {canonical}",
+        f"# config: {canonical_config(cfg)}",
         f"# truncation_mass: {base.truncation_mass!r}",
         ",".join(["k", *columns]),
     ]

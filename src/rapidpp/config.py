@@ -40,7 +40,7 @@ from .expansions import (
     _check_kmax,
     _check_truncation_mass,
 )
-from .harness import _check_workers
+from .harness import _check_reps, _check_seed, _check_workers
 from .markov_env import CtmcModel, GeneratorMatrix
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "parse_experiment_config",
     "load_config_file",
     "resolved_config_dict",
+    "canonical_config",
     "config_sha256",
 ]
 
@@ -205,11 +206,9 @@ def parse_experiment_config(obj) -> ExperimentConfig:
         raise ConfigError("give either eps or eps_grid, not both", "eps")
 
     reps = _integer(obj.get("reps", 100_000), "reps")
-    if reps < 1:
-        raise ConfigError("reps must be at least 1", "reps")
+    _check_reps(reps)
     master_seed = _integer(obj.get("master_seed", 0), "master_seed")
-    if master_seed < 0:
-        raise ConfigError("master_seed must be nonnegative", "master_seed")
+    _check_seed(master_seed)
     kmax = obj.get("kmax")
     if kmax is not None:
         kmax = _integer(kmax, "kmax")
@@ -282,6 +281,10 @@ def resolved_config_dict(cfg: ExperimentConfig) -> dict:
     return doc
 
 
+def canonical_config(cfg: ExperimentConfig) -> str:
+    """The resolved configuration as compact JSON with sorted keys, as hashed and printed."""
+    return json.dumps(resolved_config_dict(cfg), sort_keys=True, separators=(",", ":"))
+
+
 def config_sha256(cfg: ExperimentConfig) -> str:
-    canonical = json.dumps(resolved_config_dict(cfg), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_config(cfg).encode("utf-8")).hexdigest()

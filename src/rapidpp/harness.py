@@ -257,6 +257,16 @@ def _check_workers(workers: int):
         raise ArgumentError("workers must be at least 1", "workers")
 
 
+def _check_reps(reps: int):
+    if reps < 1:
+        raise ArgumentError("reps must be at least 1", "reps")
+
+
+def _check_seed(master_seed: int):
+    if master_seed < 0:
+        raise ArgumentError("master_seed must be nonnegative", "master_seed")
+
+
 def estimate_pmf(
     spec: ExperimentSpec,
     reps: int,
@@ -286,8 +296,8 @@ def estimate_pmf(
     index), and chunk results are merged in index order, so the estimate
     does not depend on ``workers``.
     """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
+    _check_reps(reps)
+    _check_seed(master_seed)
     if conditional and reps < 3:
         raise ArgumentError("must be at least 3 for a conditional estimate", "reps")
     if kmax is None:

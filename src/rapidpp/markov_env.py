@@ -5,20 +5,18 @@ The environment is an irreducible continuous-time Markov chain X on states
 rate vector f.  This module computes the stationary distribution pi, the
 long-run rate lambda_star = pi . f, the centered rate vector f - lambda_star,
 the accumulated-deviation vector g solving Q g = -(f - lambda_star) with
-pi . g = 0, and the time-average variance constant sigma2.  It also draws
-exact occupation integrals of many independent trajectories at once by
-streaming their sojourn segments, without holding any path; the path-by-path
-sampler kept in ``tests/reference.py`` is what the tests check them against.
+pi . g = 0, and the time-average variance constant sigma2, by numpy solves
+that any thread may run.  It also draws exact occupation integrals of many
+independent trajectories at once by streaming their sojourn segments, without
+holding any path; the path-by-path sampler in ``tests/reference.py`` checks them.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import EnumerationTooLargeError, SingularSystemError
 
@@ -158,19 +156,15 @@ class StationaryAnalysis:
 def _solve_refined(a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
     """Dense LU solve with one step of iterative refinement.
 
-    A matrix that is not finite, an exactly zero pivot (scipy's LinAlgWarning)
-    or a step that leaves double range raises one SingularSystemError naming
-    the ``name`` solve, and nothing is warned.  The warning filter is
-    process-wide, so this runs only where no chunk thread does: before any
-    sampling, from :func:`analyze`.
+    An exactly zero pivot (numpy's LinAlgError), a residual that is not
+    finite or a step that leaves double range raises one SingularSystemError
+    naming the ``name`` solve; nothing is warned and no process-wide state set.
     """
     try:
-        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
-            warnings.simplefilter("error", LinAlgWarning)
-            lu = lu_factor(a)
-            x = lu_solve(lu, b)
-            x += lu_solve(lu, b - a @ x)
-    except (LinAlgWarning, FloatingPointError, ValueError) as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            x = np.linalg.solve(a, b)
+            x += np.linalg.solve(a, np.asarray_chkfinite(b - a @ x))
+    except (ValueError, FloatingPointError) as exc:
         raise SingularSystemError(f"the {name} solve is singular or leaves double range") from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"the {name} solve produced non-finite values")

@@ -9,7 +9,8 @@ thinned with keep probability eps), the gamma renewal count summed from
 gamma blocks, and the infinite-server occupancy counted arrival by arrival,
 with one service time drawn per arrival.
 Tests check the kernels' laws and the constructions' equivalences against
-it.  It also keeps the limiting total-variation distance computed by
+it.  It also keeps scipy's refined LU solve, the oracle of the stationary
+analysis' numpy solve; the limiting total-variation distance computed by
 enumerating state-count compositions, which the package's product-Poisson
 form is checked against; the per-factor Monte Carlo draw of the product of
 rate ratios, which the package's coloured draw stands in for; and the
@@ -24,11 +25,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 from scipy import stats
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.special import gammaln
 
 from rapidpp.arrivals import (
@@ -50,6 +53,30 @@ from rapidpp.markov_env import CtmcModel, GeneratorMatrix, StationaryAnalysis, a
 
 class LengthMismatchError(RapidppError):
     """Paired sequences (arrivals and service draws) differ in length."""
+
+
+# ---------------------------------------------------------------------------
+# the dense solve of the stationary analysis
+
+
+def lu_solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """scipy's LU solve with one step of iterative refinement, the oracle of
+    ``markov_env._solve_refined``.
+
+    Returns None where scipy fails: an exactly zero pivot (LinAlgWarning), a
+    matrix or residual that is not finite (ValueError), or a step that leaves
+    double range (FloatingPointError).  The answer may hold infs or NaNs.
+    The warning filter is process-wide, so call it from one thread only.
+    """
+    try:
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error", LinAlgWarning)
+            lu = lu_factor(a)
+            x = lu_solve(lu, b)
+            x += lu_solve(lu, b - a @ x)
+    except (LinAlgWarning, FloatingPointError, ValueError):
+        return None
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -6,12 +7,14 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rapidpp
 from rapidpp import ExperimentSpec, cli, poisson_pmf
 from rapidpp.cli import main
 
@@ -841,6 +844,22 @@ def test_import_loads_no_scipy_stats():
     assert proc.stdout.split("\n") == [subpackages, subpackages, ""]
 
 
+def test_import_boundary():
+    # the environment layer runs on numpy alone, and no module sets the process-wide
+    # warning filters, so chunk threads may call anything
+    imported = {}
+    for path in sorted(Path(rapidpp.__file__).parent.glob("*.py")):
+        tops = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                tops.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops.add(node.module.split(".")[0])
+        imported[path.name] = tops
+    assert "scipy" not in imported["markov_env.py"]
+    assert [name for name, tops in imported.items() if "warnings" in tops] == []
+
+
 # sigma2 = 2 sum pi f_c g meets an inf and a -inf term on this model, so it is NaN
 NAN_SIGMA2 = {"type": "mmpp", "generator": [[-1000003, 3, 1e6], [1, -1000001, 1e6], [1, 1, -2]],
               "rates": [1, 1e300, 2]}
@@ -1002,6 +1021,15 @@ REJECTED = {
                      "model: piece widths must be at least 0.001"),
     "piece-count": ({**EXPAND, "model": dict(PERIODIC, values=[2])},
                     "model: breakpoints and values must be equal-length 1-d sequences"),
+    **{
+        f"erlang-shape-{name}": (
+            {**EXPAND, "kind": "queue", "service": {"type": "erlang", "shape": shape, "rate": 1.0}},
+            "service: shape must be an integer in [1, 1048576]",
+        )
+        # past the cap: 10^11 would need 1.5 TiB of arrays, 10^300 passes numpy's size limit,
+        # and no double holds 10^400
+        for name, shape in [("1e11", 10**11), ("1e300", 10**300), ("401-digits", 10**400)]
+    },
     "periodic-queue": ({**EXPAND, "model": PERIODIC, "kind": "queue",
                         "service": {"type": "exponential", "rate": 1.0}},
                        "service: periodic models do not take a service spec"),

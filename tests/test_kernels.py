@@ -136,6 +136,13 @@ ARGUMENT_ERRORS = {
     "kmax estimate_pmf": (
         "kmax", lambda: estimate_pmf(ExperimentSpec(MODEL, 1.0, 0.5), 100, 0, -3)
     ),
+    "reps estimate_pmf": ("reps", lambda: estimate_pmf(ExperimentSpec(MODEL, 1.0, 0.5), 0, 0)),
+    "master_seed estimate_pmf": (
+        "master_seed", lambda: estimate_pmf(ExperimentSpec(MODEL, 1.0, 0.5), 100, -1)
+    ),
+    "master_seed convergence_study": (
+        "master_seed", lambda: convergence_study(MODEL, None, [0.5], 1.0, 100, -1)
+    ),
     "workers": (
         "workers", lambda: estimate_pmf(ExperimentSpec(MODEL, 1.0, 0.5), 100, 0, workers=0)
     ),

@@ -1,4 +1,7 @@
+import contextlib
+import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from rapidpp import (
     sample_queue_counts,
     stationary_distribution,
 )
+from rapidpp import markov_env
 from rapidpp.markov_env import (
     MAX_SEGMENT_ROUNDS,
     _jump_table,
@@ -25,7 +29,13 @@ from rapidpp.markov_env import (
 )
 
 from conftest import make_two_state, random_irreducible_model
-from reference import EnvironmentPath, jump_cdf, occupation_integral, sample_path
+from reference import (
+    EnvironmentPath,
+    jump_cdf,
+    lu_solve_refined,
+    occupation_integral,
+    sample_path,
+)
 
 
 class TestValidateGenerator:
@@ -123,6 +133,10 @@ SINGULAR_SYSTEMS = {
 }
 
 
+# the per-state arrival rates of the CLI's robustness property
+EXTREME_RATES = [2.0, 0.5, 0.0, 7.0, 1e-300, 1e300]
+
+
 class TestSolveRefined:
     @pytest.mark.parametrize("case", list(SINGULAR_SYSTEMS))
     def test_singular_or_overflowing_solve_raises_one_error_naming_it(self, case):
@@ -148,6 +162,44 @@ class TestSolveRefined:
     def test_regular_system_is_solved(self):
         x = _solve_refined(np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([3.0, 5.0]), "test")
         np.testing.assert_allclose(x, [0.8, 1.4], rtol=1e-15)
+
+    def test_extreme_generators_give_scipy_lu_outcomes(self, monkeypatch):
+        # 3,000 generators of 2-5 states, 80% of the off-diagonal rates 10^U(-300, 300):
+        # every bordered system analyze builds gives the outcome of scipy's refined LU
+        # solve, its answer within 4 ulps per entry or its failure, message included
+        outcomes = Counter()
+
+        def checked(a, b, name):
+            want = lu_solve_refined(a, b)
+            if want is not None and np.all(np.isfinite(want)):
+                got = _solve_refined(a, b, name)
+                np.testing.assert_array_max_ulp(got, want, maxulp=4)
+                outcomes["solved"] += 1
+                return got
+            fault = "is singular or leaves double range" if want is None else "produced non-finite"
+            with pytest.raises(SingularSystemError, match=f"^the {re.escape(name)} solve {fault}"):
+                _solve_refined(a, b, name)
+            outcomes[fault] += 1
+            raise SingularSystemError(fault)
+
+        monkeypatch.setattr(markov_env, "_solve_refined", checked)
+        rng = np.random.default_rng(5)
+        for _ in range(3000):
+            n = int(rng.integers(2, 6))
+            q = np.where(rng.random((n, n)) < 0.8, 10.0 ** rng.uniform(-300, 300, (n, n)), 0.0)
+            np.fill_diagonal(q, 0.0)
+            np.fill_diagonal(q, -q.sum(axis=1))
+            rates = rng.choice(EXTREME_RATES, n)
+            try:
+                model = CtmcModel(GeneratorMatrix(q), rates)
+            except ValueError:
+                outcomes["rejected"] += 1
+                continue
+            with contextlib.suppress(SingularSystemError):
+                analyze(model)
+        assert set(outcomes) == {
+            "solved", "rejected", "is singular or leaves double range", "produced non-finite"
+        }
 
 
 def two_state_closed_form(a, b, f1, f2):
