@@ -36,9 +36,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaincc, pdtrc
 
+from ._numerics import expm, poisson_window
 from .errors import ArgumentError, EnumerationTooLargeError, SingularSystemError
 from .markov_env import CtmcModel, sample_occupation_integrals
 
@@ -217,7 +216,7 @@ def _cox_count_pmf(model: CtmcModel, eps: float, t: float) -> np.ndarray | None:
     ``model.initial_state``; None when the table needs over MAX_COX_TABLE rows.
 
     N is stochastically below Poisson(max(rates)*t), so J, the smallest count
-    with pdtrc(J, max(rates)*t) <= 2**-64, bounds its tail.  Over environment
+    with P(Poisson(max(rates)*t) > J) <= 2**-64, bounds its tail.  Over environment
     time T = t/eps the (count, state) chain has the block upper-bidiagonal
     generator B with Q - eps*F on the diagonal and eps*F above it,
     F = diag(rates) (T*B is formed as T*Q - t*F and t*F).  Counts above J
@@ -235,10 +234,10 @@ def _cox_count_pmf(model: CtmcModel, eps: float, t: float) -> np.ndarray | None:
     """
     n = model.n
     with np.errstate(over="ignore"):  # a mean past the largest double fits no table
-        fits = pdtrc(np.arange(MAX_COX_TABLE // n), model.rates.max() * t) <= 2.0**-64
-    if not fits.any():
+        mean = float(model.rates.max() * t)
+    rows = _table_rows(mean, MAX_COX_TABLE // n)
+    if rows is None:
         return None
-    rows = int(np.argmax(fits)) + 1
     arrivals = np.diag(t * model.rates)
     gen = np.kron(np.eye(rows + 1), t / eps * model.generator.q - arrivals)
     gen += np.kron(np.eye(rows + 1, k=1), arrivals)
@@ -255,6 +254,15 @@ def _cox_count_pmf(model: CtmcModel, eps: float, t: float) -> np.ndarray | None:
         p = p @ p
         p /= p.sum(axis=1, keepdims=True)
     return p[model.initial_state, : rows * n].reshape(rows, n).sum(axis=1)
+
+
+def _table_rows(mean: float, cap: int) -> int | None:
+    """J + 1, J the smallest count below ``cap`` with P(Poisson(mean) > J) <= 2**-64,
+    or None if there is none (as for every mean above cap, inf included)."""
+    if not (cap and mean <= cap):  # above cap, P(N > cap - 1) is about 1/2 or more
+        return None
+    fits = poisson_window(mean, 0, cap - 1)[2][:cap] <= 2.0**-64
+    return int(np.argmax(fits)) + 1 if fits.any() else None
 
 
 @functools.lru_cache(maxsize=8)
@@ -299,6 +307,20 @@ def sample_cox_counts(
     return _poisson(rng, eps * sample_occupation_integrals(model, model.rates, horizon, size, rng))
 
 
+def _gamma_survival(orders: np.ndarray, shape: float, x: float) -> np.ndarray:
+    """gammaincc(orders * shape, x) for increasing integer orders: P(Poisson(x) < a) at
+    each order a = orders * shape, from :func:`_numerics.poisson_window` when shape is
+    an integer and the orders span fewer than MAX_RENEWAL_TABLE counts (the window's
+    memory), else from scipy.special."""
+    counts = orders * shape - 1
+    if shape == int(shape) and counts[-1] - counts[0] < MAX_RENEWAL_TABLE:
+        start, cdf, _ = poisson_window(x, int(counts[0]), int(counts[-1]))
+        return cdf[(counts - start).astype(np.int64)]
+    from scipy.special import gammaincc
+
+    return gammaincc(orders * shape, x)
+
+
 def _renewal_cdf(base: RenewalGammaBase, horizon: float) -> tuple[int, np.ndarray]:
     """(lo, q), q[i] = P(R <= lo + i - 1) = gammaincc((lo + i)*shape, rate*horizon).
 
@@ -314,7 +336,8 @@ def _renewal_cdf(base: RenewalGammaBase, horizon: float) -> tuple[int, np.ndarra
                 f"renewal CDF table of {2 * half:.3g} entries > {MAX_RENEWAL_TABLE}"
             )
         lo = max(1, math.floor(mean - half))
-        q = gammaincc(np.arange(lo, math.ceil(mean + half) + 1) * base.shape, base.rate * horizon)
+        orders = np.arange(lo, math.ceil(mean + half) + 1)
+        q = _gamma_survival(orders, base.shape, base.rate * horizon)
         if (q[0] <= 2.0**-64 or lo == 1) and q[-1] == 1.0:
             return lo, np.maximum.accumulate(q)  # like _jump_table's cap: no rounding dips
         half *= 2.0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  argparse's first parser imports it: load it with the package
 import os
 import sys
 

@@ -10,12 +10,14 @@ distance between the modulated stream and its constant-rate approximation
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy.special import bdtr, bdtrc, gammainc, gammaincc, gammaln, pdtr, pdtrc, pdtrik, xlogy
 
+from ._numerics import log_factorials, poisson_quantile, poisson_weights
 from .arrivals import PeriodicIntensity, _check_eps_t, _finite_horizon, _poisson
 from .errors import ArgumentError, EnumerationTooLargeError, SingularSystemError
 from .markov_env import CtmcModel, analyze
@@ -88,16 +90,26 @@ def default_kmax(mean: float) -> int:
     return kmax
 
 
+# Up to this mean the Poisson quantile is found by summing the pmf, which gives
+# scipy's integer on a dense grid of means and levels; from about 2.9e6 on, scipy's,
+# from an inverse that is not exact, differs from the exact one by a count at times.
+MAX_SUM_QUANTILE_MEAN = 2.0**20
+
+
 def _poisson_ppf(q: float, mean: float) -> int:
     """Smallest K with P(Poisson(mean) <= K) >= q, for 0 < q < 1 and mean >= 0.
 
-    This is scipy's own ``poisson._ppf`` (an inverse from ``pdtrik``, then
-    one ``pdtr`` step back), so it gives the bits of ``stats.poisson.ppf``
-    without importing ``scipy.stats``.  ``pdtrik`` returns NaN from mean
-    1e12 up; that raises EnumerationTooLargeError.
+    Up to MAX_SUM_QUANTILE_MEAN this is :func:`_numerics.poisson_quantile`, a sum of
+    the pmf.  Above it, scipy's own ``poisson._ppf`` (an inverse from ``pdtrik``,
+    then one ``pdtr`` step back) gives the integer of ``stats.poisson.ppf``.  That
+    inverse returns NaN from mean 1e12 up; that raises EnumerationTooLargeError.
     """
     if not (0.0 < q < 1.0 and mean >= 0.0):
         raise ValueError("the Poisson quantile needs 0 < q < 1 and a nonnegative mean")
+    if mean <= MAX_SUM_QUANTILE_MEAN:
+        return poisson_quantile(q, mean)
+    from scipy.special import pdtr, pdtrik
+
     inverse = pdtrik(q, mean)
     if math.isnan(inverse):
         raise EnumerationTooLargeError(f"the Poisson quantile at mean {mean:.3g} is not computable")
@@ -107,9 +119,11 @@ def _poisson_ppf(q: float, mean: float) -> int:
 
 
 def _poisson_logpmf(n: int, mean: float) -> np.ndarray:
-    """log P(Poisson(mean) = k) for k = 0..n-1, as ``stats.poisson.logpmf`` forms it."""
-    k = np.arange(n)
-    return xlogy(k, mean) - gammaln(k + 1) - mean
+    """log P(Poisson(mean) = k) for k = 0..n-1, bit for bit as ``stats.poisson.logpmf``
+    forms it: xlogy(k, mean) - gammaln(k + 1) - mean, with xlogy(0, mean) = 0."""
+    log_mean = math.log(mean) if mean > 0.0 else -math.inf
+    k_log_mean = np.concatenate(([0.0], np.arange(1.0, n) * log_mean))[:n]
+    return k_log_mean - log_factorials(n) - mean
 
 
 def poisson_pmf(mean: float, kmax: int | None = None) -> PmfVector:
@@ -223,12 +237,24 @@ def corrected_count_pmf_periodic(
 # S = 0.  Its ``phases`` is the largest T's size, known before any piece is built.
 
 
-# Up to this shape the Erlang survival integral is a sum over the shape's
-# Poisson weights; above it, two incomplete gamma functions cost less.
+# Up to this shape the Erlang survival, its integral and the integral of its square
+# are finite sums of Poisson weights; above it, incomplete gamma functions from
+# scipy.special, imported on the first call, cost less.
 MAX_ERLANG_SUM_SHAPE = 32
 # The integral of S^2 sums 2 shape - 1 terms; at this shape eta_squared takes
 # about 0.5 s and 80 MiB above the interpreter's own (2 vCPU).
 MAX_ERLANG_SHAPE = 2**20
+
+
+@functools.lru_cache(maxsize=None)
+def _square_weights(shape: int) -> tuple[float, ...]:
+    """C_j = sum_{n<j} c_n for j = 0..2 shape - 1, c_n = P(Binomial(n, 1/2) in
+    [n - shape + 1, shape - 1]): exact sums of binomials over 2^n, each rounded once."""
+    total, sums = Fraction(0), [0.0]
+    for n in range(2 * shape - 1):
+        total += Fraction(sum(math.comb(n, j) for j in range(max(0, n - shape + 1), shape)), 2**n)
+        sums.append(float(total))
+    return tuple(sums)
 
 
 @dataclass(frozen=True)
@@ -251,10 +277,16 @@ class ErlangService:
         return self.shape
 
     def survival(self, x):
+        """P(N < shape), N ~ Poisson(rate x): a sum of shape Poisson weights up to
+        MAX_ERLANG_SUM_SHAPE, scipy's gammaincc above it; 1 below x = 0."""
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):  # a rate x past the largest double is inf: S = 0
-            y = self.rate * x
-        return np.where(x >= 0, gammaincc(self.shape, y), 1.0)
+            y = np.maximum(self.rate * x, 0.0)
+        if self.shape > MAX_ERLANG_SUM_SHAPE:
+            from scipy.special import gammaincc
+
+            return np.where(x >= 0, gammaincc(self.shape, y), 1.0)
+        return np.where(x >= 0, sum(poisson_weights(y, self.shape)), 1.0)
 
     def survival_integral(self, t):
         """Integral of survival over [0, t]: E[min(N, shape)] / rate, N ~ Poisson(rate t).
@@ -272,6 +304,8 @@ class ErlangService:
         with np.errstate(over="ignore"):  # a rate t past the largest double is inf
             y = np.minimum(self.rate * t, np.finfo(float).max)
         if k > MAX_ERLANG_SUM_SHAPE:
+            from scipy.special import pdtr, pdtrc
+
             return (y * pdtr(k - 1, y) + k * pdtrc(k, y)) / self.rate
         w = np.exp(-y)
         mean = k * -np.expm1(-y)
@@ -285,16 +319,39 @@ class ErlangService:
 
         survival(s)^2 = e^{-2 rate s} sum_{i,j<shape} (rate s)^{i+j} / (i! j!).  Grouped
         by n = i + j, the terms are c_n (2 rate s)^n / n! with c_n = P(Binomial(n, 1/2)
-        in [n-shape+1, shape-1]), and each integrates to P(n+1, 2 rate t) / (2 rate),
-        P the regularized lower incomplete gamma.  By symmetry c_n = P(B <= m) - P(B > m),
-        m = min(shape-1, n), which keeps both bdtr arguments in [0, n].
+        in [n-shape+1, shape-1]), and each integrates to P(N > n) / (2 rate), N ~
+        Poisson(x), x = 2 rate t.  Up to MAX_ERLANG_SUM_SHAPE the sum is regrouped by
+        the count j of N, as sum_{j>=1} w_j C_j with C_j = sum_{n<j} c_n
+        (:func:`_square_weights`) and w_j its Poisson weights: sum_{j<2 shape-1}
+        w_j C_j + C_{2 shape-1} P(N >= 2 shape - 1), all terms positive.  That tail
+        is 1 minus the head sum at x >= 2 shape - 1, and otherwise its own series,
+        whose terms fall by x / j.  Above MAX_ERLANG_SUM_SHAPE, c_n = P(B <= m) -
+        P(B > m), m = min(shape-1, n), from scipy's bdtr, and P(N > n) is gammainc.
         """
         if t <= 0:
             return 0.0
-        n = np.arange(2 * self.shape - 1)
-        m = np.minimum(self.shape - 1, n)
-        c = bdtr(m, n, 0.5) - bdtrc(m, n, 0.5)
-        return float(np.sum(c * gammainc(n + 1, 2.0 * self.rate * t)) / (2.0 * self.rate))
+        k = self.shape
+        x = min(2.0 * self.rate * t, np.finfo(float).max)
+        if k > MAX_ERLANG_SUM_SHAPE:
+            from scipy.special import bdtr, bdtrc, gammainc
+
+            n = np.arange(2 * k - 1)
+            m = np.minimum(k - 1, n)
+            c = bdtr(m, n, 0.5) - bdtrc(m, n, 0.5)
+            return float(np.sum(c * gammainc(n + 1, x)) / (2.0 * self.rate))
+        sums = _square_weights(k)
+        top = 2 * k - 1
+        w = poisson_weights(x, top + 1)
+        if x >= top:
+            tail = 1.0 - math.fsum(w[:top])
+        else:
+            term, tail, j = w[top], 0.0, top
+            while term > tail * 2.0**-60:
+                tail += term
+                j += 1
+                term = term * x / j
+        head = math.fsum(wj * cj for wj, cj in zip(w[1:top], sums[1:top]))
+        return (head + sums[top] * tail) / (2.0 * self.rate)
 
     def survival_pieces(self):
         """One piece: the chance that ``shape`` phases of the given rate are not all done."""

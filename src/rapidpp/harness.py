@@ -15,8 +15,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+import numpy.random  # numpy defers it to the first use: load it with the package
 
+from ._numerics import log_factorial
 from .arrivals import (
     Model,
     PeriodicIntensity,
@@ -56,6 +57,12 @@ __all__ = [
 CHUNK_SIZE = 16_384
 MIN_BASELINE_PROB = 1e-4
 Z99 = 2.5758293035489004  # the standard normal 0.995 quantile
+
+# glibc maps an array of 128 KiB or more (a chunk's) onto fresh pages, and unmaps it when
+# freed, until a block above that size has been freed: then it raises the threshold to the
+# block's size.  Freeing one 4 MiB array here lets the kernels' per-round temporaries reuse
+# heap pages: a queue validate of 131,072 reps took 20,600 page faults without it, 540 with.
+np.empty(2**19)
 
 
 @functools.lru_cache(maxsize=8)
@@ -236,7 +243,7 @@ def _poisson_terms(means: np.ndarray, kmax: int) -> np.ndarray:
         if k:
             np.multiply(log_m, k, out=row)
             row -= means
-            row -= gammaln(k + 1)
+            row -= log_factorial(k)
         else:
             np.negative(means, out=row)
         np.exp(row, out=row)

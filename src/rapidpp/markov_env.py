@@ -29,7 +29,11 @@ __all__ = [
     "sample_occupation_integrals",
 ]
 
+# A row must sum to zero within ROW_SUM_TOL, or within ROW_SUM_ULPS * n ulps of its
+# largest entry: a diagonal set to minus the sum of the other n - 1 entries, and the
+# check's own sum of n terms, each round at most about n/2 ulps of it.
 ROW_SUM_TOL = 1e-12
+ROW_SUM_ULPS = 2
 # Largest horizon * max exit rate a segment walk accepts; the product bounds
 # the walk's mean number of jumps, one less than its rounds, from above.
 MAX_SEGMENT_ROUNDS = 2**24
@@ -66,7 +70,8 @@ class GeneratorMatrix:
     """Validated transition-rate matrix of an irreducible finite CTMC, as a read-only copy.
 
     Raises ValueError on a matrix that is not square, has a non-finite entry or a
-    negative off-diagonal rate, has a row that does not sum to zero, or is reducible.
+    negative off-diagonal rate, has a row that does not sum to zero (within
+    ROW_SUM_TOL or a few ulps of its largest entry), or is reducible.
     """
 
     q: np.ndarray
@@ -83,9 +88,10 @@ class GeneratorMatrix:
             i, j = np.argwhere(off < 0)[0]
             raise ValueError(f"off-diagonal rate q[{i}][{j}] = {q[i, j]} is negative")
         row_sums = q.sum(axis=1)
-        bad = np.abs(row_sums) > ROW_SUM_TOL
+        scale = ROW_SUM_ULPS * len(q) * np.finfo(float).eps * np.abs(q).max(axis=1, initial=0.0)
+        bad = np.abs(row_sums) > np.maximum(ROW_SUM_TOL, scale)
         if np.any(bad):
-            i = int(np.argmax(np.abs(row_sums)))
+            i = int(np.argmax(np.where(bad, np.abs(row_sums), -1.0)))
             raise ValueError(f"row {i} sums to {row_sums[i]:.3e}, expected 0")
         n_comp = _strong_components(off > 0)
         if n_comp != 1:

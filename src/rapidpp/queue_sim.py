@@ -20,17 +20,17 @@ simulation of one path is kept as the test suite's reference, in
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
+from ._numerics import expm
 from .arrivals import _finite_horizon, _poisson
 from .expansions import ServiceModel
-from .markov_env import CtmcModel, _segment_sums
+from .markov_env import CtmcModel, _segment_sums, analyze
 from .markov_env import _segment_rounds as cox_segments  # bench/tracer.py patches it
 
 __all__ = ["sample_queue_counts"]
 
 # Largest block (states plus service phases) whose exponential _occupancy_mean forms;
-# one expm of a 512-square block takes about 0.15 s.
+# one expm of a 512-square block takes about 0.14 s (one BLAS thread, 2 vCPU).
 MAX_OCCUPANCY_BLOCK = 512
 
 
@@ -61,12 +61,15 @@ def _occupancy_mean(model: CtmcModel, service: ServiceModel, eps: float, t: floa
     Poisson means, or None when states plus ``service.phases`` exceed
     ``MAX_OCCUPANCY_BLOCK`` or Q/eps or the result is not finite.
 
-    On a service piece S(s) = alpha exp(T (s - lo)) c, the part of the integral over
-    s = t - u in [lo, min(hi, t)], of width h, is r X c: r = e_x0 exp(Q u0/eps) with
-    u0 = t - min(hi, t), and X the top right block of exp(h [[Q/eps, f alpha], [0, T]])
-    (Van Loan, IEEE TAC 23, 1978).  Its top left block exp(Q h/eps) carries r to the
-    next piece, so the pieces are taken in decreasing s, one expm each; a piece with no
-    phases only carries r.
+    As pi exp(Q u/eps) = pi, E[M] is lambda_star SI(t) plus the same integral from the
+    row e_x0 - pi.  On a service piece S(s) = alpha exp(T (s - lo)) c, the part of that
+    integral over s = t - u in [lo, min(hi, t)], of width h, is r X c: r = (e_x0 - pi)
+    exp(Q u0/eps) with u0 = t - min(hi, t), and X the top right block of
+    exp(h [[Q/eps, f alpha], [0, T]]) (Van Loan, IEEE TAC 23, 1978).  Its top left block
+    exp(Q h/eps) carries r to the next piece, so the pieces are taken in decreasing s,
+    one expm each; a piece with no phases only carries r.  The squarings in expm build
+    up an error along the exponential's eigenvalue 1, the same in each of the top n rows
+    and growing with h/eps (1e-12 at eps 1e-3); r sums to zero, so it cancels.
     """
     n = model.n
     if n + service.phases > MAX_OCCUPANCY_BLOCK:  # before any k-square phase matrix exists
@@ -76,8 +79,9 @@ def _occupancy_mean(model: CtmcModel, service: ServiceModel, eps: float, t: floa
         q = model.generator.q / eps
     if not np.all(np.isfinite(q)):  # Q/eps past the largest double
         return None
-    row = np.eye(1, n, model.initial_state)[0]
-    total = 0.0
+    res = analyze(model)
+    row = np.eye(1, n, model.initial_state)[0] - res.pi
+    total = res.lambda_star * float(service.survival_integral(t))
     for lo, hi, alpha, phases, c in reversed(pieces):
         block = np.zeros((n + alpha.size,) * 2)
         block[:n, :n] = q

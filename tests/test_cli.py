@@ -19,11 +19,19 @@ from rapidpp import ExperimentSpec, cli, poisson_pmf
 from rapidpp.cli import main
 
 from gof import chi_square_gof
+from reference import lu_solve_refined
 
 MMPP = {"type": "mmpp", "generator": [[-1, 1], [1, -1]], "rates": [0, 2], "initial_state": 0}
 PERIODIC = {"type": "periodic", "breakpoints": [0, 0.5], "values": [2, 0]}
 RENEWAL = {"type": "renewal_gamma", "shape": 2, "rate": 2}
 CONSTANT = {"type": "constant", "rate": 1.0}
+# Rates up to 9.6e5; np.fill_diagonal(q, -q.sum(axis=1)) leaves row 2 summing to -5.8e-11.
+LARGE_RATE_GENERATOR = [
+    [-958027.1888586432, 3.6825179951902265, 950824.2942945943, 7199.21204605362],
+    [5352.753535339486, -9356.812127339803, 3250.1030526651543, 753.9555393351617],
+    [2.8921163552227247, 690583.9842024919, -748995.3877653556, 58408.511446508404],
+    [2.4462481769540356, 271.30888903125293, 2.1881523268380465, -275.94328953504504],
+]
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -825,14 +833,13 @@ class TestLargeErlangShape:
 
 
 def test_import_loads_no_scipy_stats():
-    # scipy.stats takes about half a second to import; rapidpp needs only scipy.special
-    # and scipy.linalg, so no other public subpackage may load either
+    # scipy costs about 0.2 s of import; rapidpp needs it only on the lazy paths
+    # (a fractional renewal shape, an Erlang shape above 32, a Poisson quantile past
+    # mean 2**20), so importing the package or its CLI loads no scipy module at all
     code = (
         "import sys\n"
         "def loaded():\n"
-        "    return sorted(m for m, mod in list(sys.modules.items()) if m.count('.') == 1\n"
-        "                  and m.startswith('scipy.') and not m.startswith('scipy._')\n"
-        "                  and hasattr(mod, '__path__'))\n"
+        "    return sorted(m for m in list(sys.modules) if m.split('.')[0] == 'scipy')\n"
         "import rapidpp\n"
         "print(loaded())\n"
         "import rapidpp.cli\n"
@@ -840,24 +847,102 @@ def test_import_loads_no_scipy_stats():
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    subpackages = str(["scipy.linalg", "scipy.special"])
-    assert proc.stdout.split("\n") == [subpackages, subpackages, ""]
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]
+
+
+# One command of each benchmark workload's kind, none of which may load scipy.
+NO_SCIPY_COMMANDS = [
+    ("simulate", {"model": MMPP, "t": 1.0, "eps": 0.01, "reps": 2000}, []),
+    ("validate", {"model": MMPP, "service": {"type": "erlang", "shape": 2, "rate": 2.0},
+                  "kind": "queue", "t": 1.0, "eps_grid": [0.5, 0.25], "reps": 2000}, []),
+    ("simulate", {"model": RENEWAL, "t": 1.0, "eps": 0.002, "reps": 2000}, []),
+    ("analyze", {"model": MMPP, "service": {"type": "erlang", "shape": 3, "rate": 1.0},
+                 "t": 1.0, "tv_limit": True}, []),
+    ("expand", {"model": PERIODIC, "t": 1.3, "eps": 0.4}, []),
+    ("expand", {"model": MMPP, "service": {"type": "uniform", "a": 0.25, "b": 1.5},
+                "kind": "queue", "t": 1.2, "eps": 0.2}, []),
+    ("tv-limit", {"model": MMPP, "t": 1.0}, ["--reps", "1000", "--seed", "3"]),
+]
+# The two paths that import scipy.special on their first call: a fractional renewal
+# shape and an Erlang shape above MAX_ERLANG_SUM_SHAPE.
+LAZY_SCIPY_COMMANDS = [
+    ("simulate", {"model": {"type": "renewal_gamma", "shape": 0.5, "rate": 1}, "t": 1.0,
+                  "eps": 0.02, "reps": 2000}, []),
+    ("analyze", {"model": MMPP, "service": {"type": "erlang", "shape": 33, "rate": 2.0},
+                 "t": 1.0}, []),
+]
+SCIPY_MODULES = (
+    "import sys\n"
+    "print(sorted(m for m, mod in list(sys.modules.items()) if m.split('.')[0] == 'scipy'\n"
+    "             and m.count('.') == 1 and not m.startswith('scipy._')\n"
+    "             and hasattr(mod, '__path__')))\n"
+    "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+)
+
+
+def _run_commands_in_one_child(tmp_path, commands):
+    """Run the commands through ``main`` in one fresh interpreter; returns its stdout lines
+    after the exit codes: the public scipy subpackages loaded, and whether any scipy
+    module is."""
+    calls = []
+    for i, (command, doc, extra) in enumerate(commands):
+        cfg = write_config(tmp_path, doc, f"config{i}.json")
+        calls.append([command, "--config", cfg, "--out", str(tmp_path / f"out{i}"), *extra])
+    code = f"from rapidpp.cli import main\nprint([main(a) for a in {calls!r}])\n" + SCIPY_MODULES
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_workload_commands_load_no_scipy(tmp_path):
+    codes, subpackages, any_scipy = _run_commands_in_one_child(tmp_path, NO_SCIPY_COMMANDS)
+    assert codes == str([0] * len(NO_SCIPY_COMMANDS))
+    assert (subpackages, any_scipy) == ("[]", "False")
+
+
+def test_lazy_scipy_paths_answer_with_scipy_special_only(tmp_path):
+    codes, subpackages, any_scipy = _run_commands_in_one_child(tmp_path, LAZY_SCIPY_COMMANDS)
+    assert codes == str([0, 0])
+    assert (subpackages, any_scipy) == (str(["scipy.special"]), "True")
+
+
+def _module_level_imports(tree):
+    """Top-level package names imported outside any function body."""
+    tops, todo = set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            tops.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops.add(node.module.split(".")[0])
+        todo.extend(ast.iter_child_nodes(node))
+    return tops
 
 
 def test_import_boundary():
-    # the environment layer runs on numpy alone, and no module sets the process-wide
+    # no module imports scipy when it is imported, and no module sets the process-wide
     # warning filters, so chunk threads may call anything
     imported = {}
     for path in sorted(Path(rapidpp.__file__).parent.glob("*.py")):
-        tops = set()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                tops.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                tops.add(node.module.split(".")[0])
-        imported[path.name] = tops
-    assert "scipy" not in imported["markov_env.py"]
+        imported[path.name] = _module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert len(imported) >= 10
+    assert [name for name, tops in imported.items() if "scipy" in tops] == []
     assert [name for name, tops in imported.items() if "warnings" in tops] == []
+
+
+def test_large_rate_generator_analyzes(tmp_path, capsys):
+    # rates up to 9.6e5: the row sums are off by up to 5.8e-11 in rounding alone
+    cfg = write_config(tmp_path, {"model": dict(MMPP, generator=LARGE_RATE_GENERATOR,
+                                                rates=[0, 1, 2, 3])})
+    assert main(["analyze", "--config", cfg]) == 0
+    pi = np.array(json.loads(capsys.readouterr().out)["pi"])
+    q = np.array(LARGE_RATE_GENERATOR)
+    a = q.T.copy()
+    a[-1, :] = 1.0
+    want = lu_solve_refined(a, np.eye(1, 4, 3)[0])
+    np.testing.assert_allclose(pi, want / want.sum(), rtol=1e-12)
 
 
 # sigma2 = 2 sum pi f_c g meets an inf and a -inf term on this model, so it is NaN

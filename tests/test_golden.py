@@ -14,7 +14,12 @@ purpose, name them::
     PYTHONPATH=src python tests/test_golden.py --rerecord validate-queue
 
 Only the named cases are rewritten; an unknown name is refused, and any
-other recorded hash that moved still fails the run.
+other recorded hash that moved still fails the run.  To keep every case's
+config and output file for a number-by-number comparison of two trees (with
+``tests/compare_dumps.py``), dump them into a directory; no hash is read or
+written::
+
+    PYTHONPATH=src python tests/test_golden.py --dump DIR
 """
 
 import argparse
@@ -206,7 +211,15 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Record the golden output hashes.")
     parser.add_argument("--rerecord", nargs="+", default=[], metavar="NAME",
                         help="cases whose recorded hash is replaced")
-    rerecord = set(parser.parse_args().rerecord)
+    parser.add_argument("--dump", metavar="DIR",
+                        help="write every case's config and output into DIR, and nothing else")
+    args = parser.parse_args()
+    if args.dump:
+        os.makedirs(args.dump, exist_ok=True)
+        for name in sorted(CASES):
+            run_case(name, args.dump)
+        sys.exit(0)
+    rerecord = set(args.rerecord)
     unknown = sorted(rerecord - set(CASES))
     if unknown:
         sys.exit(f"unknown cases: {', '.join(unknown)}")
